@@ -1,0 +1,116 @@
+"""Pinned sha256 digests of CLI outputs, so a refactor provably changes no byte.
+
+Every input is a `synth` scenario at n=300, seed 17. A digest may change only
+with a change of output that is intended and recorded in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from errscope.cli import main
+
+N, SEED = 300, 17
+ALL_LAYERS = "zones,proximity,crown,kde,hexbin"
+PAIRS = {
+    "asymmetric_pair": ("E1", "E2"),
+    "correlated_pair": ("E1", "E2"),
+    "equal_metrics_divergent": ("D1", "D2"),
+    "outlier_vs_moderate": ("B1", "B2"),
+    "under_vs_over": ("C1", "C2"),
+}
+
+SYNTH_CSV = {
+    "asymmetric_pair":
+        "2d0f5f3690b549f9812d92ef8a93e9c917bb5e292d90c52850a04e4c5cfb4437",
+    "correlated_pair":
+        "67b6508adbcf882d5608fd6ca0d8aa52a0fa207dcd40d5d30e259a295325223b",
+    "equal_metrics_divergent":
+        "92a1c81000dff036fe51e1a499678fc26ad5af921d7ef5ce5a256d99a808dfc5",
+    "outlier_vs_moderate":
+        "c0f2444eff59ed90b03629bc078635e661fa10da547e2426d48239fc0c13ef96",
+    "under_vs_over":
+        "c18aadb21d669da9fe719314efc656a4223cc3c1769b2538afb080cf1c52fecf",
+}
+
+# (kind, metric) -> (SVG, JSON report) of `compare --layers ALL_LAYERS --json`
+COMPARE = {
+    ("asymmetric_pair", "euclidean"): (
+        "94566122fddecb484eb0d47c92a820564fe8dac73b113823d4bbd89b8d369017",
+        "c3fee582f23e89bf43f0cef71f1873ddc5950b019c70dfa8f0464d14e25596ef"),
+    ("asymmetric_pair", "mahalanobis"): (
+        "1c269a5e074611b393ad5f12e2c99351befb6fc0229d0374b3b561e656339e4a",
+        "3a32c90f65fd258f2ed64a4a3ca790322404eaea8875f130849b97b0effdfc56"),
+    ("correlated_pair", "euclidean"): (
+        "6a4b2009281c0d6d15414666a42607479b30419099d2d1f9f06608bb337e24f4",
+        "7a49098d66f3baa8232414037e7065b14881ec2db019dbffbb6eabdc21f98f88"),
+    ("correlated_pair", "mahalanobis"): (
+        "2ef487a5e1c2be4665116b9dda48b7bbf39d991003d5a50e5f2a939957097747",
+        "5ad77f29004925b12cc6e08e65c393ef9f2fdb5615b64f55efd03fec17ac941f"),
+    ("equal_metrics_divergent", "euclidean"): (
+        "a21c529d95476410e396d71ded09dae9e570809eccb99e5c912098600e120616",
+        "9b7d69603f895e40a644fb66fb5b69c9bbd442d9d8c991c1b359d0974b344d4c"),
+    ("equal_metrics_divergent", "mahalanobis"): (
+        "6ca6712e04b07188b9f982bb294feecd44c43ebfdad34ca897cc179e7e281830",
+        "b342438d59e147a2b7f93f0bab162bbe3a99a22e14e8ef44600ae06cec3dc14e"),
+    ("outlier_vs_moderate", "euclidean"): (
+        "6f7863dfc0e7680d5a63f22a94c203e6a844adef7e11aa2f677cfa28e62f9b71",
+        "7dbc4ae3253e7b51e1d7dca87390217f9e0173d74dacaf1cd67e01f1af3fa214"),
+    ("outlier_vs_moderate", "mahalanobis"): (
+        "3293722aaed61ea430a651a317ed79abfac6653b0c9bb0dfd28da98524c2c92d",
+        "209a9d520620656e97e246d4fcb09efaa6d3c5446ed0daea526882f278ef99b0"),
+    ("under_vs_over", "euclidean"): (
+        "1201e789263c6f6a5b162f967c2dff775c47d2900a64d4c55f42e8d503423818",
+        "d8ae9185851fb4c1ac0b760a6725d2f9415c7f36bcf62e3648d9a77bfae273e6"),
+    ("under_vs_over", "mahalanobis"): (
+        "222384d8fe34e6e8c1b249c08359075587231be98aeb53f769a3756d5fb5d062",
+        "bd41cd768723aab30c04041ace194013b657bbae1c8ce8ace1f98592fb595880"),
+}
+
+# `metrics --plots DIR --json` on asymmetric_pair
+METRICS = {
+    "boxplots.svg": "f81f6e80ae6470b58ac9727b621aa11351f3eafbb7361deb53e4b65d12feb9ec",
+    "pred_vs_actual_grid.svg": "8e29cfe8782f4fa00c0f4fe01f85702f93ff12b0dcd3b7139f1c75adcb97febe",
+    "stdout": "d733a43cca1a88525e4305699b9bf6a673e93995b2d8dc36adb306256d0a9c66",
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def synth_csv(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for kind in PAIRS:
+        paths[kind] = outdir / f"{kind}.csv"
+        assert main(["synth", "--kind", kind, "--n", str(N), "--seed", str(SEED),
+                     "-o", str(paths[kind])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+def test_synth_csv_digest(synth_csv, kind):
+    assert sha(synth_csv[kind].read_bytes()) == SYNTH_CSV[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_compare_digests(synth_csv, tmp_path, kind, metric):
+    a, b = PAIRS[kind]
+    svg, report = tmp_path / "error_space.svg", tmp_path / "report.json"
+    assert main(["compare", str(synth_csv[kind]), "--a", a, "--b", b,
+                 "--metric", metric, "--layers", ALL_LAYERS,
+                 "-o", str(svg), "--json", str(report)]) == 0
+    assert (sha(svg.read_bytes()), sha(report.read_bytes())) == COMPARE[(kind, metric)]
+
+
+def test_metrics_digests(synth_csv, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["metrics", str(synth_csv["asymmetric_pair"]),
+                 "--plots", str(tmp_path), "--json"]) == 0
+    got = {name: sha((tmp_path / name).read_bytes())
+           for name in ("boxplots.svg", "pred_vs_actual_grid.svg")}
+    got["stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
+    assert got == METRICS
