@@ -2,16 +2,16 @@
 
 from .density import HexbinLayer, KdeGrid, default_hex_radius, hexbin, kde2d
 from .errorspace import (
+    QUADRANTS,
+    ZONES,
     ErrorSpaceAnalysis,
-    ErrorSpacePoint,
     Quadrant,
     Zone,
     analyze_pair,
-    classify_quadrant,
-    classify_zone,
+    classify,
     covariance2,
     crown_threshold,
-    mahalanobis,
+    mahalanobis_many,
     median2d,
     percentile_ranks,
 )
@@ -22,7 +22,6 @@ from .metrics import (
     MetricReport,
     boxplot_stats,
     compute_errors,
-    deviation,
     mae,
     metric_report,
     r_squared,
@@ -35,9 +34,7 @@ from .render import (
     Figure,
     render_boxplots,
     render_error_space,
-    render_histogram,
     render_model_grid,
-    render_pred_vs_actual,
 )
 from .synth import SCENARIOS, ScenarioSpec, generate
 

@@ -7,6 +7,7 @@ Set ERRSCOPE_NO_COLOR to disable ANSI in terminal summaries.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -14,10 +15,17 @@ from pathlib import Path
 from . import __version__
 from .density import default_hex_radius, hexbin, kde2d
 from .errorspace import analyze_pair
-from .exceptions import DegenerateDistribution, ErrscopeError, NonPositiveDefinite
+from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import parse_predictions, select_pair
 from .metrics import boxplot_stats, compute_errors, mae, rmse
-from .render import ERROR_SPACE_LAYERS, WARM_COOL, render_boxplots, render_error_space, render_model_grid
+from .render import (
+    ERROR_SPACE_LAYERS,
+    WARM_COOL,
+    check_layers,
+    render_boxplots,
+    render_error_space,
+    render_model_grid,
+)
 from .report import build_metrics_report, build_pair_report, to_json
 from .synth import SCENARIOS, ScenarioSpec, generate
 
@@ -54,7 +62,7 @@ def cmd_metrics(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         order = report["ranking"]["order"]
         stats = [
-            (m, boxplot_stats(compute_errors(ps.y_true, ps.models[m], m)))
+            (m, boxplot_stats(compute_errors(ps.y_true, ps.column(m), m)))
             for m in order
         ]
         render_boxplots(stats).save(outdir / "boxplots.svg")
@@ -72,42 +80,27 @@ def cmd_compare(args) -> int:
     ea, eb = select_pair(ps, args.a, args.b)
     analysis = analyze_pair(ea, eb, metric=args.metric)
 
-    layers = tuple(s.strip() for s in args.layers.split(",") if s.strip())
-    bad = [l for l in layers if l not in ERROR_SPACE_LAYERS]
-    if bad:
-        raise ErrscopeError(f"unknown layer(s): {', '.join(bad)}; "
-                            f"known: {', '.join(ERROR_SPACE_LAYERS)}")
-
-    coords = analysis.coords()
-    kde = None
-    if "kde" in layers:
-        bandwidth = None
-        if args.bandwidth:
-            hx, hy = (float(v) for v in args.bandwidth.split(","))
-            bandwidth = (hx, hy)
-        kde = kde2d(coords, bandwidth=bandwidth)
+    kde = kde2d(analysis.e, bandwidth=args.bandwidth) if "kde" in args.layers else None
     hexgrid = None
-    if "hexbin" in layers:
-        radius = args.hex_radius if args.hex_radius else default_hex_radius(coords)
-        hexgrid = hexbin(coords, radius)
+    if "hexbin" in args.layers:
+        radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
+        hexgrid = hexbin(analysis.e, radius)
 
-    fig = render_error_space(analysis, layers=layers, colormap=WARM_COOL,
+    fig = render_error_space(analysis, layers=args.layers, colormap=WARM_COOL,
                              kde=kde, hexgrid=hexgrid)
     fig.save(args.output)
 
+    report = build_pair_report(ps, analysis, sort_key="rmse")
     if args.json:
-        report = build_pair_report(ps, analysis, sort_key="rmse")
         report["errorspace"] = analysis.to_dict()
         Path(args.json).write_text(to_json(report), encoding="utf-8")
 
-    pair = build_pair_report(ps, analysis)["pair"]
+    pair = report["pair"]
     print(_bold(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}"))
-    print(f"{'zone':<14} count")
-    for zone, count in analysis.zone_counts.items():
-        print(f"{zone:<14} {count}")
-    print(f"{'quadrant':<14} count")
-    for quad, count in analysis.quadrant_counts.items():
-        print(f"{quad:<14} {count}")
+    for table in ("zone", "quadrant"):
+        print(f"{table:<14} count")
+        for name, count in pair[f"{table}_counts"].items():
+            print(f"{name:<14} {count}")
     corr = pair["error_correlation"]
     print(f"error correlation: {'n/a' if corr is None else format(corr, '.4f')}")
     print(f"median2d: ({analysis.median2d[0]:.4f}, {analysis.median2d[1]:.4f})")
@@ -137,9 +130,33 @@ def cmd_synth(args) -> int:
     print(_bold(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}"))
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")
     for m in ps.model_names:
-        errors = compute_errors(ps.y_true, ps.models[m], m)
+        errors = compute_errors(ps.y_true, ps.column(m), m)
         print(f"{m:<8} {mae(errors):>10.4f} {rmse(errors):>10.4f}")
     return 0
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _bandwidth(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not HX,HY")
+    return (_positive(parts[0]), _positive(parts[1]))
+
+
+def _layers(text: str) -> tuple[str, ...]:
+    try:
+        return check_layers(s.strip() for s in text.split(",") if s.strip())
+    except ErrscopeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="model on the y-axis")
     p.add_argument("--metric", choices=["euclidean", "mahalanobis"],
                    default="mahalanobis")
-    p.add_argument("--layers", default="zones,proximity,crown",
+    p.add_argument("--layers", type=_layers, default="zones,proximity,crown",
                    help="comma-separated: " + ",".join(ERROR_SPACE_LAYERS))
-    p.add_argument("--bandwidth", metavar="HX,HY", help="KDE bandwidth override")
-    p.add_argument("--hex-radius", type=float, help="hexbin cell radius")
+    p.add_argument("--bandwidth", type=_bandwidth, metavar="HX,HY",
+                   help="KDE bandwidth override")
+    p.add_argument("--hex-radius", type=_positive, help="hexbin cell radius")
     p.add_argument("-o", "--output", default="error_space.svg",
                    help="output SVG path (default error_space.svg)")
     p.add_argument("--json", metavar="PATH", help="also write the JSON report here")
@@ -190,7 +208,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DegenerateDistribution, NonPositiveDefinite) as exc:
+    except DegenerateDistribution as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ErrscopeError, OSError) as exc:

@@ -36,45 +36,11 @@ class KdeGrid:
     def y_coords(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
-    def riemann_mass(self) -> float:
-        """Total probability mass by midpoint-free rectangle sum."""
-        dx = (self.x_max - self.x_min) / (self.nx - 1)
-        dy = (self.y_max - self.y_min) / (self.ny - 1)
-        return float(self.values.sum() * dx * dy)
-
-    def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "nx": self.nx,
-            "ny": self.ny,
-            "bandwidth": list(self.bandwidth),
-            "values": [float(v) for v in self.values.ravel()],
-        }
-
 
 @dataclass(frozen=True)
 class HexbinLayer:
     hex_radius: float
     cells: tuple[tuple[int, int, int], ...]  # (q, r, count), sorted by (q, r)
-    origin: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, _, c in self.cells)
-
-    def centers(self) -> np.ndarray:
-        """Cartesian centers of the occupied cells, row-aligned with cells."""
-        return np.array([axial_to_xy(q, r, self.hex_radius) for q, r, _ in self.cells])
-
-    def to_dict(self) -> dict:
-        return {
-            "hex_radius": self.hex_radius,
-            "origin": list(self.origin),
-            "cells": [{"q": q, "r": r, "count": c} for q, r, c in self.cells],
-        }
 
 
 def scott_bandwidth(points: np.ndarray) -> tuple[float, float]:
@@ -193,8 +159,6 @@ def hexbin(points, hex_radius: float) -> HexbinLayer:
     if pts.shape[0] < 1:
         raise DegenerateDistribution("hexbin needs at least one point")
     q, r = xy_to_axial(pts[:, 0], pts[:, 1], hex_radius)
-    counts: dict[tuple[int, int], int] = {}
-    for qi, ri in zip(q.tolist(), r.tolist()):
-        counts[(qi, ri)] = counts.get((qi, ri), 0) + 1
-    cells = tuple((qi, ri, c) for (qi, ri), c in sorted(counts.items()))
+    keys, counts = np.unique(np.column_stack([q, r]), axis=0, return_counts=True)
+    cells = tuple((qi, ri, c) for (qi, ri), c in zip(keys.tolist(), counts.tolist()))
     return HexbinLayer(hex_radius=float(hex_radius), cells=cells)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDistribution, LengthMismatch, NonPositiveDefinite
+from .exceptions import DegenerateDistribution, LengthMismatch
 from .metrics import ErrorVector
 
 # Ridge kicks in when the sample covariance is singular or nearly so.
@@ -35,59 +35,59 @@ class Quadrant(str, enum.Enum):
     ON_AXIS = "on_axis"
 
 
-@dataclass(frozen=True)
-class ErrorSpacePoint:
-    e1: float
-    e2: float
-    zone: Zone
-    quadrant: Quadrant
-    distance: float
-    percentile: float
-
-    def to_dict(self) -> dict:
-        return {
-            "e1": self.e1,
-            "e2": self.e2,
-            "zone": self.zone.value,
-            "quadrant": self.quadrant.value,
-            "distance": self.distance,
-            "percentile": self.percentile,
-        }
+ZONES = tuple(Zone)
+QUADRANTS = tuple(Quadrant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorSpaceAnalysis:
+    """Per-instance arrays of a model pair's error space, row i = instance i.
+
+    zone and quadrant hold int8 codes indexing ZONES and QUADRANTS.
+    """
+
     model_a: str
     model_b: str
-    points: tuple[ErrorSpacePoint, ...]
+    e: np.ndarray  # (n, 2): columns are the errors of model_a and model_b
+    zone: np.ndarray
+    quadrant: np.ndarray
+    distance: np.ndarray
+    percentile: np.ndarray
     median2d: tuple[float, float]
     covariance: np.ndarray
-    covariance_inverse: np.ndarray
     metric: str
     crown_threshold: float
-    zone_counts: dict[str, int]
-    quadrant_counts: dict[str, int]
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.e.shape[0]
 
-    def coords(self) -> np.ndarray:
-        return np.array([[p.e1, p.e2] for p in self.points])
+    @property
+    def zone_counts(self) -> dict[str, int]:
+        return _counts(self.zone, ZONES)
 
-    def distances(self) -> np.ndarray:
-        return np.array([p.distance for p in self.points])
+    @property
+    def quadrant_counts(self) -> dict[str, int]:
+        return _counts(self.quadrant, QUADRANTS)
 
     def to_dict(self) -> dict:
+        zones = [z.value for z in ZONES]
+        quads = [q.value for q in QUADRANTS]
+        columns = zip(self.e.tolist(), self.zone.tolist(), self.quadrant.tolist(),
+                      self.distance.tolist(), self.percentile.tolist())
         return {
             "model_a": self.model_a,
             "model_b": self.model_b,
             "metric": self.metric,
-            "points": [p.to_dict() for p in self.points],
+            "points": [
+                {"e1": e1, "e2": e2, "zone": zones[z], "quadrant": quads[q],
+                 "distance": d, "percentile": p}
+                for (e1, e2), z, q, d, p in columns
+            ],
             "summary": {
                 "n": self.n,
                 "median2d": list(self.median2d),
-                "covariance": [float(v) for v in self.covariance.ravel()],
+                "covariance": self.covariance.ravel().tolist(),
                 "crown_threshold": self.crown_threshold,
                 "zone_counts": self.zone_counts,
                 "quadrant_counts": self.quadrant_counts,
@@ -95,26 +95,29 @@ class ErrorSpaceAnalysis:
         }
 
 
-def classify_zone(e1: float, e2: float) -> Zone:
-    """Which model has the smaller absolute error; diagonals are ties.
+def _counts(codes: np.ndarray, names: tuple) -> dict[str, int]:
+    counts = np.bincount(codes, minlength=len(names)).tolist()
+    return {name.value: c for name, c in zip(names, counts)}
 
-    Comparison is exact, no epsilon: points on y = x or y = -x tie.
+
+def classify(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zone and quadrant codes (indices into ZONES, QUADRANTS) of each row.
+
+    Zones compare |e1| with |e2| exactly, no epsilon: points on y = x or
+    y = -x tie. Quadrants follow the sign pattern; an exact zero in either
+    column puts the point on an axis.
     """
-    a1, a2 = abs(e1), abs(e2)
-    if a1 < a2:
-        return Zone.A_BETTER
-    if a1 > a2:
-        return Zone.B_BETTER
-    return Zone.TIE
-
-
-def classify_quadrant(e1: float, e2: float) -> Quadrant:
-    """Over/under-estimation sign pattern; exact zeros sit on an axis."""
-    if e1 == 0.0 or e2 == 0.0:
-        return Quadrant.ON_AXIS
-    if e1 > 0.0:
-        return Quadrant.OVER_OVER if e2 > 0.0 else Quadrant.OVER_UNDER
-    return Quadrant.UNDER_OVER if e2 > 0.0 else Quadrant.UNDER_UNDER
+    e = np.asarray(e, dtype=float).reshape(-1, 2)
+    a1, a2 = np.abs(e[:, 0]), np.abs(e[:, 1])
+    zone = np.select([a1 < a2, a1 > a2],
+                     [ZONES.index(Zone.A_BETTER), ZONES.index(Zone.B_BETTER)],
+                     ZONES.index(Zone.TIE))
+    # QUADRANTS lists over_over, over_under, under_over, under_under, so the
+    # code of an off-axis point is 2 * (e1 < 0) + (e2 < 0).
+    under = e < 0.0
+    quadrant = np.where((e == 0.0).any(axis=1), QUADRANTS.index(Quadrant.ON_AXIS),
+                        2 * under[:, 0] + under[:, 1])
+    return zone.astype(np.int8), quadrant.astype(np.int8)
 
 
 def median2d(points) -> tuple[float, float]:
@@ -146,21 +149,6 @@ def regularized_inverse(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eps = _RIDGE_SCALE * max(cov[0, 0], cov[1, 1], 1.0)
         cov = cov + eps * np.eye(2)
     return cov, np.linalg.inv(cov)
-
-
-def _check_spd(m: np.ndarray) -> None:
-    if not np.allclose(m, m.T):
-        raise NonPositiveDefinite("matrix is not symmetric")
-    if np.any(np.linalg.eigvalsh(m) <= 0.0):
-        raise NonPositiveDefinite("matrix has a non-positive eigenvalue")
-
-
-def mahalanobis(p, center, cov_inv: np.ndarray) -> float:
-    """sqrt((p-c)^T S^-1 (p-c)); Euclidean when S^-1 is the identity."""
-    cov_inv = np.asarray(cov_inv, dtype=float)
-    _check_spd(cov_inv)
-    d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
-    return float(np.sqrt(d @ cov_inv @ d))
 
 
 def mahalanobis_many(points: np.ndarray, center, cov_inv: np.ndarray) -> np.ndarray:
@@ -204,43 +192,24 @@ def analyze_pair(ea: ErrorVector, eb: ErrorVector, metric: str = "mahalanobis") 
         raise DegenerateDistribution("mahalanobis analysis needs at least 3 points")
 
     center = median2d(pts)
-    if n >= 2:
-        cov, cov_inv = regularized_inverse(covariance2(pts))
-    else:
-        cov = np.eye(2)
-        cov_inv = np.eye(2)
+    cov, cov_inv = regularized_inverse(covariance2(pts)) if n >= 2 else (np.eye(2), np.eye(2))
 
     if metric == "euclidean":
         dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     else:
         dist = mahalanobis_many(pts, center, cov_inv)
 
-    pct = percentile_ranks(dist)
-    zone_counts = {z.value: 0 for z in Zone}
-    quadrant_counts = {q.value: 0 for q in Quadrant}
-    points = []
-    for i in range(n):
-        e1, e2 = float(pts[i, 0]), float(pts[i, 1])
-        zone = classify_zone(e1, e2)
-        quad = classify_quadrant(e1, e2)
-        zone_counts[zone.value] += 1
-        quadrant_counts[quad.value] += 1
-        points.append(
-            ErrorSpacePoint(
-                e1=e1, e2=e2, zone=zone, quadrant=quad,
-                distance=float(dist[i]), percentile=float(pct[i]),
-            )
-        )
-
+    zone, quadrant = classify(pts)
     return ErrorSpaceAnalysis(
         model_a=ea.model_name,
         model_b=eb.model_name,
-        points=tuple(points),
+        e=pts,
+        zone=zone,
+        quadrant=quadrant,
+        distance=dist,
+        percentile=percentile_ranks(dist),
         median2d=center,
         covariance=cov,
-        covariance_inverse=cov_inv,
         metric=metric,
         crown_threshold=crown_threshold(dist),
-        zone_counts=zone_counts,
-        quadrant_counts=quadrant_counts,
     )

@@ -6,7 +6,8 @@ class ErrscopeError(ValueError):
 
 
 class MalformedHeader(ErrscopeError):
-    """CSV header is missing required columns or has no model columns."""
+    """The file is not a prediction table: undecodable bytes, a bad CSV
+    header or JSON of the wrong shape."""
 
 
 class LengthMismatch(ErrscopeError):
@@ -35,10 +36,6 @@ class ConstantTarget(ErrscopeError):
 
 class DegenerateDistribution(ErrscopeError):
     """Too few or fully coincident points for the requested estimate."""
-
-
-class NonPositiveDefinite(ErrscopeError):
-    """Matrix supplied where a symmetric positive-definite one is required."""
 
 
 class MissingLayerInput(ErrscopeError):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import (
     DuplicateModelName,
@@ -19,28 +20,63 @@ from .exceptions import (
 from .metrics import ErrorVector, compute_errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Ground truth plus named per-model prediction columns.
+    """Ground truth plus one float64 prediction column per named model.
 
     Model column order is significant and preserved from the source file.
     Instance ids are opaque; duplicates are legal but worth a warning.
     """
 
     instance_ids: tuple[str, ...]
-    y_true: tuple[float, ...]
-    models: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    y_true: np.ndarray  # (n,)
+    model_names: tuple[str, ...]
+    predictions: np.ndarray  # (n, m); column j holds model_names[j]
 
     def __post_init__(self):
-        validate_prediction_set(self)
+        object.__setattr__(self, "y_true", np.asarray(self.y_true, dtype=float))
+        object.__setattr__(self, "predictions", np.asarray(self.predictions, dtype=float))
+        n = self.y_true.size
+        if self.y_true.ndim != 1 or n < 1:
+            raise LengthMismatch("prediction set must contain at least one instance")
+        if len(self.instance_ids) != n:
+            raise LengthMismatch(f"{len(self.instance_ids)} ids for {n} target values")
+        names = self.model_names
+        if not names:
+            raise MalformedHeader("at least one model column is required")
+        if "" in names:
+            raise DuplicateModelName("model names must be non-empty")
+        if len(set(names)) != len(names):
+            dupes = sorted({m for m in names if names.count(m) > 1})
+            raise DuplicateModelName(f"duplicate model column(s): {', '.join(dupes)}")
+        if self.predictions.shape != (n, len(names)):
+            raise LengthMismatch(
+                f"prediction matrix has shape {self.predictions.shape} for {n} "
+                f"instances of {len(names)} models"
+            )
+        bad = ~np.isfinite(np.column_stack([self.y_true, self.predictions]))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            label = ("y_true",) + names
+            raise NonFinite(f"non-finite value in {label[j]!r} at instance {i}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PredictionSet):
+            return NotImplemented
+        return (self.instance_ids == other.instance_ids
+                and self.model_names == other.model_names
+                and np.array_equal(self.y_true, other.y_true)
+                and np.array_equal(self.predictions, other.predictions))
 
     @property
     def n(self) -> int:
-        return len(self.y_true)
+        return self.y_true.size
 
-    @property
-    def model_names(self) -> list[str]:
-        return list(self.models.keys())
+    def column(self, name: str) -> np.ndarray:
+        """Predictions of one model, looked up by name."""
+        if name not in self.model_names:
+            raise UnknownModel(name)
+        return self.predictions[:, self.model_names.index(name)]
 
     def duplicate_ids(self) -> list[str]:
         """Instance ids that occur more than once, in first-seen order."""
@@ -55,78 +91,33 @@ class PredictionSet:
         """Canonical wide-CSV serialization (parse is its left inverse)."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "y_true"] + self.model_names)
-        for i in range(self.n):
-            row = [self.instance_ids[i], repr(self.y_true[i])]
-            row += [repr(self.models[m][i]) for m in self.model_names]
-            writer.writerow(row)
+        writer.writerow(("id", "y_true") + self.model_names)
+        # tolist() gives Python floats, whose repr is the shortest exact form.
+        rows = zip(self.instance_ids, self.y_true.tolist(), self.predictions.tolist())
+        writer.writerows([iid, repr(y), *map(repr, preds)] for iid, y, preds in rows)
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        instances = [
-            {
-                "id": self.instance_ids[i],
-                "y_true": self.y_true[i],
-                "predictions": {m: self.models[m][i] for m in self.model_names},
-            }
-            for i in range(self.n)
-        ]
-        return json.dumps({"instances": instances})
-
-
-def validate_prediction_set(ps: PredictionSet) -> None:
-    n = len(ps.y_true)
-    if n < 1:
-        raise LengthMismatch("prediction set must contain at least one instance")
-    if len(ps.instance_ids) != n:
-        raise LengthMismatch(
-            f"{len(ps.instance_ids)} ids for {n} target values"
-        )
-    if not ps.models:
-        raise MalformedHeader("at least one model column is required")
-    for name, preds in ps.models.items():
-        if not name:
-            raise DuplicateModelName("model names must be non-empty")
-        if len(preds) != n:
-            raise LengthMismatch(
-                f"model {name!r} has {len(preds)} predictions for {n} instances"
-            )
-    for label, values in [("y_true", ps.y_true)] + list(ps.models.items()):
-        for i, v in enumerate(values):
-            if not math.isfinite(v):
-                raise NonFinite(f"non-finite value in {label!r} at instance {i}")
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise NonNumeric(
             f"cannot parse {text!r} as a number (row {row}, column {column!r})"
         ) from None
-    if not math.isfinite(value):
-        raise NonFinite(f"non-finite value {text!r} (row {row}, column {column!r})")
-    return value
 
 
 def _parse_csv(text: str) -> PredictionSet:
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedHeader("empty file") from None
+    header = next(reader, None)
+    if header is None:
+        raise MalformedHeader("empty file")
     if len(header) < 3 or header[0] != "id" or header[1] != "y_true":
         raise MalformedHeader(
             "header must be 'id,y_true,<model>...', got " + ",".join(header)
         )
-    model_names = header[2:]
-    if len(set(model_names)) != len(model_names):
-        dupes = sorted({m for m in model_names if model_names.count(m) > 1})
-        raise DuplicateModelName(f"duplicate model column(s): {', '.join(dupes)}")
-
     ids: list[str] = []
-    y_true: list[float] = []
-    columns: list[list[float]] = [[] for _ in model_names]
+    rows: list[list[float]] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -135,14 +126,15 @@ def _parse_csv(text: str) -> PredictionSet:
                 f"row {lineno} has {len(row)} cells, expected {len(header)}"
             )
         ids.append(row[0])
-        y_true.append(_parse_cell(row[1], lineno, "y_true"))
-        for j, name in enumerate(model_names):
-            columns[j].append(_parse_cell(row[2 + j], lineno, name))
-    return PredictionSet(
-        instance_ids=tuple(ids),
-        y_true=tuple(y_true),
-        models={m: tuple(col) for m, col in zip(model_names, columns)},
-    )
+        rows.append([_parse_cell(c, lineno, h) for c, h in zip(row[1:], header[1:])])
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    return PredictionSet(tuple(ids), values[:, 0], tuple(header[2:]), values[:, 1:])
+
+
+def _number(value, where: str):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise NonNumeric(f"{where} is not a number")
+    return value
 
 
 def _parse_json(text: str) -> PredictionSet:
@@ -154,55 +146,51 @@ def _parse_json(text: str) -> PredictionSet:
     if not isinstance(instances, list) or not instances:
         raise MalformedHeader("JSON must contain a non-empty 'instances' array")
 
-    first = instances[0]
-    model_names = list(first.get("predictions", {}).keys())
-    if not model_names:
-        raise MalformedHeader("instances must carry a non-empty 'predictions' map")
-
-    ids, y_true = [], []
-    columns: dict[str, list[float]] = {m: [] for m in model_names}
+    model_names: list[str] = []
+    ids, rows = [], []
     for i, inst in enumerate(instances):
-        preds = inst.get("predictions", {})
-        if list(preds.keys()) != model_names and set(preds) != set(model_names):
+        preds = inst.get("predictions", {}) if isinstance(inst, dict) else None
+        if not isinstance(preds, dict):
+            raise MalformedHeader(f"instance {i} is not an object with a 'predictions' object")
+        if i == 0:
+            model_names = list(preds)
+            if not model_names:
+                raise MalformedHeader("instances must carry a non-empty 'predictions' map")
+        elif set(preds) != set(model_names):
             raise LengthMismatch(
                 f"instance {i} lists a different model set than instance 0"
             )
         ids.append(str(inst.get("id", i)))
-        y = inst.get("y_true")
-        if not isinstance(y, (int, float)) or isinstance(y, bool):
-            raise NonNumeric(f"instance {i}: y_true is not a number")
-        y_true.append(float(y))
-        for m in model_names:
-            v = preds[m]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise NonNumeric(f"instance {i}: prediction {m!r} is not a number")
-            columns[m].append(float(v))
-    return PredictionSet(
-        instance_ids=tuple(ids),
-        y_true=tuple(y_true),
-        models={m: tuple(col) for m, col in columns.items()},
-    )
+        rows.append([_number(inst.get("y_true"), f"instance {i}: y_true")]
+                    + [_number(preds[m], f"instance {i}: prediction {m!r}") for m in model_names])
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:
+        raise NonFinite("a number is too large for float64") from None
+    return PredictionSet(tuple(ids), values[:, 0], tuple(model_names), values[:, 1:])
 
 
 def parse_predictions(content: bytes | str, format: str = "csv") -> PredictionSet:
     """Parse raw file content into a validated PredictionSet.
 
-    Column order of models is preserved; rows are kept in file order.
+    Column order of models is preserved; rows are kept in file order. Bytes
+    are decoded as UTF-8, skipping a leading byte-order mark.
     """
-    text = content.decode("utf-8") if isinstance(content, bytes) else content
+    if isinstance(content, bytes):
+        try:
+            content = content.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise MalformedHeader(f"file is not UTF-8 text: {exc}") from None
     if format == "csv":
-        return _parse_csv(text)
+        return _parse_csv(content)
     if format == "json":
-        return _parse_json(text)
+        return _parse_json(content)
     raise ValueError(f"unknown format {format!r}")
 
 
 def select_pair(ps: PredictionSet, name_a: str, name_b: str) -> tuple[ErrorVector, ErrorVector]:
     """Error vectors for two named models (A drawn on x, B on y downstream)."""
-    for name in (name_a, name_b):
-        if name not in ps.models:
-            raise UnknownModel(name)
     return (
-        compute_errors(ps.y_true, ps.models[name_a], model_name=name_a),
-        compute_errors(ps.y_true, ps.models[name_b], model_name=name_b),
+        compute_errors(ps.y_true, ps.column(name_a), model_name=name_a),
+        compute_errors(ps.y_true, ps.column(name_b), model_name=name_b),
     )

@@ -42,9 +42,6 @@ class MetricReport:
     r_squared: float | None
     n: int
 
-    def to_dict(self) -> dict:
-        return {"mae": self.mae, "rmse": self.rmse, "r_squared": self.r_squared, "n": self.n}
-
 
 @dataclass(frozen=True)
 class BoxplotStats:
@@ -55,17 +52,6 @@ class BoxplotStats:
     max_whisker: float
     iqr: float
     outliers: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "min_whisker": self.min_whisker,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max_whisker": self.max_whisker,
-            "iqr": self.iqr,
-            "outliers": list(self.outliers),
-        }
 
 
 def compute_errors(y_true, y_pred, model_name: str = "") -> ErrorVector:
@@ -87,26 +73,20 @@ def rmse(e: ErrorVector) -> float:
 
 def r_squared(y_true, y_pred) -> float:
     """Coefficient of determination, 1 - SSres/SStot."""
+    return _r_squared(compute_errors(y_true, y_pred), y_true)
+
+
+def _r_squared(e: ErrorVector, y_true) -> float:
     yt = np.asarray(y_true, dtype=float)
-    yp = np.asarray(y_pred, dtype=float)
-    if yt.shape != yp.shape:
-        raise LengthMismatch(f"{yt.size} truths vs {yp.size} predictions")
+    if yt.shape != e.errors.shape:
+        raise LengthMismatch(f"{yt.size} truths vs {e.n} errors")
     if yt.size < 2:
         raise ConstantTarget("r_squared needs at least two instances")
     ss_tot = float(np.sum(np.square(yt - yt.mean())))
     if ss_tot == 0.0:
         raise ConstantTarget("target values are constant")
-    ss_res = float(np.sum(np.square(yt - yp)))
+    ss_res = float(np.sum(np.square(e.errors)))
     return 1.0 - ss_res / ss_tot
-
-
-def deviation(pred_a, pred_b) -> np.ndarray:
-    """Per-instance prediction difference a - b (truth cancels out)."""
-    pa = np.asarray(pred_a, dtype=float)
-    pb = np.asarray(pred_b, dtype=float)
-    if pa.shape != pb.shape:
-        raise LengthMismatch(f"{pa.size} vs {pb.size} predictions")
-    return pa - pb
 
 
 def boxplot_stats(e: ErrorVector) -> BoxplotStats:
@@ -135,11 +115,10 @@ def sort_models_by_metric(reports: dict[str, MetricReport], key: str = "rmse") -
     return sorted(reports, key=lambda m: (getattr(reports[m], key), m))
 
 
-def metric_report(y_true, y_pred) -> MetricReport:
-    """All scalar metrics for one model; r_squared is None when undefined."""
-    e = compute_errors(y_true, y_pred)
+def metric_report(e: ErrorVector, y_true) -> MetricReport:
+    """All scalar metrics of one model's errors; r_squared is None when undefined."""
     try:
-        r2 = r_squared(y_true, y_pred)
+        r2 = _r_squared(e, y_true)
     except ConstantTarget:
         r2 = None
     return MetricReport(mae=mae(e), rmse=rmse(e), r_squared=r2, n=e.n)

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .density import HexbinLayer, KdeGrid, hex_vertices
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
-from .exceptions import MissingLayerInput, UnknownModel
+from .exceptions import ErrscopeError, MissingLayerInput
 from .ingest import PredictionSet
-from .metrics import BoxplotStats, compute_errors
+from .metrics import BoxplotStats
 
 PANEL_SIZE = 800.0
 MARGIN = 60.0
@@ -40,8 +41,18 @@ def fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def rgb(color: tuple[int, int, int]) -> str:
-    return "#%02x%02x%02x" % color
+def rgb(color) -> str:
+    return "#{:02x}{:02x}{:02x}".format(*color)
+
+
+def check_layers(layers) -> tuple[str, ...]:
+    """The requested error-space layers; an unknown name is an error."""
+    layers = tuple(layers)
+    unknown = [name for name in layers if name not in ERROR_SPACE_LAYERS]
+    if unknown:
+        raise ErrscopeError(f"unknown layer(s): {', '.join(unknown)}; "
+                            f"known: {', '.join(ERROR_SPACE_LAYERS)}")
+    return layers
 
 
 def _escape(text: str) -> str:
@@ -63,14 +74,19 @@ class Colormap:
         if ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("control points must strictly increase from 0 to 1")
 
-    def __call__(self, t: float) -> tuple[int, int, int]:
-        t = min(max(float(t), 0.0), 1.0)
-        pts = self.control_points
-        for (t0, c0), (t1, c1) in zip(pts, pts[1:]):
-            if t <= t1:
-                w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                return tuple(int(round(a + w * (b - a))) for a, b in zip(c0, c1))
-        return pts[-1][1]
+    def lookup(self, t) -> np.ndarray:
+        """RGB rows (ints) for an array of t, each clamped to [0, 1]."""
+        ts = np.array([p for p, _ in self.control_points])
+        cs = np.array([c for _, c in self.control_points], dtype=float)
+        t = np.clip(np.asarray(t, dtype=float).ravel(), 0.0, 1.0)
+        # Segment k runs from control point k-1 to k, the first whose end >= t.
+        k = np.clip(np.searchsorted(ts, t), 1, len(ts) - 1)
+        w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
+        return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(int)
+
+
+def _fills(colormap: Colormap, t) -> list[str]:
+    return [rgb(c) for c in colormap.lookup(t).tolist()]
 
 
 # Warm near the center / accurate, cool far away, per the method's reading.
@@ -106,6 +122,21 @@ class Transform:
         return Transform(sx=sx, tx=left - sx * x0, sy=sy, ty=bottom - sy * y0)
 
 
+def _style(opacity: float | None = None, stroke: str | None = None,
+           stroke_width: float | None = None, cls: str | None = None) -> str:
+    """Optional shape attributes in their fixed order, each after a space."""
+    out = ""
+    if opacity is not None:
+        out += f' fill-opacity="{fmt(opacity)}"'
+    if stroke is not None:
+        out += f' stroke="{stroke}"'
+    if stroke_width is not None:
+        out += f' stroke-width="{fmt(stroke_width)}"'
+    if cls is not None:
+        out += f' class="{cls}"'
+    return out
+
+
 class Figure:
     """Ordered list of SVG fragments plus the data-to-canvas transform."""
 
@@ -118,19 +149,20 @@ class Figure:
     def add(self, fragment: str) -> None:
         self.elements.append(fragment)
 
-    def circle(self, cx: float, cy: float, r: float, fill: str,
-               opacity: float | None = None, stroke: str | None = None,
-               stroke_width: float | None = None, cls: str | None = None) -> None:
-        attrs = [f'cx="{fmt(cx)}"', f'cy="{fmt(cy)}"', f'r="{fmt(r)}"', f'fill="{fill}"']
-        if opacity is not None:
-            attrs.append(f'fill-opacity="{fmt(opacity)}"')
-        if stroke is not None:
-            attrs.append(f'stroke="{stroke}"')
-        if stroke_width is not None:
-            attrs.append(f'stroke-width="{fmt(stroke_width)}"')
-        if cls is not None:
-            attrs.append(f'class="{cls}"')
-        self.add(f"<circle {' '.join(attrs)}/>")
+    def circles(self, cx, cy, r: float, fills, **style) -> None:
+        """One circle per entry of the cx, cy columns; fills is one colour
+        or one per circle. style is as for _style."""
+        if isinstance(fills, str):
+            fills = repeat(fills)
+        tail = _style(**style)
+        self.elements.extend(
+            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(r)}" fill="{fill}"{tail}/>'
+            for x, y, fill in zip(np.asarray(cx, dtype=float).tolist(),
+                                  np.asarray(cy, dtype=float).tolist(), fills)
+        )
+
+    def circle(self, cx: float, cy: float, r: float, fill: str, **style) -> None:
+        self.circles([cx], [cy], r, fill, **style)
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
@@ -140,28 +172,14 @@ class Figure:
             attrs.append(f'stroke-dasharray="{dash}"')
         self.add(f"<line {' '.join(attrs)}/>")
 
-    def polygon(self, points: list[tuple[float, float]], fill: str,
-                opacity: float | None = None, stroke: str | None = None,
-                stroke_width: float | None = None, cls: str | None = None) -> None:
+    def polygon(self, points: list[tuple[float, float]], fill: str, **style) -> None:
         pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
-        attrs = [f'points="{pts}"', f'fill="{fill}"']
-        if opacity is not None:
-            attrs.append(f'fill-opacity="{fmt(opacity)}"')
-        if stroke is not None:
-            attrs.append(f'stroke="{stroke}"')
-        if stroke_width is not None:
-            attrs.append(f'stroke-width="{fmt(stroke_width)}"')
-        if cls is not None:
-            attrs.append(f'class="{cls}"')
-        self.add(f"<polygon {' '.join(attrs)}/>")
+        self.add(f'<polygon points="{pts}" fill="{fill}"{_style(**style)}/>')
 
     def rect(self, x: float, y: float, w: float, h: float, fill: str,
              opacity: float | None = None) -> None:
-        attrs = [f'x="{fmt(x)}"', f'y="{fmt(y)}"', f'width="{fmt(w)}"',
-                 f'height="{fmt(h)}"', f'fill="{fill}"']
-        if opacity is not None:
-            attrs.append(f'fill-opacity="{fmt(opacity)}"')
-        self.add(f"<rect {' '.join(attrs)}/>")
+        self.add(f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" '
+                 f'fill="{fill}"{_style(opacity=opacity)}/>')
 
     def text(self, x: float, y: float, content: str, size: float = 14.0,
              anchor: str = "middle", fill: str = "#000000") -> None:
@@ -271,46 +289,24 @@ def render_boxplots(stats: list[tuple[str, BoxplotStats]],
 # ---------------------------------------------------------------------------
 # predicted vs actual
 
-def _pred_vs_actual_panel(fig: Figure, tr: Transform, y_true: np.ndarray,
-                          y_pred: np.ndarray, pct: np.ndarray, colormap: Colormap,
-                          lo: float, hi: float, label: str | None) -> None:
-    p0 = tr.apply(lo, lo)
-    p1 = tr.apply(hi, hi)
-    fig.line(p0[0], p0[1], p1[0], p1[1], "#888888", width=1.5)
-    for yt, yp, t in zip(y_true, y_pred, pct):
-        x, y = tr.apply(float(yt), float(yp))
-        fig.circle(x, y, POINT_RADIUS, rgb(colormap(float(t))), cls="pt")
-    if label:
-        fig.text((tr.apply(lo, 0)[0] + tr.apply(hi, 0)[0]) / 2,
-                 tr.apply(0, hi)[1] - 8, label, size=16)
-
-
-def render_pred_vs_actual(ps: PredictionSet, model: str,
-                          colormap: Colormap = WARM_COOL) -> Figure:
-    """Scatter of predictions against truth, colored by accuracy percentile.
-
-    Warm colors mark the most accurate predictions (smallest |error|).
-    """
-    if model not in ps.models:
-        raise UnknownModel(model)
-    y_true = np.asarray(ps.y_true)
-    y_pred = np.asarray(ps.models[model])
-    pct = percentile_ranks(np.abs(y_pred - y_true))
-
+def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
+                          pct: np.ndarray, colormap: Colormap, left: float, top: float,
+                          label: str) -> None:
+    # Both axes share one range, so the identity line is the diagonal.
     lo = float(min(y_true.min(), y_pred.min()))
     hi = float(max(y_true.max(), y_pred.max()))
     if hi == lo:
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-
-    tr = Transform.fit(lo, hi, lo, hi, MARGIN, PANEL_SIZE - MARGIN,
-                       MARGIN, PANEL_SIZE - MARGIN)
-    fig = Figure(PANEL_SIZE, PANEL_SIZE, transform=tr)
-    _white_background(fig)
-    _pred_vs_actual_panel(fig, tr, y_true, y_pred, pct, colormap, lo, hi, model)
-    fig.text(PANEL_SIZE / 2, PANEL_SIZE - 16, "actual", size=14)
-    return fig
+    tr = Transform.fit(lo, hi, lo, hi, left, left + PANEL_SIZE - 2 * MARGIN,
+                       top, top + PANEL_SIZE - 2 * MARGIN)
+    if fig.transform is None:
+        fig.transform = tr
+    fig.line(*tr.apply(lo, lo), *tr.apply(hi, hi), "#888888", width=1.5)
+    fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, _fills(colormap, pct), cls="pt")
+    fig.text((tr.apply(lo, 0)[0] + tr.apply(hi, 0)[0]) / 2,
+             tr.apply(0, hi)[1] - 8, label, size=16)
 
 
 def render_model_grid(ps: PredictionSet, order: list[str],
@@ -318,46 +314,27 @@ def render_model_grid(ps: PredictionSet, order: list[str],
                       global_scale: bool = False) -> Figure:
     """Per-model predicted-vs-actual panels laid out in a 4-wide grid.
 
-    With global_scale, the colormap is normalized over all models' absolute
-    errors at once instead of per panel.
+    Points are colored by accuracy percentile; warm colors mark the most
+    accurate predictions (smallest |error|). With global_scale, the colormap
+    is normalized over all models' absolute errors at once instead of per
+    panel.
     """
-    for model in order:
-        if model not in ps.models:
-            raise UnknownModel(model)
+    preds = [ps.column(model) for model in order]
+    abs_err = [np.abs(y_pred - ps.y_true) for y_pred in preds]
+    if global_scale:
+        pcts = np.split(percentile_ranks(np.concatenate(abs_err)), len(order))
+    else:
+        pcts = [percentile_ranks(a) for a in abs_err]
+
     m = len(order)
     cols = min(m, GRID_COLUMNS)
     rows = math.ceil(m / GRID_COLUMNS)
     fig = Figure(cols * PANEL_SIZE, rows * PANEL_SIZE)
     _white_background(fig)
-
-    y_true = np.asarray(ps.y_true)
-    all_abs = None
-    if global_scale:
-        all_abs = np.concatenate(
-            [np.abs(np.asarray(ps.models[mname]) - y_true) for mname in order])
-        global_ranks = percentile_ranks(all_abs)
-
-    for k, model in enumerate(order):
-        y_pred = np.asarray(ps.models[model])
-        abs_err = np.abs(y_pred - y_true)
-        if global_scale:
-            pct = global_ranks[k * ps.n:(k + 1) * ps.n]
-        else:
-            pct = percentile_ranks(abs_err)
-        lo = float(min(y_true.min(), y_pred.min()))
-        hi = float(max(y_true.max(), y_pred.max()))
-        if hi == lo:
-            hi = lo + 1.0
-        pad = 0.05 * (hi - lo)
-        lo, hi = lo - pad, hi + pad
+    for k, (model, y_pred, pct) in enumerate(zip(order, preds, pcts)):
         col, row = k % GRID_COLUMNS, k // GRID_COLUMNS
-        left = col * PANEL_SIZE + MARGIN
-        top = row * PANEL_SIZE + MARGIN
-        tr = Transform.fit(lo, hi, lo, hi, left, left + PANEL_SIZE - 2 * MARGIN,
-                           top, top + PANEL_SIZE - 2 * MARGIN)
-        if fig.transform is None:
-            fig.transform = tr
-        _pred_vs_actual_panel(fig, tr, y_true, y_pred, pct, colormap, lo, hi, model)
+        _pred_vs_actual_panel(fig, ps.y_true, y_pred, pct, colormap,
+                              col * PANEL_SIZE + MARGIN, row * PANEL_SIZE + MARGIN, model)
     return fig
 
 
@@ -396,20 +373,17 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     Stacking, background to foreground: density (kde/hexbin), comparison
     zones, axes and diagonals, median crown (white), points.
     """
-    layers = set(layers)
-    unknown = layers - set(ERROR_SPACE_LAYERS)
-    if unknown:
-        raise ValueError(f"unknown layer(s): {', '.join(sorted(unknown))}")
+    layers = set(check_layers(layers))
     if "kde" in layers and kde is None:
         raise MissingLayerInput("kde layer requested without a KdeGrid")
     if "hexbin" in layers and hexgrid is None:
         raise MissingLayerInput("hexbin layer requested without a HexbinLayer")
 
-    coords = analysis.coords()
+    e = analysis.e
     ex, ey = _crown_extent(analysis)
     cx, cy = analysis.median2d
     limit = max(
-        float(np.abs(coords).max()) if coords.size else 1.0,
+        float(np.abs(e).max()) if e.size else 1.0,
         abs(cx) + ex, abs(cy) + ey, 1e-12,
     ) * 1.05
 
@@ -419,27 +393,22 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     _white_background(fig)
 
     if "kde" in layers:
-        xs, ys = kde.x_coords(), kde.y_coords()
         vmax = float(kde.values.max())
         if vmax > 0.0:
             dx = (kde.x_max - kde.x_min) / (kde.nx - 1)
             dy = (kde.y_max - kde.y_min) / (kde.ny - 1)
-            for ix in range(kde.nx):
-                for iy in range(kde.ny):
-                    v = kde.values[ix, iy]
-                    if v <= 0.01 * vmax:
-                        continue
-                    x0, y0 = tr.apply(xs[ix] - dx / 2, ys[iy] + dy / 2)
-                    color = rgb(colormap(1.0 - float(v) / vmax))
-                    fig.rect(x0, y0, abs(tr.sx) * dx, abs(tr.sy) * dy, color,
-                             opacity=0.6)
+            ix, iy = np.nonzero(kde.values > 0.01 * vmax)
+            x0, y0 = tr.apply(kde.x_coords()[ix] - dx / 2, kde.y_coords()[iy] + dy / 2)
+            fills = _fills(colormap, 1.0 - kde.values[ix, iy] / vmax)
+            for x, y, fill in zip(x0.tolist(), y0.tolist(), fills):
+                fig.rect(x, y, abs(tr.sx) * dx, abs(tr.sy) * dy, fill, opacity=0.6)
 
     if "hexbin" in layers:
-        cmax = max(c for _, _, c in hexgrid.cells)
-        for q, r, count in hexgrid.cells:
+        counts = np.array([c for _, _, c in hexgrid.cells])
+        fills = _fills(colormap, 1.0 - counts / counts.max())
+        for (q, r, _), fill in zip(hexgrid.cells, fills):
             verts = [tr.apply(x, y) for x, y in hex_vertices(q, r, hexgrid.hex_radius)]
-            fig.polygon(verts, fill=rgb(colormap(1.0 - count / cmax)),
-                        opacity=0.7, cls="hex")
+            fig.polygon(verts, fill=fill, opacity=0.7, cls="hex")
 
     if "zones" in layers:
         origin = tr.apply(0.0, 0.0)
@@ -486,51 +455,14 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
             fig.polygon(verts, fill="none", stroke="#ffffff", stroke_width=2.0,
                         cls="crown")
 
+    px, py = tr.apply(e[:, 0], e[:, 1])
     if "proximity" in layers:
-        for p in analysis.points:
-            x, y = tr.apply(p.e1, p.e2)
-            fig.circle(x, y, POINT_RADIUS, rgb(colormap(p.percentile)), cls="pt")
+        fig.circles(px, py, POINT_RADIUS, _fills(colormap, analysis.percentile), cls="pt")
     elif "scatter" in layers:
-        for p in analysis.points:
-            x, y = tr.apply(p.e1, p.e2)
-            fig.circle(x, y, POINT_RADIUS, rgb(SCATTER_COLOR), opacity=0.7,
-                       cls="pt")
+        fig.circles(px, py, POINT_RADIUS, rgb(SCATTER_COLOR), opacity=0.7, cls="pt")
 
     fig.text(PANEL_SIZE - MARGIN, ymid - 8, f"error {analysis.model_a}",
              size=13, anchor="end")
     fig.text(xmid + 8, MARGIN + 4, f"error {analysis.model_b}", size=13,
              anchor="start")
-    return fig
-
-
-# ---------------------------------------------------------------------------
-# histogram
-
-def render_histogram(values, bins: int, width: float = 800.0,
-                     height: float = 500.0) -> Figure:
-    """Equal-width histogram over [min, max]; last bin is right-closed."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    vals = np.asarray(values, dtype=float)
-    lo, hi = float(vals.min()), float(vals.max())
-    if hi == lo:
-        hi = lo + 1.0
-    counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
-
-    cmax = max(int(counts.max()), 1)
-    tr = Transform.fit(lo, hi, 0.0, float(cmax), MARGIN, width - MARGIN,
-                       MARGIN, height - MARGIN)
-    fig = Figure(width, height, transform=tr)
-    _white_background(fig)
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        x0, y0 = tr.apply(float(edges[i]), 0.0)
-        x1, y1 = tr.apply(float(edges[i + 1]), float(c))
-        fig.rect(x0, y1, x1 - x0, y0 - y1, "#4575b4", opacity=0.9)
-    fig.line(MARGIN, height - MARGIN, width - MARGIN, height - MARGIN, "#000000")
-    for tick in _nice_ticks(lo, hi):
-        txp, _ = tr.apply(tick, 0.0)
-        fig.line(txp, height - MARGIN, txp, height - MARGIN + 5, "#000000")
-        fig.text(txp, height - MARGIN + 20, fmt(tick), size=12)
     return fig

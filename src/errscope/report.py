@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,26 +25,22 @@ DECISIONS = {
 }
 
 
-def tool_metadata() -> dict:
-    return {"name": "errscope", "version": __version__, "decisions": DECISIONS}
-
-
 def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     """Per-model metrics, boxplot stats and ranking as a JSON-able dict."""
-    reports = {m: metric_report(ps.y_true, ps.models[m]) for m in ps.model_names}
-    per_model = {}
+    reports, per_model = {}, {}
     for m in ps.model_names:
-        errors = compute_errors(ps.y_true, ps.models[m], model_name=m)
+        errors = compute_errors(ps.y_true, ps.column(m), model_name=m)
+        reports[m] = metric_report(errors, ps.y_true)
         per_model[m] = {
-            "metrics": reports[m].to_dict(),
-            "boxplot": boxplot_stats(errors).to_dict(),
+            "metrics": asdict(reports[m]),
+            "boxplot": asdict(boxplot_stats(errors)),
         }
     warnings = []
     dups = ps.duplicate_ids()
     if dups:
         warnings.append(f"duplicate instance ids: {', '.join(dups[:10])}")
     return {
-        "tool": tool_metadata(),
+        "tool": {"name": "errscope", "version": __version__, "decisions": DECISIONS},
         "n": ps.n,
         "warnings": warnings,
         "per_model": per_model,
@@ -54,14 +52,11 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis,
                       sort_key: str = "rmse") -> dict:
     """Metrics report extended with the 2D pair comparison summary."""
     report = build_metrics_report(ps, sort_key)
-    coords = analysis.coords()
+    e = analysis.e
+    corr = math.nan
     if analysis.n >= 2:
         with np.errstate(invalid="ignore", divide="ignore"):
-            corr = float(np.corrcoef(coords[:, 0], coords[:, 1])[0, 1])
-    else:
-        corr = None
-    if corr is not None and not np.isfinite(corr):
-        corr = None  # zero-variance axis
+            corr = float(np.corrcoef(e[:, 0], e[:, 1])[0, 1])
     report["pair"] = {
         "model_a": analysis.model_a,
         "model_b": analysis.model_b,
@@ -70,8 +65,9 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis,
         "crown_threshold": analysis.crown_threshold,
         "zone_counts": analysis.zone_counts,
         "quadrant_counts": analysis.quadrant_counts,
-        "error_correlation": corr,
-        "fraction_b_above_a": float(np.mean(coords[:, 1] > coords[:, 0])),
+        # undefined for a single point or a zero-variance axis
+        "error_correlation": corr if math.isfinite(corr) else None,
+        "fraction_b_above_a": float(np.mean(e[:, 1] > e[:, 0])),
     }
     return report
 

@@ -34,11 +34,11 @@ def _ground_truth(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _build(ids_prefix: str, y: np.ndarray, models: dict[str, np.ndarray]) -> PredictionSet:
-    n = y.size
     return PredictionSet(
-        instance_ids=tuple(f"{ids_prefix}{i}" for i in range(n)),
-        y_true=tuple(float(v) for v in y),
-        models={name: tuple(float(v) for v in y + err) for name, err in models.items()},
+        instance_ids=tuple(f"{ids_prefix}{i}" for i in range(y.size)),
+        y_true=y,
+        model_names=tuple(models),
+        predictions=np.column_stack([y + err for err in models.values()]),
     )
 
 
@@ -91,8 +91,8 @@ def gen_equal_metrics_divergent(n: int, level: float = 3.2, jitter: float = 0.25
     """Near-constant underestimation vs. dispersed underestimation.
 
     D2's error magnitudes are rescaled so its sample MAE matches D1's level
-    exactly; its dispersion still pushes RMSE higher, and the deviation
-    histogram between the two is wide.
+    exactly; its dispersion still pushes RMSE higher, and the per-instance
+    difference between the two models' errors is widely spread.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

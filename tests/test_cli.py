@@ -95,6 +95,44 @@ def test_compare_outputs(demo_csv, tmp_path, capsys, monkeypatch):
         jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
 
 
+# file name -> (content, expected exit code)
+INPUT_BYTES = {
+    "latin1.csv": (b"id,y_true,M1\na,1.0,2.0\n\xe9,2.0,3.0\n", 2),
+    "scalar_instance.json": (b'{"instances": [3]}', 2),
+    "scalar_predictions.json":
+        (b'{"instances": [{"id": "a", "y_true": 1.0, "predictions": 3}]}', 2),
+    "huge_int.json": (b'{"instances": [{"id": "a", "y_true": 1' + b"0" * 400
+                      + b', "predictions": {"M": 1}}]}', 2),
+    "excel_bom.csv": (b"\xef\xbb\xbfid,y_true,M1\na,1.0,2.0\nb,2.0,2.5\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_BYTES)
+def test_metrics_input_bytes(tmp_path, name):
+    content, code = INPUT_BYTES[name]
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["metrics", str(path)]) == code
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bandwidth", "1"],
+    ["--bandwidth", "a,b"],
+    ["--bandwidth", "1,0"],
+    ["--bandwidth", "1,inf"],
+    ["--hex-radius", "-1"],
+    ["--hex-radius", "0"],
+    ["--hex-radius", "nan"],
+    ["--layers", "zones,sparkles"],
+], ids="=".join)
+def test_compare_bad_flag_values_exit_2(demo_csv, tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", "--layers", "kde,hexbin",
+              *flags, "-o", str(tmp_path / "x.svg")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_compare_unknown_model_exits_2(demo_csv, tmp_path):
     assert main(["compare", str(demo_csv), "--a", "B1", "--b", "ZZ",
                  "-o", str(tmp_path / "x.svg")]) == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import hex_centers, hex_total, riemann_mass
 
 from errscope import hexbin, kde2d
 from errscope.density import axial_to_xy, default_hex_radius, xy_to_axial
@@ -31,7 +32,7 @@ def test_kde_mass_normalized():
     grid = kde2d(pts)
     hx, hy = grid.bandwidth
     grid = kde2d(pts, grid_spec=padded_grid(pts, hx, hy), bandwidth=(hx, hy))
-    assert grid.riemann_mass() == pytest.approx(1.0, abs=0.02)
+    assert riemann_mass(grid) == pytest.approx(1.0, abs=0.02)
 
 
 def test_kde_two_equal_clusters_symmetric_peaks():
@@ -97,7 +98,7 @@ def test_hexbin_counts_conserved():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-50, 50, size=(10_000, 2))
     layer = hexbin(pts, hex_radius=3.0)
-    assert layer.total == 10_000
+    assert hex_total(layer) == 10_000
     assert len({(q, r) for q, r, _ in layer.cells}) == len(layer.cells)
     assert all(c >= 1 for _, _, c in layer.cells)
 
@@ -107,7 +108,7 @@ def test_hexbin_matches_nearest_center_oracle():
     pts = rng.uniform(-20, 20, size=(2_000, 2))
     radius = 2.5
     layer = hexbin(pts, radius)
-    centers = layer.centers()
+    centers = hex_centers(layer)
     keys = [(q, r) for q, r, _ in layer.cells]
     q, r = xy_to_axial(pts[:, 0], pts[:, 1], radius)
     for i in range(pts.shape[0]):
@@ -128,19 +129,3 @@ def test_axial_roundtrip_at_centers():
 def test_default_hex_radius_is_diag_over_40():
     pts = [(0.0, 0.0), (3.0, 4.0)]
     assert default_hex_radius(pts) == pytest.approx(5.0 / 40.0)
-
-
-def test_layers_serialize_to_json():
-    import json
-
-    rng = np.random.default_rng(7)
-    pts = rng.normal(size=(30, 2))
-    grid = kde2d(pts, grid_spec=(-3.0, 3.0, -3.0, 3.0, 5, 7), bandwidth=(1.0, 1.0))
-    d = json.loads(json.dumps(grid.to_dict()))
-    assert d["nx"] == 5 and d["ny"] == 7
-    assert len(d["values"]) == 35  # row-major nx*ny
-
-    layer = hexbin(pts, 1.0)
-    h = json.loads(json.dumps(layer.to_dict()))
-    assert sum(c["count"] for c in h["cells"]) == 30
-    assert set(h["cells"][0]) == {"q", "r", "count"}

@@ -1,40 +1,50 @@
 import numpy as np
 import pytest
 
+from oracles import check_spd, mahalanobis
+
 from errscope import (
+    QUADRANTS,
+    ZONES,
     ErrorVector,
     Quadrant,
     Zone,
     analyze_pair,
-    classify_quadrant,
-    classify_zone,
+    classify,
     covariance2,
     crown_threshold,
-    mahalanobis,
+    mahalanobis_many,
     median2d,
     percentile_ranks,
 )
-from errscope.errorspace import mahalanobis_many, regularized_inverse
-from errscope.exceptions import DegenerateDistribution, NonPositiveDefinite
+from errscope.errorspace import regularized_inverse
+from errscope.exceptions import DegenerateDistribution
 
 
 def ev(errors, name="m"):
     return ErrorVector(model_name=name, errors=np.asarray(errors, dtype=float))
 
 
+def zones_of(points):
+    return [ZONES[code] for code in classify(np.array(points, dtype=float))[0]]
+
+
+def quadrants_of(points):
+    return [QUADRANTS[code] for code in classify(np.array(points, dtype=float))[1]]
+
+
 def test_classify_zone():
-    assert classify_zone(1.0, 1.0) is Zone.TIE
-    assert classify_zone(-1.0, 2.0) is Zone.A_BETTER
-    assert classify_zone(3.0, -1.0) is Zone.B_BETTER
-    assert classify_zone(2.0, -2.0) is Zone.TIE  # anti-diagonal
-    assert classify_zone(0.0, 0.0) is Zone.TIE
+    assert zones_of([(1.0, 1.0), (-1.0, 2.0), (3.0, -1.0), (2.0, -2.0), (0.0, 0.0)]) == [
+        Zone.TIE, Zone.A_BETTER, Zone.B_BETTER,
+        Zone.TIE,  # anti-diagonal
+        Zone.TIE,
+    ]
 
 
 def test_classify_zone_swap_symmetry():
     rng = np.random.default_rng(1)
-    for e1, e2 in rng.normal(size=(200, 2)):
-        z = classify_zone(e1, e2)
-        zs = classify_zone(e2, e1)
+    pts = rng.normal(size=(200, 2))
+    for z, zs in zip(zones_of(pts), zones_of(pts[:, ::-1])):
         if z is Zone.TIE:
             assert zs is Zone.TIE
         else:
@@ -42,12 +52,11 @@ def test_classify_zone_swap_symmetry():
 
 
 def test_classify_quadrant():
-    assert classify_quadrant(2.0, 3.0) is Quadrant.OVER_OVER
-    assert classify_quadrant(-2.0, 3.0) is Quadrant.UNDER_OVER
-    assert classify_quadrant(2.0, -3.0) is Quadrant.OVER_UNDER
-    assert classify_quadrant(-2.0, -3.0) is Quadrant.UNDER_UNDER
-    assert classify_quadrant(0.0, 5.0) is Quadrant.ON_AXIS
-    assert classify_quadrant(5.0, 0.0) is Quadrant.ON_AXIS
+    pts = [(2.0, 3.0), (-2.0, 3.0), (2.0, -3.0), (-2.0, -3.0), (0.0, 5.0), (5.0, 0.0)]
+    assert quadrants_of(pts) == [
+        Quadrant.OVER_OVER, Quadrant.UNDER_OVER, Quadrant.OVER_UNDER,
+        Quadrant.UNDER_UNDER, Quadrant.ON_AXIS, Quadrant.ON_AXIS,
+    ]
 
 
 def test_median2d():
@@ -74,29 +83,32 @@ def test_regularized_inverse_handles_singular():
 
 def test_mahalanobis_hand_values():
     eye = np.eye(2)
-    assert mahalanobis((1.0, 2.0), (1.0, 2.0), eye) == 0.0
-    assert mahalanobis((3.0, 4.0), (0.0, 0.0), eye) == pytest.approx(5.0)
+    assert mahalanobis_many(np.array([[1.0, 2.0]]), (1.0, 2.0), eye)[0] == 0.0
+    assert mahalanobis_many(np.array([[3.0, 4.0]]), (0.0, 0.0), eye)[0] == pytest.approx(5.0)
     cov_inv = np.diag([0.25, 1.0])  # cov = diag(4, 1)
-    d = mahalanobis((2.0, 0.0), (0.0, 0.0), cov_inv)
-    # brute-force quadratic form as oracle
-    v = np.array([2.0, 0.0])
-    assert d == pytest.approx(float(np.sqrt(v @ cov_inv @ v)))
+    d = mahalanobis_many(np.array([[2.0, 0.0]]), (0.0, 0.0), cov_inv)[0]
+    assert d == pytest.approx(mahalanobis((2.0, 0.0), (0.0, 0.0), cov_inv))
     assert d == pytest.approx(1.0)
 
 
 def test_mahalanobis_rejects_non_spd():
-    with pytest.raises(NonPositiveDefinite):
+    # The scalar oracle refuses a matrix that is not an SPD inverse ...
+    with pytest.raises(ValueError):
         mahalanobis((1, 1), (0, 0), np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NonPositiveDefinite):
+    with pytest.raises(ValueError):
         mahalanobis((1, 1), (0, 0), np.array([[-1.0, 0.0], [0.0, 1.0]]))
+    # ... and analyze_pair only ever hands mahalanobis_many an SPD inverse,
+    # degenerate clouds included.
+    for pts in ([(0, 0), (1, 1), (2, 2)], [(3, 4), (3, 4), (3, 4)], [(0, 0), (1, 0), (0, 1)]):
+        check_spd(regularized_inverse(covariance2(pts))[1])
 
 
 def test_mahalanobis_reflection_symmetry():
     cov_inv = np.diag([0.5, 2.0])
-    rng = np.random.default_rng(2)
-    for x, y in rng.normal(size=(100, 2)):
-        assert mahalanobis((x, y), (0, 0), cov_inv) == pytest.approx(
-            mahalanobis((-x, y), (0, 0), cov_inv))
+    pts = np.random.default_rng(2).normal(size=(100, 2))
+    d = mahalanobis_many(pts, (0, 0), cov_inv)
+    assert np.allclose(d, mahalanobis_many(pts * [-1.0, 1.0], (0, 0), cov_inv))
+    assert np.allclose(d, [mahalanobis(p, (0, 0), cov_inv) for p in pts])
 
 
 def test_percentile_ranks_midrank():
@@ -162,13 +174,13 @@ def test_mahalanobis_scale_invariance():
     an1 = analyze_pair(a, b, metric="mahalanobis")
     an10 = analyze_pair(ev(10.0 * a.errors, "A"), ev(10.0 * b.errors, "B"),
                         metric="mahalanobis")
-    d1, d10 = an1.distances(), an10.distances()
+    d1, d10 = an1.distance, an10.distance
     assert np.max(np.abs(d10 - d1) / np.maximum(d1, 1e-30)) < 1e-9
 
     e1 = analyze_pair(a, b, metric="euclidean")
     e10 = analyze_pair(ev(10.0 * a.errors, "A"), ev(10.0 * b.errors, "B"),
                        metric="euclidean")
-    assert np.allclose(e10.distances(), 10.0 * e1.distances())
+    assert np.allclose(e10.distance, 10.0 * e1.distance)
 
 
 def test_crown_splits_in_half():
@@ -176,7 +188,7 @@ def test_crown_splits_in_half():
     a = ev(rng.normal(size=101), "A")
     b = ev(rng.normal(size=101), "B")
     an = analyze_pair(a, b)
-    d = an.distances()
+    d = an.distance
     assert np.sum(d < an.crown_threshold) == 50
     assert np.sum(d > an.crown_threshold) == 50
 

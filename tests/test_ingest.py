@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from errscope import PredictionSet, parse_predictions, select_pair
@@ -15,13 +18,14 @@ def test_minimal_csv():
     ps = parse_predictions(b"id,y_true,M1\na,1.0,2.0\nb,3.0,3.0")
     assert ps.n == 2
     assert ps.instance_ids == ("a", "b")
-    assert ps.y_true == (1.0, 3.0)
-    assert ps.models == {"M1": (2.0, 3.0)}
+    assert ps.y_true.tolist() == [1.0, 3.0]
+    assert ps.model_names == ("M1",)
+    assert ps.predictions.tolist() == [[2.0], [3.0]]
 
 
 def test_model_column_order_preserved():
     ps = parse_predictions("id,y_true,Z,A,M\nx,0,1,2,3")
-    assert ps.model_names == ["Z", "A", "M"]
+    assert ps.model_names == ("Z", "A", "M")
 
 
 def test_ragged_row_names_line():
@@ -64,8 +68,8 @@ def test_duplicate_model_name():
 def test_scientific_notation_and_quotes():
     ps = parse_predictions('id,y_true,M1\n"a,b",1e3,-2.5E-2')
     assert ps.instance_ids == ("a,b",)
-    assert ps.y_true == (1000.0,)
-    assert ps.models["M1"] == (-0.025,)
+    assert ps.y_true.tolist() == [1000.0]
+    assert ps.column("M1").tolist() == [-0.025]
 
 
 def test_crlf_accepted():
@@ -80,8 +84,8 @@ def test_json_format():
         '{"id":"b","y_true":3.0,"predictions":{"M1":3.0,"M2":2.0}}]}'
     )
     ps = parse_predictions(text, format="json")
-    assert ps.model_names == ["M1", "M2"]
-    assert ps.models["M2"] == (0.5, 2.0)
+    assert ps.model_names == ("M1", "M2")
+    assert ps.column("M2").tolist() == [0.5, 2.0]
 
 
 def test_json_inconsistent_model_sets():
@@ -97,7 +101,11 @@ def test_json_inconsistent_model_sets():
 def test_serialize_parse_roundtrip():
     ps = parse_predictions("id,y_true,M1,M2\na,1.5,2.25,0.125\nb,-3.0,3.0,1e-9")
     assert parse_predictions(ps.to_csv()) == ps
-    assert parse_predictions(ps.to_json(), format="json") == ps
+    instances = [
+        {"id": iid, "y_true": y, "predictions": dict(zip(ps.model_names, preds))}
+        for iid, y, preds in zip(ps.instance_ids, ps.y_true.tolist(), ps.predictions.tolist())
+    ]
+    assert parse_predictions(json.dumps({"instances": instances}), format="json") == ps
 
 
 def test_duplicate_ids_allowed_but_reported():
@@ -124,4 +132,5 @@ def test_select_pair_unknown_model():
 
 def test_empty_prediction_set_rejected():
     with pytest.raises(LengthMismatch):
-        PredictionSet(instance_ids=(), y_true=(), models={"M1": ()})
+        PredictionSet(instance_ids=(), y_true=np.empty(0), model_names=("M1",),
+                      predictions=np.empty((0, 1)))

@@ -9,7 +9,6 @@ from errscope import (
     MetricReport,
     boxplot_stats,
     compute_errors,
-    deviation,
     mae,
     r_squared,
     rmse,
@@ -65,23 +64,6 @@ def test_r_squared_constant_target():
         r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ConstantTarget):
         r_squared([1.0], [1.0])
-
-
-def test_deviation():
-    assert list(deviation([3, 5], [1, 6])) == [2.0, -1.0]
-    assert list(deviation([1, 2], [1, 2])) == [0.0, 0.0]
-
-
-@given(st.lists(st.tuples(finite_floats, finite_floats, finite_floats),
-                min_size=1, max_size=30))
-def test_deviation_equals_error_difference(rows):
-    y = [r[0] for r in rows]
-    pa = [r[1] for r in rows]
-    pb = [r[2] for r in rows]
-    lhs = deviation(pa, pb)
-    rhs = compute_errors(y, pa).errors - compute_errors(y, pb).errors
-    assert np.allclose(lhs, rhs)
-    assert np.allclose(deviation(pa, pb), -deviation(pb, pa))
 
 
 def test_boxplot_singleton():

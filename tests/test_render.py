@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import find_all, point_in_polygon, polygon_points
+from oracles import colormap_rgb
 
 from errscope import (
+    WARM_COOL,
+    ZONES,
     Colormap,
     ErrorVector,
-    WARM_COOL,
+    Zone,
     analyze_pair,
     boxplot_stats,
-    classify_zone,
     hexbin,
     kde2d,
     parse_predictions,
     render_boxplots,
     render_error_space,
-    render_histogram,
     render_model_grid,
-    render_pred_vs_actual,
 )
 from errscope.exceptions import MissingLayerInput, UnknownModel
 from errscope.render import fmt, rgb
@@ -44,19 +44,22 @@ def test_fmt_six_significant_digits():
 
 
 def test_colormap_endpoints_and_interpolation():
-    assert WARM_COOL(0.0) == (215, 48, 39)
-    assert WARM_COOL(1.0) == (69, 117, 180)
-    mid = WARM_COOL(0.125)
+    assert WARM_COOL.lookup([0.0, 1.0]).tolist() == [[215, 48, 39], [69, 117, 180]]
+    mid = WARM_COOL.lookup([0.125])[0]
     assert all(min(a, b) <= v <= max(a, b)
                for v, a, b in zip(mid, (215, 48, 39), (253, 174, 97)))
+    # Out-of-range, control-point and in-between t agree with the segment walk.
+    ts = np.concatenate([np.linspace(-0.1, 1.1, 1201), [0.25, 0.5, 0.75]])
+    assert [tuple(c) for c in WARM_COOL.lookup(ts).tolist()] == [
+        colormap_rgb(WARM_COOL, t) for t in ts]
     with pytest.raises(ValueError):
         Colormap("bad", ((0.5, (0, 0, 0)), (1.0, (1, 1, 1))))
 
 
 def test_byte_determinism():
     an = sample_analysis()
-    kde = kde2d(an.coords())
-    hx = hexbin(an.coords(), 0.5)
+    kde = kde2d(an.e)
+    hx = hexbin(an.e, 0.5)
     layers = ("zones", "proximity", "crown", "kde", "hexbin")
     svg1 = render_error_space(an, layers=layers, kde=kde, hexgrid=hx).to_svg()
     svg2 = render_error_space(an, layers=layers, kde=kde, hexgrid=hx).to_svg()
@@ -68,8 +71,8 @@ def test_point_positions_match_transform():
     fig = render_error_space(an, layers=("zones", "proximity", "crown"))
     circles = find_all(fig, "circle", cls="pt")
     assert len(circles) == 50
-    for c, p in zip(circles, an.points):
-        x, y = fig.transform.apply(p.e1, p.e2)
+    for c, (e1, e2) in zip(circles, an.e):
+        x, y = fig.transform.apply(e1, e2)
         assert abs(float(c.get("cx")) - x) <= 0.5
         assert abs(float(c.get("cy")) - y) <= 0.5
 
@@ -80,14 +83,14 @@ def test_zone_fill_agrees_with_classifier():
     zones_a = [polygon_points(el) for el in find_all(fig, "polygon", cls="zone-a")]
     zones_b = [polygon_points(el) for el in find_all(fig, "polygon", cls="zone-b")]
     assert len(zones_a) == 2 and len(zones_b) == 2
-    for p in an.points:
-        x, y = fig.transform.apply(p.e1, p.e2)
+    for (e1, e2), code in zip(an.e, an.zone):
+        x, y = fig.transform.apply(e1, e2)
         in_a = any(point_in_polygon(x, y, poly) for poly in zones_a)
         in_b = any(point_in_polygon(x, y, poly) for poly in zones_b)
-        zone = classify_zone(p.e1, p.e2).value
-        if zone == "a_better":
+        zone = ZONES[code]
+        if zone is Zone.A_BETTER:
             assert in_a and not in_b
-        elif zone == "b_better":
+        elif zone is Zone.B_BETTER:
             assert in_b and not in_a
 
 
@@ -137,18 +140,6 @@ def test_missing_layer_input():
         render_error_space(an, layers=("sparkles",))
 
 
-def test_histogram_binning():
-    fig = render_histogram([0.0, 0.0, 0.0, 0.0], bins=1)
-    rects = [r for r in find_all(fig, "rect") if r.get("fill") == "#4575b4"]
-    assert len(rects) == 1
-
-    fig = render_histogram([0.0, 1.0, 2.0, 3.0], bins=2)
-    rects = [r for r in find_all(fig, "rect") if r.get("fill") == "#4575b4"]
-    assert len(rects) == 2
-    heights = sorted(float(r.get("height")) for r in rects)
-    assert heights[0] == pytest.approx(heights[1])  # counts [2, 2]
-
-
 def test_boxplot_outlier_dots():
     stats = [("M", boxplot_stats(ev([1, 2, 3, 4, 100])))]
     fig = render_boxplots(stats)
@@ -169,22 +160,22 @@ def test_boxplot_disjoint_ranges_ordered():
 
 def test_pred_vs_actual_perfect_model_tied_colors():
     ps = parse_predictions("id,y_true,M\na,1,1\nb,2,2\nc,3,3")
-    fig = render_pred_vs_actual(ps, "M")
+    fig = render_model_grid(ps, ["M"])
     pts = find_all(fig, "circle", cls="pt")
     assert len(pts) == 3
-    tied = rgb(WARM_COOL(0.5))
+    tied = rgb(WARM_COOL.lookup([0.5])[0])
     assert all(p.get("fill") == tied for p in pts)
 
 
 def test_pred_vs_actual_unique_coolest_point():
     ps = parse_predictions(
         "id,y_true,M\n" + "\n".join(f"r{i},{i},{i}.1" for i in range(9)) + "\nz,50,90")
-    fig = render_pred_vs_actual(ps, "M")
+    fig = render_model_grid(ps, ["M"])
     pts = find_all(fig, "circle", cls="pt")
-    coolest = rgb(WARM_COOL(0.95))
+    coolest = rgb(WARM_COOL.lookup([0.95])[0])
     assert sum(1 for p in pts if p.get("fill") == coolest) == 1
     with pytest.raises(UnknownModel):
-        render_pred_vs_actual(ps, "nope")
+        render_model_grid(ps, ["nope"])
 
 
 def test_model_grid_layout_12_models():

@@ -14,7 +14,7 @@ from errscope.synth import (
 
 
 def errors_of(ps, name):
-    return np.asarray(ps.models[name]) - np.asarray(ps.y_true)
+    return ps.column(name) - ps.y_true
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
