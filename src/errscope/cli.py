@@ -86,9 +86,8 @@ def cmd_compare(args) -> int:
         radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
         hexgrid = hexbin(analysis.e, radius)
 
-    fig = render_error_space(analysis, layers=args.layers, colormap=WARM_COOL,
-                             kde=kde, hexgrid=hexgrid)
-    fig.save(args.output)
+    render_error_space(analysis, layers=args.layers, colormap=WARM_COOL,
+                       kde=kde, hexgrid=hexgrid).save(args.output)
 
     report = build_pair_report(ps, analysis, sort_key="rmse")
     if args.json:

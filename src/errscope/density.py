@@ -9,6 +9,7 @@ including on boundaries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,6 @@ def hexbin(points, hex_radius: float) -> HexbinLayer:
     if pts.shape[0] < 1:
         raise DegenerateDistribution("hexbin needs at least one point")
     q, r = xy_to_axial(pts[:, 0], pts[:, 1], hex_radius)
-    keys, counts = np.unique(np.column_stack([q, r]), axis=0, return_counts=True)
-    cells = tuple((qi, ri, c) for (qi, ri), c in zip(keys.tolist(), counts.tolist()))
+    counts = Counter(zip(q.tolist(), r.tolist()))
+    cells = tuple((qi, ri, c) for (qi, ri), c in sorted(counts.items()))
     return HexbinLayer(hex_radius=float(hex_radius), cells=cells)

@@ -73,7 +73,8 @@ class ErrorSpaceAnalysis:
     def to_dict(self) -> dict:
         zones = [z.value for z in ZONES]
         quads = [q.value for q in QUADRANTS]
-        columns = zip(self.e.tolist(), self.zone.tolist(), self.quadrant.tolist(),
+        # tolist() gives Python floats, which json writes as repr.
+        columns = zip(*self.e.T.tolist(), self.zone.tolist(), self.quadrant.tolist(),
                       self.distance.tolist(), self.percentile.tolist())
         return {
             "model_a": self.model_a,
@@ -82,7 +83,7 @@ class ErrorSpaceAnalysis:
             "points": [
                 {"e1": e1, "e2": e2, "zone": zones[z], "quadrant": quads[q],
                  "distance": d, "percentile": p}
-                for (e1, e2), z, q, d, p in columns
+                for e1, e2, z, q, d, p in columns
             ],
             "summary": {
                 "n": self.n,

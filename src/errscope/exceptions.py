@@ -6,8 +6,7 @@ class ErrscopeError(ValueError):
 
 
 class MalformedHeader(ErrscopeError):
-    """The file is not a prediction table: undecodable bytes, a bad CSV
-    header or JSON of the wrong shape."""
+    """Not a prediction table: undecodable bytes, bad CSV header, misshapen JSON."""
 
 
 class LengthMismatch(ErrscopeError):

@@ -98,13 +98,14 @@ class PredictionSet:
         return buf.getvalue()
 
 
-def _parse_cell(text: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise NonNumeric(
-            f"cannot parse {text!r} as a number (row {row}, column {column!r})"
-        ) from None
+def _non_numeric(row: list[str], header: list[str], lineno: int) -> NonNumeric:
+    """The error naming the first cell of a row that is not a number."""
+    for text, column in zip(row[1:], header[1:]):
+        try:
+            float(text)
+        except ValueError:
+            break
+    return NonNumeric(f"cannot parse {text!r} as a number (row {lineno}, column {column!r})")
 
 
 def _parse_csv(text: str) -> PredictionSet:
@@ -117,7 +118,7 @@ def _parse_csv(text: str) -> PredictionSet:
             "header must be 'id,y_true,<model>...', got " + ",".join(header)
         )
     ids: list[str] = []
-    rows: list[list[float]] = []
+    values: list[float] = []  # row-major, len(header) - 1 per row
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -126,9 +127,12 @@ def _parse_csv(text: str) -> PredictionSet:
                 f"row {lineno} has {len(row)} cells, expected {len(header)}"
             )
         ids.append(row[0])
-        rows.append([_parse_cell(c, lineno, h) for c, h in zip(row[1:], header[1:])])
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
-    return PredictionSet(tuple(ids), values[:, 0], tuple(header[2:]), values[:, 1:])
+        try:
+            values.extend(map(float, row[1:]))
+        except ValueError:
+            raise _non_numeric(row, header, lineno) from None
+    table = np.array(values, dtype=float).reshape(len(ids), len(header) - 1)
+    return PredictionSet(tuple(ids), table[:, 0], tuple(header[2:]), table[:, 1:])
 
 
 def _number(value, where: str):
@@ -157,9 +161,7 @@ def _parse_json(text: str) -> PredictionSet:
             if not model_names:
                 raise MalformedHeader("instances must carry a non-empty 'predictions' map")
         elif set(preds) != set(model_names):
-            raise LengthMismatch(
-                f"instance {i} lists a different model set than instance 0"
-            )
+            raise LengthMismatch(f"instance {i} lists a different model set than instance 0")
         ids.append(str(inst.get("id", i)))
         rows.append([_number(inst.get("y_true"), f"instance {i}: y_true")]
                     + [_number(preds[m], f"instance {i}: prediction {m!r}") for m in model_names])

@@ -166,20 +166,17 @@ class Figure:
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
-        attrs = [f'x1="{fmt(x1)}"', f'y1="{fmt(y1)}"', f'x2="{fmt(x2)}"', f'y2="{fmt(y2)}"',
-                 f'stroke="{stroke}"', f'stroke-width="{fmt(width)}"']
-        if dash is not None:
-            attrs.append(f'stroke-dasharray="{dash}"')
-        self.add(f"<line {' '.join(attrs)}/>")
+        dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
+        self.add(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+                 f'stroke="{stroke}" stroke-width="{fmt(width)}"{dash_attr}/>')
 
     def polygon(self, points: list[tuple[float, float]], fill: str, **style) -> None:
         pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
         self.add(f'<polygon points="{pts}" fill="{fill}"{_style(**style)}/>')
 
-    def rect(self, x: float, y: float, w: float, h: float, fill: str,
-             opacity: float | None = None) -> None:
+    def rect(self, x: float, y: float, w: float, h: float, fill: str, **style) -> None:
         self.add(f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" '
-                 f'fill="{fill}"{_style(opacity=opacity)}/>')
+                 f'fill="{fill}"{_style(**style)}/>')
 
     def text(self, x: float, y: float, content: str, size: float = 14.0,
              anchor: str = "middle", fill: str = "#000000") -> None:
