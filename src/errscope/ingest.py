@@ -92,9 +92,10 @@ class PredictionSet:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("id", "y_true") + self.model_names)
-        # tolist() gives Python floats, whose repr is the shortest exact form.
-        rows = zip(self.instance_ids, self.y_true.tolist(), self.predictions.tolist())
-        writer.writerows([iid, repr(y), *map(repr, preds)] for iid, y, preds in rows)
+        # tolist() gives Python floats, whose repr is the shortest exact form;
+        # converting whole columns avoids a list object per row.
+        columns = [self.y_true.tolist()] + self.predictions.T.tolist()
+        writer.writerows(zip(self.instance_ids, *(map(repr, c) for c in columns)))
         return buf.getvalue()
 
 
