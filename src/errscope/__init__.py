@@ -15,22 +15,18 @@ from .errorspace import (
     median2d,
     percentile_ranks,
 )
-from .ingest import PredictionSet, parse_predictions, select_pair
+from .ingest import PredictionSet, parse_predictions
 from .metrics import (
     BoxplotStats,
-    ErrorVector,
     MetricReport,
     boxplot_stats,
-    compute_errors,
     mae,
     metric_report,
-    r_squared,
     rmse,
     sort_models_by_metric,
 )
 from .render import (
     WARM_COOL,
-    Colormap,
     Figure,
     render_boxplots,
     render_error_space,

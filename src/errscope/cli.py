@@ -16,11 +16,10 @@ from . import __version__
 from .density import default_hex_radius, hexbin, kde2d
 from .errorspace import analyze_pair
 from .exceptions import DegenerateDistribution, ErrscopeError
-from .ingest import parse_predictions, select_pair
-from .metrics import boxplot_stats, compute_errors, mae, rmse
+from .ingest import parse_predictions
+from .metrics import BoxplotStats, mae, rmse
 from .render import (
     ERROR_SPACE_LAYERS,
-    WARM_COOL,
     check_layers,
     render_boxplots,
     render_error_space,
@@ -61,13 +60,10 @@ def cmd_metrics(args) -> int:
         outdir = Path(args.plots)
         outdir.mkdir(parents=True, exist_ok=True)
         order = report["ranking"]["order"]
-        stats = [
-            (m, boxplot_stats(compute_errors(ps.y_true, ps.column(m), m)))
-            for m in order
-        ]
+        stats = [(m, BoxplotStats(**report["per_model"][m]["boxplot"])) for m in order]
         render_boxplots(stats).save(outdir / "boxplots.svg")
-        render_model_grid(ps, order, WARM_COOL,
-                          global_scale=args.global_scale).save(outdir / "pred_vs_actual_grid.svg")
+        render_model_grid(ps, order, global_scale=args.global_scale).save(
+            outdir / "pred_vs_actual_grid.svg")
     if args.json:
         sys.stdout.write(to_json(report))
     else:
@@ -77,8 +73,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_compare(args) -> int:
     ps = _load(args.input)
-    ea, eb = select_pair(ps, args.a, args.b)
-    analysis = analyze_pair(ea, eb, metric=args.metric)
+    analysis = analyze_pair(ps.errors[:, [ps.index(args.a), ps.index(args.b)]],
+                            args.a, args.b, metric=args.metric)
 
     kde = kde2d(analysis.e, bandwidth=args.bandwidth) if "kde" in args.layers else None
     hexgrid = None
@@ -86,8 +82,7 @@ def cmd_compare(args) -> int:
         radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
         hexgrid = hexbin(analysis.e, radius)
 
-    render_error_space(analysis, layers=args.layers, colormap=WARM_COOL,
-                       kde=kde, hexgrid=hexgrid).save(args.output)
+    render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid).save(args.output)
 
     report = build_pair_report(ps, analysis, sort_key="rmse")
     if args.json:
@@ -128,8 +123,7 @@ def cmd_synth(args) -> int:
 
     print(_bold(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}"))
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")
-    for m in ps.model_names:
-        errors = compute_errors(ps.y_true, ps.column(m), m)
+    for m, errors in zip(ps.model_names, ps.errors.T):
         print(f"{m:<8} {mae(errors):>10.4f} {rmse(errors):>10.4f}")
     return 0
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDistribution, LengthMismatch
-from .metrics import ErrorVector
+from .exceptions import DegenerateDistribution, LengthMismatch, NonFinite
 
 # Ridge kicks in when the sample covariance is singular or nearly so.
 _COND_LIMIT = 1e12
@@ -177,23 +176,35 @@ def crown_threshold(distances) -> float:
     return float(np.median(d))
 
 
-def analyze_pair(ea: ErrorVector, eb: ErrorVector, metric: str = "mahalanobis") -> ErrorSpaceAnalysis:
-    """Full 2D error-space analysis of two error vectors.
+def analyze_pair(e, model_a: str, model_b: str,
+                 metric: str = "mahalanobis") -> ErrorSpaceAnalysis:
+    """Full 2D error-space analysis of an (n, 2) array of paired errors.
 
+    Column 0 holds the errors of model_a (x), column 1 those of model_b (y).
     Distances are measured from the componentwise median; the Mahalanobis
     covariance is the mean-centered sample covariance of the whole cloud.
     """
     if metric not in ("euclidean", "mahalanobis"):
         raise ValueError(f"metric must be 'euclidean' or 'mahalanobis', got {metric!r}")
-    if ea.n != eb.n:
-        raise LengthMismatch(f"{ea.n} vs {eb.n} errors")
-    pts = np.column_stack([ea.errors, eb.errors])
+    # A C-ordered copy: covariance2's column means depend on the layout in
+    # their last bit, and the reports pin those bits.
+    pts = np.array(e, dtype=float, order="C")
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise LengthMismatch(f"paired errors must have shape (n >= 1, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise NonFinite("paired errors must be finite")
     n = pts.shape[0]
     if metric == "mahalanobis" and n < 3:
         raise DegenerateDistribution("mahalanobis analysis needs at least 3 points")
 
     center = median2d(pts)
-    cov, cov_inv = regularized_inverse(covariance2(pts)) if n >= 2 else (np.eye(2), np.eye(2))
+    cov, cov_inv = np.eye(2), np.eye(2)
+    if n >= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = covariance2(pts)
+        if not np.isfinite(cov).all():
+            raise DegenerateDistribution("error covariance overflows float64")
+        cov, cov_inv = regularized_inverse(cov)
 
     if metric == "euclidean":
         dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
@@ -202,8 +213,8 @@ def analyze_pair(ea: ErrorVector, eb: ErrorVector, metric: str = "mahalanobis") 
 
     zone, quadrant = classify(pts)
     return ErrorSpaceAnalysis(
-        model_a=ea.model_name,
-        model_b=eb.model_name,
+        model_a=model_a,
+        model_b=model_b,
         e=pts,
         zone=zone,
         quadrant=quadrant,

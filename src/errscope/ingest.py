@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .exceptions import (
     NonNumeric,
     UnknownModel,
 )
-from .metrics import ErrorVector, compute_errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,12 +25,15 @@ class PredictionSet:
 
     Model column order is significant and preserved from the source file.
     Instance ids are opaque; duplicates are legal but worth a warning.
+    errors holds the signed errors prediction - truth (positive means
+    overestimation), computed once and checked finite here.
     """
 
     instance_ids: tuple[str, ...]
     y_true: np.ndarray  # (n,)
     model_names: tuple[str, ...]
     predictions: np.ndarray  # (n, m); column j holds model_names[j]
+    errors: np.ndarray = field(init=False, repr=False)  # (n, m), like predictions
 
     def __post_init__(self):
         object.__setattr__(self, "y_true", np.asarray(self.y_true, dtype=float))
@@ -54,11 +56,20 @@ class PredictionSet:
                 f"prediction matrix has shape {self.predictions.shape} for {n} "
                 f"instances of {len(names)} models"
             )
-        bad = ~np.isfinite(np.column_stack([self.y_true, self.predictions]))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            label = ("y_true",) + names
-            raise NonFinite(f"non-finite value in {label[j]!r} at instance {i}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = self.predictions - self.y_true[:, None]
+        # A non-finite input always gives a non-finite error, so the inputs
+        # are searched only when some error is not finite.
+        if not np.isfinite(errors).all():
+            bad = ~np.isfinite(np.column_stack([self.y_true, self.predictions]))
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                label = ("y_true",) + names
+                raise NonFinite(f"non-finite value in {label[j]!r} at instance {i}")
+            i, j = np.argwhere(~np.isfinite(errors))[0]
+            raise NonFinite(f"error of model {names[j]!r} at instance {i} "
+                            "overflows float64")
+        object.__setattr__(self, "errors", errors)
 
     def __eq__(self, other):
         if not isinstance(other, PredictionSet):
@@ -72,20 +83,20 @@ class PredictionSet:
     def n(self) -> int:
         return self.y_true.size
 
-    def column(self, name: str) -> np.ndarray:
-        """Predictions of one model, looked up by name."""
+    def index(self, name: str) -> int:
+        """Column of one model in predictions and errors, looked up by name."""
         if name not in self.model_names:
             raise UnknownModel(name)
-        return self.predictions[:, self.model_names.index(name)]
+        return self.model_names.index(name)
 
     def duplicate_ids(self) -> list[str]:
-        """Instance ids that occur more than once, in first-seen order."""
-        seen, dups = set(), []
+        """Instance ids that occur more than once, ordered by each id's first repeat."""
+        seen, dups = set(), {}
         for iid in self.instance_ids:
-            if iid in seen and iid not in dups:
-                dups.append(iid)
+            if iid in seen:
+                dups[iid] = None
             seen.add(iid)
-        return dups
+        return list(dups)
 
     def to_csv(self) -> str:
         """Canonical wide-CSV serialization (parse is its left inverse)."""
@@ -190,10 +201,3 @@ def parse_predictions(content: bytes | str, format: str = "csv") -> PredictionSe
         return _parse_json(content)
     raise ValueError(f"unknown format {format!r}")
 
-
-def select_pair(ps: PredictionSet, name_a: str, name_b: str) -> tuple[ErrorVector, ErrorVector]:
-    """Error vectors for two named models (A drawn on x, B on y downstream)."""
-    return (
-        compute_errors(ps.y_true, ps.column(name_a), model_name=name_a),
-        compute_errors(ps.y_true, ps.column(name_b), model_name=name_b),
-    )

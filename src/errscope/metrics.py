@@ -1,4 +1,4 @@
-"""Per-instance errors, aggregate metrics and 1D distribution summaries.
+"""Aggregate metrics and 1D distribution summaries of per-instance errors.
 
 Sign convention throughout the package: error = prediction - truth, so a
 positive error is an overestimation. Quartiles use linear interpolation on
@@ -12,27 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConstantTarget, LengthMismatch, NonFinite
-
-
-@dataclass(frozen=True)
-class ErrorVector:
-    """Signed per-instance errors of one model, in target units."""
-
-    model_name: str
-    errors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.errors, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise LengthMismatch("error vector must be 1D with n >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite(f"non-finite error in model {self.model_name!r}")
-        object.__setattr__(self, "errors", arr)
-
-    @property
-    def n(self) -> int:
-        return self.errors.size
+from .exceptions import ConstantTarget, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -54,44 +34,30 @@ class BoxplotStats:
     outliers: tuple[float, ...]
 
 
-def compute_errors(y_true, y_pred, model_name: str = "") -> ErrorVector:
-    """Signed errors prediction - truth; positive means overestimation."""
-    yt = np.asarray(y_true, dtype=float)
-    yp = np.asarray(y_pred, dtype=float)
-    if yt.shape != yp.shape:
-        raise LengthMismatch(f"{yt.size} truths vs {yp.size} predictions")
-    return ErrorVector(model_name=model_name, errors=yp - yt)
+def mae(e) -> float:
+    return float(np.mean(np.abs(e)))
 
 
-def mae(e: ErrorVector) -> float:
-    return float(np.mean(np.abs(e.errors)))
+def rmse(e) -> float:
+    return float(np.sqrt(np.mean(np.square(e))))
 
 
-def rmse(e: ErrorVector) -> float:
-    return float(np.sqrt(np.mean(np.square(e.errors))))
-
-
-def r_squared(y_true, y_pred) -> float:
-    """Coefficient of determination, 1 - SSres/SStot."""
-    return _r_squared(compute_errors(y_true, y_pred), y_true)
-
-
-def _r_squared(e: ErrorVector, y_true) -> float:
-    yt = np.asarray(y_true, dtype=float)
-    if yt.shape != e.errors.shape:
-        raise LengthMismatch(f"{yt.size} truths vs {e.n} errors")
-    if yt.size < 2:
+def _r_squared(e: np.ndarray, y_true: np.ndarray) -> float:
+    """Coefficient of determination 1 - SSres/SStot of signed errors e."""
+    if y_true.shape != e.shape:
+        raise LengthMismatch(f"{y_true.size} truths vs {e.size} errors")
+    if y_true.size < 2:
         raise ConstantTarget("r_squared needs at least two instances")
-    ss_tot = float(np.sum(np.square(yt - yt.mean())))
+    ss_tot = float(np.sum(np.square(y_true - y_true.mean())))
     if ss_tot == 0.0:
         raise ConstantTarget("target values are constant")
-    ss_res = float(np.sum(np.square(e.errors)))
+    ss_res = float(np.sum(np.square(e)))
     return 1.0 - ss_res / ss_tot
 
 
-def boxplot_stats(e: ErrorVector) -> BoxplotStats:
+def boxplot_stats(e) -> BoxplotStats:
     """Five-number summary with Tukey fences; fence-exceeding points listed."""
-    x = e.errors
+    x = np.asarray(e, dtype=float)
     q1, med, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
@@ -115,10 +81,10 @@ def sort_models_by_metric(reports: dict[str, MetricReport], key: str = "rmse") -
     return sorted(reports, key=lambda m: (getattr(reports[m], key), m))
 
 
-def metric_report(e: ErrorVector, y_true) -> MetricReport:
-    """All scalar metrics of one model's errors; r_squared is None when undefined."""
+def metric_report(e: np.ndarray, y_true: np.ndarray) -> MetricReport:
+    """All scalar metrics of one model's (n,) errors; r_squared is None when undefined."""
     try:
         r2 = _r_squared(e, y_true)
     except ConstantTarget:
         r2 = None
-    return MetricReport(mae=mae(e), rmse=rmse(e), r_squared=r2, n=e.n)
+    return MetricReport(mae=mae(e), rmse=rmse(e), r_squared=r2, n=e.size)

@@ -62,44 +62,30 @@ def _escape(text: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class Colormap:
-    """Piecewise-linear RGB ramp over t in [0, 1]."""
-
-    name: str
-    control_points: tuple[tuple[float, tuple[int, int, int]], ...]
-
-    def __post_init__(self):
-        ts = [t for t, _ in self.control_points]
-        if ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("control points must strictly increase from 0 to 1")
-
-    def lookup(self, t) -> np.ndarray:
-        """RGB rows (ints) for an array of t, each clamped to [0, 1]."""
-        ts = np.array([p for p, _ in self.control_points])
-        cs = np.array([c for _, c in self.control_points], dtype=float)
-        t = np.clip(np.asarray(t, dtype=float).ravel(), 0.0, 1.0)
-        # Segment k runs from control point k-1 to k, the first whose end >= t.
-        k = np.clip(np.searchsorted(ts, t), 1, len(ts) - 1)
-        w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
-        return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(int)
-
-
-def _fills(colormap: Colormap, t) -> list[str]:
-    return [rgb(c) for c in colormap.lookup(t).tolist()]
-
-
 # Warm near the center / accurate, cool far away, per the method's reading.
-WARM_COOL = Colormap(
-    name="warm_cool",
-    control_points=(
-        (0.0, (215, 48, 39)),
-        (0.25, (253, 174, 97)),
-        (0.5, (254, 224, 144)),
-        (0.75, (145, 191, 219)),
-        (1.0, (69, 117, 180)),
-    ),
-)
+# Rows (t, red, green, blue) are the control points of a piecewise-linear
+# RGB ramp over t in [0, 1].
+WARM_COOL = np.array([
+    (0.0, 215, 48, 39),
+    (0.25, 253, 174, 97),
+    (0.5, 254, 224, 144),
+    (0.75, 145, 191, 219),
+    (1.0, 69, 117, 180),
+])
+
+
+def colormap(t) -> np.ndarray:
+    """WARM_COOL RGB rows (ints) for an array of t, each clamped to [0, 1]."""
+    ts, cs = WARM_COOL[:, 0], WARM_COOL[:, 1:]
+    t = np.clip(np.asarray(t, dtype=float).ravel(), 0.0, 1.0)
+    # Segment k runs from control point k-1 to k, the first whose end >= t.
+    k = np.clip(np.searchsorted(ts, t), 1, len(ts) - 1)
+    w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
+    return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(int)
+
+
+def _fills(t) -> list[str]:
+    return [rgb(c) for c in colormap(t).tolist()]
 
 
 @dataclass(frozen=True)
@@ -287,8 +273,7 @@ def render_boxplots(stats: list[tuple[str, BoxplotStats]],
 # predicted vs actual
 
 def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
-                          pct: np.ndarray, colormap: Colormap, left: float, top: float,
-                          label: str) -> None:
+                          pct: np.ndarray, left: float, top: float, label: str) -> None:
     # Both axes share one range, so the identity line is the diagonal.
     lo = float(min(y_true.min(), y_pred.min()))
     hi = float(max(y_true.max(), y_pred.max()))
@@ -301,13 +286,12 @@ def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
     if fig.transform is None:
         fig.transform = tr
     fig.line(*tr.apply(lo, lo), *tr.apply(hi, hi), "#888888", width=1.5)
-    fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, _fills(colormap, pct), cls="pt")
+    fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, _fills(pct), cls="pt")
     fig.text((tr.apply(lo, 0)[0] + tr.apply(hi, 0)[0]) / 2,
              tr.apply(0, hi)[1] - 8, label, size=16)
 
 
 def render_model_grid(ps: PredictionSet, order: list[str],
-                      colormap: Colormap = WARM_COOL,
                       global_scale: bool = False) -> Figure:
     """Per-model predicted-vs-actual panels laid out in a 4-wide grid.
 
@@ -316,8 +300,8 @@ def render_model_grid(ps: PredictionSet, order: list[str],
     is normalized over all models' absolute errors at once instead of per
     panel.
     """
-    preds = [ps.column(model) for model in order]
-    abs_err = [np.abs(y_pred - ps.y_true) for y_pred in preds]
+    columns = [ps.index(model) for model in order]
+    abs_err = [np.abs(ps.errors[:, j]) for j in columns]
     if global_scale:
         pcts = np.split(percentile_ranks(np.concatenate(abs_err)), len(order))
     else:
@@ -328,9 +312,9 @@ def render_model_grid(ps: PredictionSet, order: list[str],
     rows = math.ceil(m / GRID_COLUMNS)
     fig = Figure(cols * PANEL_SIZE, rows * PANEL_SIZE)
     _white_background(fig)
-    for k, (model, y_pred, pct) in enumerate(zip(order, preds, pcts)):
+    for k, (model, j, pct) in enumerate(zip(order, columns, pcts)):
         col, row = k % GRID_COLUMNS, k // GRID_COLUMNS
-        _pred_vs_actual_panel(fig, ps.y_true, y_pred, pct, colormap,
+        _pred_vs_actual_panel(fig, ps.y_true, ps.predictions[:, j], pct,
                               col * PANEL_SIZE + MARGIN, row * PANEL_SIZE + MARGIN, model)
     return fig
 
@@ -362,7 +346,6 @@ def _crown_curve(analysis: ErrorSpaceAnalysis) -> list[tuple[float, float]]:
 
 def render_error_space(analysis: ErrorSpaceAnalysis,
                        layers=("zones", "proximity", "crown"),
-                       colormap: Colormap = WARM_COOL,
                        kde: KdeGrid | None = None,
                        hexgrid: HexbinLayer | None = None) -> Figure:
     """The 2D error space with selectable layers.
@@ -396,13 +379,13 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
             dy = (kde.y_max - kde.y_min) / (kde.ny - 1)
             ix, iy = np.nonzero(kde.values > 0.01 * vmax)
             x0, y0 = tr.apply(kde.x_coords()[ix] - dx / 2, kde.y_coords()[iy] + dy / 2)
-            fills = _fills(colormap, 1.0 - kde.values[ix, iy] / vmax)
+            fills = _fills(1.0 - kde.values[ix, iy] / vmax)
             for x, y, fill in zip(x0.tolist(), y0.tolist(), fills):
                 fig.rect(x, y, abs(tr.sx) * dx, abs(tr.sy) * dy, fill, opacity=0.6)
 
     if "hexbin" in layers:
         counts = np.array([c for _, _, c in hexgrid.cells])
-        fills = _fills(colormap, 1.0 - counts / counts.max())
+        fills = _fills(1.0 - counts / counts.max())
         for (q, r, _), fill in zip(hexgrid.cells, fills):
             verts = [tr.apply(x, y) for x, y in hex_vertices(q, r, hexgrid.hex_radius)]
             fig.polygon(verts, fill=fill, opacity=0.7, cls="hex")
@@ -454,7 +437,7 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
 
     px, py = tr.apply(e[:, 0], e[:, 1])
     if "proximity" in layers:
-        fig.circles(px, py, POINT_RADIUS, _fills(colormap, analysis.percentile), cls="pt")
+        fig.circles(px, py, POINT_RADIUS, _fills(analysis.percentile), cls="pt")
     elif "scatter" in layers:
         fig.circles(px, py, POINT_RADIUS, rgb(SCATTER_COLOR), opacity=0.7, cls="pt")
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import __version__
 from .errorspace import ErrorSpaceAnalysis
 from .ingest import PredictionSet
-from .metrics import boxplot_stats, compute_errors, metric_report, sort_models_by_metric
+from .metrics import boxplot_stats, metric_report, sort_models_by_metric
 
 # Choices the method leaves open; embedded so figures are auditable.
 DECISIONS = {
@@ -28,8 +28,7 @@ DECISIONS = {
 def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     """Per-model metrics, boxplot stats and ranking as a JSON-able dict."""
     reports, per_model = {}, {}
-    for m in ps.model_names:
-        errors = compute_errors(ps.y_true, ps.column(m), model_name=m)
+    for m, errors in zip(ps.model_names, ps.errors.T):
         reports[m] = metric_report(errors, ps.y_true)
         per_model[m] = {
             "metrics": asdict(reports[m]),

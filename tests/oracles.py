@@ -21,15 +21,18 @@ def mahalanobis(p, center, cov_inv) -> float:
     return float(np.sqrt(d @ cov_inv @ d))
 
 
-def colormap_rgb(colormap, t: float) -> tuple[int, int, int]:
-    """One colour of a piecewise-linear ramp, walking the segments."""
+def colormap_rgb(control_points, t: float) -> tuple[int, int, int]:
+    """One colour of a piecewise-linear ramp, walking the segments.
+
+    control_points has rows (t, red, green, blue) with t increasing from 0 to 1.
+    """
     t = min(max(float(t), 0.0), 1.0)
-    pts = colormap.control_points
+    pts = [(row[0], row[1:]) for row in np.asarray(control_points).tolist()]
     for (t0, c0), (t1, c1) in zip(pts, pts[1:]):
         if t <= t1:
             w = (t - t0) / (t1 - t0)
             return tuple(int(round(a + w * (b - a))) for a, b in zip(c0, c1))
-    return pts[-1][1]
+    return tuple(int(c) for c in pts[-1][1])
 
 
 def hex_total(layer) -> int:

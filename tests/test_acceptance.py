@@ -7,14 +7,12 @@ import numpy as np
 from oracles import hex_centers, hex_total, riemann_mass
 
 from errscope import (
-    ErrorVector,
     MetricReport,
     analyze_pair,
     hexbin,
     kde2d,
     mae,
     rmse,
-    select_pair,
     sort_models_by_metric,
 )
 from errscope.cli import main
@@ -34,20 +32,21 @@ def ok(num, text):
     print(f"[PASS] criterion {num}: {text}")
 
 
-def ev(errors, name="m"):
-    return ErrorVector(model_name=name, errors=np.asarray(errors, dtype=float))
+def pair_errors(ps, a, b):
+    """The error columns of models a and b."""
+    return ps.errors[:, ps.index(a)], ps.errors[:, ps.index(b)]
 
 
 def test_c01_outlier_scenario_metric_values():
     t0 = time.perf_counter()
     ps = gen_outlier_vs_moderate(1000, outlier_magnitude=500.0, seed=0)
-    ea, eb = select_pair(ps, "B1", "B2")
+    ea, eb = pair_errors(ps, "B1", "B2")
     assert mae(ea) == 0.5
     assert abs(rmse(ea) - 15.8114) < 1e-4
 
     for seed in range(20):
         ps = gen_outlier_vs_moderate(1000, moderate_sigma=9.9, seed=seed)
-        _, eb = select_pair(ps, "B1", "B2")
+        _, eb = pair_errors(ps, "B1", "B2")
         assert 7.3 <= mae(eb) <= 8.4, f"seed {seed}: mae {mae(eb)}"
         assert 9.4 <= rmse(eb) <= 10.4, f"seed {seed}: rmse {rmse(eb)}"
     elapsed = time.perf_counter() - t0
@@ -58,7 +57,7 @@ def test_c01_outlier_scenario_metric_values():
 def test_c02_metric_ordering_flips_every_seed():
     for seed in range(1, 101):
         ps = gen_outlier_vs_moderate(1000, seed=seed)
-        ea, eb = select_pair(ps, "B1", "B2")
+        ea, eb = pair_errors(ps, "B1", "B2")
         assert mae(ea) < mae(eb), f"seed {seed}"
         assert rmse(ea) > rmse(eb), f"seed {seed}"
     ok(2, "mae(B1) < mae(B2) and rmse(B1) > rmse(B2) for seeds 1..100")
@@ -66,11 +65,11 @@ def test_c02_metric_ordering_flips_every_seed():
 
 def test_c03_directionality_masking():
     ps = gen_under_vs_over(5000, bias=9.0, sigma=3.0, seed=1)
-    ea, eb = select_pair(ps, "C1", "C2")
+    ea, eb = pair_errors(ps, "C1", "C2")
     assert abs(mae(ea) - mae(eb)) < 0.5
     assert abs(rmse(ea) - rmse(eb)) < 0.6
-    assert np.all(ea.errors <= 0.0)
-    assert np.all(eb.errors >= 0.0)
+    assert np.all(ea <= 0.0)
+    assert np.all(eb >= 0.0)
     ok(3, "C1/C2 metrics nearly equal while signs are 100% opposite")
 
 
@@ -86,7 +85,7 @@ def test_c04_ranking_fixture():
     reports = {}
     for name, (m, s) in table.items():
         d = math.sqrt(s * s - m * m)
-        e = ev([m + d, m - d], name)
+        e = np.array([m + d, m - d])
         assert abs(mae(e) - m) < 0.05 and abs(rmse(e) - s) < 0.05
         reports[name] = MetricReport(mae=mae(e), rmse=rmse(e), r_squared=None, n=2)
     assert sort_models_by_metric(reports, "rmse")[:4] == ["A10", "A9", "A1", "A2"]
@@ -113,9 +112,9 @@ def test_c05_mahalanobis_correctness():
 def test_c06_crown_splits_points_in_half():
     rng = np.random.default_rng(7)
     for k in range(10):
-        a = ev(rng.normal(size=101), "A")
-        b = ev(rng.normal(size=101) + 0.4 * a.errors, "B")
-        an = analyze_pair(a, b, metric="mahalanobis")
+        a = rng.normal(size=101)
+        b = rng.normal(size=101) + 0.4 * a
+        an = analyze_pair(np.column_stack([a, b]), "A", "B", metric="mahalanobis")
         d = an.distance
         assert np.unique(d).size == 101, "tie encountered"
         assert np.sum(d < an.crown_threshold) == 50
@@ -127,10 +126,10 @@ def test_c07_zone_partition_and_swap():
     for kind in sorted(SCENARIOS):
         ps = generate(ScenarioSpec(kind=kind, n=257, seed=13))
         a_name, b_name = ps.model_names
-        ea, eb = select_pair(ps, a_name, b_name)
-        an = analyze_pair(ea, eb)
+        ea, eb = pair_errors(ps, a_name, b_name)
+        an = analyze_pair(np.column_stack([ea, eb]), a_name, b_name)
         assert sum(an.zone_counts.values()) == 257
-        swapped = analyze_pair(eb, ea)
+        swapped = analyze_pair(np.column_stack([eb, ea]), b_name, a_name)
         assert swapped.zone_counts["a_better"] == an.zone_counts["b_better"]
         assert swapped.zone_counts["b_better"] == an.zone_counts["a_better"]
         assert swapped.zone_counts["tie"] == an.zone_counts["tie"]
@@ -175,8 +174,7 @@ def test_c09_hexbin_conservation_and_oracle():
 
 def test_c10_asymmetric_case_geometry():
     ps = gen_asymmetric_pair(5000, correlation=0.9, shift=5.0, seed=2)
-    e1 = ps.column("E1") - ps.y_true
-    e2 = ps.column("E2") - ps.y_true
+    e1, e2 = pair_errors(ps, "E1", "E2")
     corr = float(np.corrcoef(e1, e2)[0, 1])
     assert 0.85 <= corr <= 0.95
     assert float(np.mean(e2 > e1)) > 0.75

@@ -1,9 +1,14 @@
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import errscope.cli
+import errscope.report
 from errscope.cli import main
+from errscope.metrics import boxplot_stats
 
 try:
     import jsonschema
@@ -59,11 +64,22 @@ def test_metrics_json_report(demo_csv, capsys, monkeypatch):
         jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
 
 
-def test_metrics_plots_written(demo_csv, tmp_path):
+def test_metrics_plots_written(demo_csv, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_boxplot_stats(e):
+        calls.append(e)
+        return boxplot_stats(e)
+
+    for module in (errscope.cli, errscope.report):
+        if hasattr(module, "boxplot_stats"):
+            monkeypatch.setattr(module, "boxplot_stats", counting_boxplot_stats)
     figs = tmp_path / "figs"
     assert main(["metrics", str(demo_csv), "--plots", str(figs)]) == 0
     assert (figs / "boxplots.svg").exists()
     assert (figs / "pred_vs_actual_grid.svg").exists()
+    # The boxplots are drawn from the report's stats: one computation per model.
+    assert len(calls) == 2
 
 
 def test_metrics_empty_file_exits_2(tmp_path, capsys):
@@ -131,6 +147,38 @@ def test_compare_bad_flag_values_exit_2(demo_csv, tmp_path, flags):
               *flags, "-o", str(tmp_path / "x.svg")])
     assert exc.value.code == 2
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("args", [["metrics"], ["compare", "--a", "M1", "--b", "M2"]],
+                         ids=lambda args: args[0])
+def test_overflowing_error_exits_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    Path("overflow.csv").write_text("id,y_true,M1,M2\na,1,2,3\nb,-1e308,1e308,0\nc,2,3,5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        assert main([args[0], "overflow.csv", *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: error of model 'M1' at instance 1 overflows float64\n"
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_compare_huge_errors_exit_3(tmp_path, capsys, metric):
+    rng = np.random.default_rng(0)
+    y = rng.uniform(0.0, 100.0, size=50)
+    preds = y[:, None] + rng.normal(size=(50, 2)) * 1e200
+    rows = "".join(f"r{i},{t!r},{a!r},{b!r}\n"
+                   for i, (t, (a, b)) in enumerate(zip(y.tolist(), preds.tolist())))
+    path = tmp_path / "huge.csv"
+    path.write_text("id,y_true,M1,M2\n" + rows)
+    rep = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(path), "--a", "M1", "--b", "M2", "--metric", metric,
+                     "-o", str(tmp_path / "x.svg"), "--json", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not rep.exists()
 
 
 def test_compare_unknown_model_exits_2(demo_csv, tmp_path):

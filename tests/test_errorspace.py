@@ -6,7 +6,6 @@ from oracles import check_spd, mahalanobis
 from errscope import (
     QUADRANTS,
     ZONES,
-    ErrorVector,
     Quadrant,
     Zone,
     analyze_pair,
@@ -18,11 +17,11 @@ from errscope import (
     percentile_ranks,
 )
 from errscope.errorspace import regularized_inverse
-from errscope.exceptions import DegenerateDistribution
+from errscope.exceptions import DegenerateDistribution, LengthMismatch, NonFinite
 
 
-def ev(errors, name="m"):
-    return ErrorVector(model_name=name, errors=np.asarray(errors, dtype=float))
+def pair(a, b):
+    return np.column_stack([a, b]).astype(float)
 
 
 def zones_of(points):
@@ -135,23 +134,22 @@ def test_crown_threshold():
 
 
 def test_analyze_pair_identical_errors_all_tie():
-    e = ev(np.arange(10.0), "A")
-    an = analyze_pair(e, ev(np.arange(10.0), "B"))
+    an = analyze_pair(pair(np.arange(10.0), np.arange(10.0)), "A", "B")
     assert an.zone_counts == {"a_better": 0, "b_better": 0, "tie": 10}
 
 
 def test_analyze_pair_antidiagonal_all_tie():
     e = np.linspace(-3.0, 3.0, 9)
-    an = analyze_pair(ev(e, "A"), ev(-e, "B"))
+    an = analyze_pair(pair(e, -e), "A", "B")
     assert an.zone_counts["tie"] == 9
 
 
 def test_analyze_pair_zone_swap():
     rng = np.random.default_rng(4)
-    a = ev(rng.normal(size=101), "A")
-    b = ev(rng.normal(scale=2.0, size=101), "B")
-    an = analyze_pair(a, b)
-    an_swapped = analyze_pair(b, a)
+    a = rng.normal(size=101)
+    b = rng.normal(scale=2.0, size=101)
+    an = analyze_pair(pair(a, b), "A", "B")
+    an_swapped = analyze_pair(pair(b, a), "B", "A")
     assert an.zone_counts["a_better"] == an_swapped.zone_counts["b_better"]
     assert an.zone_counts["b_better"] == an_swapped.zone_counts["a_better"]
     assert an.zone_counts["tie"] == an_swapped.zone_counts["tie"]
@@ -169,25 +167,21 @@ def test_identity_covariance_reduces_to_euclidean():
 
 def test_mahalanobis_scale_invariance():
     rng = np.random.default_rng(6)
-    a = ev(rng.normal(size=500), "A")
-    b = ev(rng.normal(size=500) + 0.5 * a.errors, "B")
-    an1 = analyze_pair(a, b, metric="mahalanobis")
-    an10 = analyze_pair(ev(10.0 * a.errors, "A"), ev(10.0 * b.errors, "B"),
-                        metric="mahalanobis")
+    a = rng.normal(size=500)
+    b = rng.normal(size=500) + 0.5 * a
+    an1 = analyze_pair(pair(a, b), "A", "B", metric="mahalanobis")
+    an10 = analyze_pair(pair(10.0 * a, 10.0 * b), "A", "B", metric="mahalanobis")
     d1, d10 = an1.distance, an10.distance
     assert np.max(np.abs(d10 - d1) / np.maximum(d1, 1e-30)) < 1e-9
 
-    e1 = analyze_pair(a, b, metric="euclidean")
-    e10 = analyze_pair(ev(10.0 * a.errors, "A"), ev(10.0 * b.errors, "B"),
-                       metric="euclidean")
+    e1 = analyze_pair(pair(a, b), "A", "B", metric="euclidean")
+    e10 = analyze_pair(pair(10.0 * a, 10.0 * b), "A", "B", metric="euclidean")
     assert np.allclose(e10.distance, 10.0 * e1.distance)
 
 
 def test_crown_splits_in_half():
     rng = np.random.default_rng(7)
-    a = ev(rng.normal(size=101), "A")
-    b = ev(rng.normal(size=101), "B")
-    an = analyze_pair(a, b)
+    an = analyze_pair(pair(rng.normal(size=101), rng.normal(size=101)), "A", "B")
     d = an.distance
     assert np.sum(d < an.crown_threshold) == 50
     assert np.sum(d > an.crown_threshold) == 50
@@ -195,12 +189,23 @@ def test_crown_splits_in_half():
 
 def test_analyze_pair_mahalanobis_needs_three_points():
     with pytest.raises(DegenerateDistribution):
-        analyze_pair(ev([1, 2], "A"), ev([3, 4], "B"), metric="mahalanobis")
+        analyze_pair(pair([1, 2], [3, 4]), "A", "B", metric="mahalanobis")
+
+
+@pytest.mark.parametrize("e, exc", [
+    (np.zeros((4, 3)), LengthMismatch),
+    (np.zeros(4), LengthMismatch),
+    (np.zeros((0, 2)), LengthMismatch),
+    ([[0.0, 1.0], [np.nan, 2.0], [1.0, 0.0]], NonFinite),
+], ids=["3_columns", "1d", "empty", "nan"])
+def test_analyze_pair_rejects_bad_input(e, exc):
+    with pytest.raises(exc):
+        analyze_pair(e, "A", "B", metric="euclidean")
 
 
 def test_analysis_serialization_shape():
     rng = np.random.default_rng(8)
-    an = analyze_pair(ev(rng.normal(size=10), "A"), ev(rng.normal(size=10), "B"))
+    an = analyze_pair(pair(rng.normal(size=10), rng.normal(size=10)), "A", "B")
     d = an.to_dict()
     assert len(d["points"]) == 10
     assert len(d["summary"]["covariance"]) == 4

@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from errscope import PredictionSet, parse_predictions, select_pair
+from errscope import PredictionSet, parse_predictions
 from errscope.exceptions import (
     DuplicateModelName,
     LengthMismatch,
@@ -69,7 +70,7 @@ def test_scientific_notation_and_quotes():
     ps = parse_predictions('id,y_true,M1\n"a,b",1e3,-2.5E-2')
     assert ps.instance_ids == ("a,b",)
     assert ps.y_true.tolist() == [1000.0]
-    assert ps.column("M1").tolist() == [-0.025]
+    assert ps.predictions[:, ps.index("M1")].tolist() == [-0.025]
 
 
 def test_crlf_accepted():
@@ -85,7 +86,7 @@ def test_json_format():
     )
     ps = parse_predictions(text, format="json")
     assert ps.model_names == ("M1", "M2")
-    assert ps.column("M2").tolist() == [0.5, 2.0]
+    assert ps.predictions[:, ps.index("M2")].tolist() == [0.5, 2.0]
 
 
 def test_json_inconsistent_model_sets():
@@ -111,23 +112,49 @@ def test_serialize_parse_roundtrip():
 def test_duplicate_ids_allowed_but_reported():
     ps = parse_predictions("id,y_true,M1\nx,1,1\nx,2,2\ny,3,3")
     assert ps.duplicate_ids() == ["x"]
+    # Ordered by each id's first repeat, not by first sighting.
+    ps = parse_predictions("id,y_true,M1\na,1,1\nb,2,2\nb,3,3\na,4,4")
+    assert ps.duplicate_ids() == ["b", "a"]
+    n = 60_000
+    ids = tuple(str(i // 2) for i in range(n))
+    ps = PredictionSet(ids, np.zeros(n), ("M1",), np.zeros((n, 1)))
+    t0 = time.perf_counter()
+    dups = ps.duplicate_ids()
+    elapsed = time.perf_counter() - t0
+    assert dups == [str(i) for i in range(n // 2)]
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
-def test_select_pair_order_contract():
+def errors_of(y_true, y_pred):
+    n = len(y_true)
+    return PredictionSet(tuple(map(str, range(n))), y_true, ("M",),
+                         np.reshape(y_pred, (-1, 1))).errors[:, 0]
+
+
+def test_errors_sign_convention():
+    assert errors_of([1, 2], [1, 2]).tolist() == [0.0, 0.0]
+    assert errors_of([10], [7]).tolist() == [-3.0]
+    assert errors_of([0, 0, 0], [5, -5, 0]).tolist() == [5.0, -5.0, 0.0]
+
+
+def test_errors_length_mismatch():
+    with pytest.raises(LengthMismatch):
+        errors_of([1, 2], [1])
+
+
+def test_pair_columns_order_contract():
     ps = parse_predictions("id,y_true,M1,M2\na,1,2,0\nb,2,2,4")
-    ea, eb = select_pair(ps, "M1", "M2")
-    assert ea.model_name == "M1" and eb.model_name == "M2"
-    assert list(ea.errors) == [1.0, 0.0]
-    assert list(eb.errors) == [-1.0, 2.0]
-    eb2, ea2 = select_pair(ps, "M2", "M1")
-    assert eb2.model_name == "M2"
-    assert list(eb2.errors) == list(eb.errors)
+    assert ps.index("M1") == 0 and ps.index("M2") == 1
+    ea, eb = ps.errors[:, ps.index("M1")], ps.errors[:, ps.index("M2")]
+    assert ea.tolist() == [1.0, 0.0]
+    assert eb.tolist() == [-1.0, 2.0]
+    assert ps.errors[:, [ps.index("M2"), ps.index("M1")]].tolist() == [[-1.0, 1.0], [2.0, 0.0]]
 
 
-def test_select_pair_unknown_model():
+def test_index_unknown_model():
     ps = parse_predictions("id,y_true,M1,M2\na,1,2,0")
     with pytest.raises(UnknownModel, match="M3"):
-        select_pair(ps, "M1", "M3")
+        ps.index("M3")
 
 
 def test_empty_prediction_set_rejected():

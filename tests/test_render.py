@@ -7,8 +7,6 @@ from oracles import colormap_rgb
 from errscope import (
     WARM_COOL,
     ZONES,
-    Colormap,
-    ErrorVector,
     Zone,
     analyze_pair,
     boxplot_stats,
@@ -20,18 +18,14 @@ from errscope import (
     render_model_grid,
 )
 from errscope.exceptions import MissingLayerInput, UnknownModel
-from errscope.render import fmt, rgb
-
-
-def ev(errors, name="m"):
-    return ErrorVector(model_name=name, errors=np.asarray(errors, dtype=float))
+from errscope.render import colormap, fmt, rgb
 
 
 def sample_analysis(n=101, seed=0, metric="mahalanobis", scale_b=1.0):
     rng = np.random.default_rng(seed)
-    a = ev(rng.normal(size=n), "A")
-    b = ev(scale_b * rng.normal(size=n) + 0.3 * a.errors, "B")
-    return analyze_pair(a, b, metric=metric)
+    a = rng.normal(size=n)
+    b = scale_b * rng.normal(size=n) + 0.3 * a
+    return analyze_pair(np.column_stack([a, b]), "A", "B", metric=metric)
 
 
 def test_fmt_six_significant_digits():
@@ -44,16 +38,14 @@ def test_fmt_six_significant_digits():
 
 
 def test_colormap_endpoints_and_interpolation():
-    assert WARM_COOL.lookup([0.0, 1.0]).tolist() == [[215, 48, 39], [69, 117, 180]]
-    mid = WARM_COOL.lookup([0.125])[0]
+    assert colormap([0.0, 1.0]).tolist() == [[215, 48, 39], [69, 117, 180]]
+    mid = colormap([0.125])[0]
     assert all(min(a, b) <= v <= max(a, b)
                for v, a, b in zip(mid, (215, 48, 39), (253, 174, 97)))
     # Out-of-range, control-point and in-between t agree with the segment walk.
     ts = np.concatenate([np.linspace(-0.1, 1.1, 1201), [0.25, 0.5, 0.75]])
-    assert [tuple(c) for c in WARM_COOL.lookup(ts).tolist()] == [
+    assert [tuple(c) for c in colormap(ts).tolist()] == [
         colormap_rgb(WARM_COOL, t) for t in ts]
-    with pytest.raises(ValueError):
-        Colormap("bad", ((0.5, (0, 0, 0)), (1.0, (1, 1, 1))))
 
 
 def test_byte_determinism():
@@ -117,7 +109,7 @@ def test_mahalanobis_crown_axis_ratio():
     z2 = z2 - z2.mean()
     z2 -= z1 * (z1 @ z2) / (z1 @ z1)  # orthogonalize
     z2 /= z2.std(ddof=1)
-    an = analyze_pair(ev(2.0 * z1, "A"), ev(z2, "B"), metric="mahalanobis")
+    an = analyze_pair(np.column_stack([2.0 * z1, z2]), "A", "B", metric="mahalanobis")
     assert np.allclose(an.covariance, np.diag([4.0, 1.0]), atol=1e-9)
 
     fig = render_error_space(an, layers=("crown",))
@@ -141,15 +133,15 @@ def test_missing_layer_input():
 
 
 def test_boxplot_outlier_dots():
-    stats = [("M", boxplot_stats(ev([1, 2, 3, 4, 100])))]
+    stats = [("M", boxplot_stats([1.0, 2.0, 3.0, 4.0, 100.0]))]
     fig = render_boxplots(stats)
     dots = find_all(fig, "circle", cls="outlier")
     assert len(dots) == 1
 
 
 def test_boxplot_disjoint_ranges_ordered():
-    s1 = boxplot_stats(ev([1, 2, 3]))
-    s2 = boxplot_stats(ev([10, 11, 12]))
+    s1 = boxplot_stats([1.0, 2.0, 3.0])
+    s2 = boxplot_stats([10.0, 11.0, 12.0])
     fig = render_boxplots([("low", s1), ("high", s2)])
     boxes = [p for p in find_all(fig, "polygon") if p.get("fill") == "#c6dbef"]
     assert len(boxes) == 2
@@ -163,7 +155,7 @@ def test_pred_vs_actual_perfect_model_tied_colors():
     fig = render_model_grid(ps, ["M"])
     pts = find_all(fig, "circle", cls="pt")
     assert len(pts) == 3
-    tied = rgb(WARM_COOL.lookup([0.5])[0])
+    tied = rgb(colormap([0.5])[0])
     assert all(p.get("fill") == tied for p in pts)
 
 
@@ -172,7 +164,7 @@ def test_pred_vs_actual_unique_coolest_point():
         "id,y_true,M\n" + "\n".join(f"r{i},{i},{i}.1" for i in range(9)) + "\nz,50,90")
     fig = render_model_grid(ps, ["M"])
     pts = find_all(fig, "circle", cls="pt")
-    coolest = rgb(WARM_COOL.lookup([0.95])[0])
+    coolest = rgb(colormap([0.95])[0])
     assert sum(1 for p in pts if p.get("fill") == coolest) == 1
     with pytest.raises(UnknownModel):
         render_model_grid(ps, ["nope"])
