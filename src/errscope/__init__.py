@@ -1,6 +1,6 @@
 """errscope: graphical comparison of regression models beyond MAE/RMSE."""
 
-from .density import HexbinLayer, KdeGrid, default_hex_radius, hexbin, kde2d
+from .density import HexbinLayer, KdeGrid, default_hex_radius, hex_corners, hexbin, kde2d
 from .errorspace import (
     QUADRANTS,
     ZONES,

@@ -84,7 +84,7 @@ def cmd_compare(args) -> int:
 
     render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid).save(args.output)
 
-    report = build_pair_report(ps, analysis, sort_key="rmse")
+    report = build_pair_report(ps, analysis)
     if args.json:
         report["errorspace"] = analysis.to_dict()
         Path(args.json).write_text(to_json(report), encoding="utf-8")

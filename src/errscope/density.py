@@ -9,7 +9,6 @@ including on boundaries.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,28 +19,18 @@ DEFAULT_GRID_RESOLUTION = 200
 GRID_PADDING_BANDWIDTHS = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdeGrid:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    nx: int
-    ny: int
-    values: np.ndarray  # shape (nx, ny), values[ix, iy]
+    xs: np.ndarray      # (nx,) np.linspace grid x coordinates: both ends exact
+    ys: np.ndarray      # (ny,) np.linspace grid y coordinates: both ends exact
+    values: np.ndarray  # (nx, ny), values[ix, iy] is the density at (xs[ix], ys[iy])
     bandwidth: tuple[float, float]
 
-    def x_coords(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
 
-    def y_coords(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.ny)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HexbinLayer:
     hex_radius: float
-    cells: tuple[tuple[int, int, int], ...]  # (q, r, count), sorted by (q, r)
+    cells: np.ndarray  # (k, 3) int64 rows (q, r, count), sorted by (q, r)
 
 
 def scott_bandwidth(points: np.ndarray) -> tuple[float, float]:
@@ -99,12 +88,19 @@ def kde2d(points, grid_spec: tuple[float, float, float, float, int, int] | None 
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
     # Separable kernel: values = Gx @ Gy^T / n with per-axis Gaussian factors.
-    gx = np.exp(-0.5 * ((xs[:, None] - pts[None, :, 0]) / hx) ** 2) / (hx * math.sqrt(2.0 * math.pi))
-    gy = np.exp(-0.5 * ((ys[:, None] - pts[None, :, 1]) / hy) ** 2) / (hy * math.sqrt(2.0 * math.pi))
-    values = (gx @ gy.T) / n
-    return KdeGrid(x_min=float(x_min), x_max=float(x_max), y_min=float(y_min),
-                   y_max=float(y_max), nx=int(nx), ny=int(ny), values=values,
-                   bandwidth=(hx, hy))
+    values = (_gaussian(xs, pts[:, 0], hx) @ _gaussian(ys, pts[:, 1], hy).T) / n
+    return KdeGrid(xs=xs, ys=ys, values=values, bandwidth=(hx, hy))
+
+
+def _gaussian(grid: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """(G, n) exp(-0.5 * ((grid[i] - x[j]) / h) ** 2) / (h * sqrt(2 pi)), in one buffer."""
+    out = np.subtract.outer(grid, x)
+    out /= h
+    np.square(out, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= h * math.sqrt(2.0 * math.pi)
+    return out
 
 
 def xy_to_axial(x, y, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,21 +123,17 @@ def xy_to_axial(x, y, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return q.astype(int), r.astype(int)
 
 
-def axial_to_xy(q: int, r: int, radius: float) -> tuple[float, float]:
-    """Cartesian center of a pointy-top hexagon in axial coordinates."""
-    x = radius * math.sqrt(3.0) * (q + r / 2.0)
-    y = radius * 1.5 * r
-    return (x, y)
+# Unit corner k at 30 + 60k degrees; math.cos, since np.cos may differ in the last bit.
+_UNIT_CORNERS = np.array([(math.cos(a), math.sin(a))
+                          for a in (math.pi / 3.0 * k + math.pi / 6.0 for k in range(6))])
 
 
-def hex_vertices(q: int, r: int, radius: float) -> list[tuple[float, float]]:
-    """The six corners of a pointy-top hexagon, starting at the top."""
-    cx, cy = axial_to_xy(q, r, radius)
-    corners = []
-    for k in range(6):
-        angle = math.pi / 3.0 * k + math.pi / 6.0
-        corners.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
-    return corners
+def hex_corners(layer: HexbinLayer) -> np.ndarray:
+    """(k, 6, 2) corners of each occupied cell, in the order of layer.cells."""
+    radius = layer.hex_radius
+    q, r = layer.cells[:, 0], layer.cells[:, 1]
+    centers = np.column_stack([radius * math.sqrt(3.0) * (q + r / 2.0), radius * 1.5 * r])
+    return centers[:, None, :] + radius * _UNIT_CORNERS
 
 
 def default_hex_radius(points) -> float:
@@ -160,6 +152,10 @@ def hexbin(points, hex_radius: float) -> HexbinLayer:
     if pts.shape[0] < 1:
         raise DegenerateDistribution("hexbin needs at least one point")
     q, r = xy_to_axial(pts[:, 0], pts[:, 1], hex_radius)
-    counts = Counter(zip(q.tolist(), r.tolist()))
-    cells = tuple((qi, ri, c) for (qi, ri), c in sorted(counts.items()))
+    order = np.lexsort((r, q))
+    q, r = q[order], r[order]
+    # Each run of equal (q, r) in sorted order is one cell.
+    starts = np.flatnonzero(np.r_[True, (q[1:] != q[:-1]) | (r[1:] != r[:-1])])
+    counts = np.diff(np.r_[starts, q.size])
+    cells = np.column_stack([q[starts], r[starts], counts]).astype(np.int64)
     return HexbinLayer(hex_radius=float(hex_radius), cells=cells)

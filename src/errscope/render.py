@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .density import HexbinLayer, KdeGrid, hex_vertices
+from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
 from .exceptions import ErrscopeError, MissingLayerInput
 from .ingest import PredictionSet
@@ -190,12 +190,12 @@ def _white_background(fig: Figure) -> None:
     fig.rect(0.0, 0.0, fig.width, fig.height, "#ffffff")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], about six of them."""
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw), default=10.0) * mag
     first = math.ceil(lo / step) * step
@@ -210,14 +210,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 # ---------------------------------------------------------------------------
 # boxplots
 
-def render_boxplots(stats: list[tuple[str, BoxplotStats]],
-                    width: float | None = None, height: float = 600.0) -> Figure:
+def render_boxplots(stats: list[tuple[str, BoxplotStats]]) -> Figure:
     """One box-and-whisker glyph per model on a shared error axis."""
     if not stats:
         raise ValueError("no boxplot stats to render")
     m = len(stats)
-    if width is None:
-        width = max(320.0, 90.0 * m + 2 * MARGIN)
+    width, height = max(320.0, 90.0 * m + 2 * MARGIN), 600.0
 
     values = []
     for _, s in stats:
@@ -375,20 +373,20 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     if "kde" in layers:
         vmax = float(kde.values.max())
         if vmax > 0.0:
-            dx = (kde.x_max - kde.x_min) / (kde.nx - 1)
-            dy = (kde.y_max - kde.y_min) / (kde.ny - 1)
+            dx = (kde.xs[-1] - kde.xs[0]) / (kde.xs.size - 1)
+            dy = (kde.ys[-1] - kde.ys[0]) / (kde.ys.size - 1)
             ix, iy = np.nonzero(kde.values > 0.01 * vmax)
-            x0, y0 = tr.apply(kde.x_coords()[ix] - dx / 2, kde.y_coords()[iy] + dy / 2)
+            x0, y0 = tr.apply(kde.xs[ix] - dx / 2, kde.ys[iy] + dy / 2)
             fills = _fills(1.0 - kde.values[ix, iy] / vmax)
             for x, y, fill in zip(x0.tolist(), y0.tolist(), fills):
                 fig.rect(x, y, abs(tr.sx) * dx, abs(tr.sy) * dy, fill, opacity=0.6)
 
     if "hexbin" in layers:
-        counts = np.array([c for _, _, c in hexgrid.cells])
+        counts = hexgrid.cells[:, 2]
         fills = _fills(1.0 - counts / counts.max())
-        for (q, r, _), fill in zip(hexgrid.cells, fills):
-            verts = [tr.apply(x, y) for x, y in hex_vertices(q, r, hexgrid.hex_radius)]
-            fig.polygon(verts, fill=fill, opacity=0.7, cls="hex")
+        vx, vy = tr.apply(*np.moveaxis(hex_corners(hexgrid), -1, 0))  # (k, 6) each
+        for xs, ys, fill in zip(vx.tolist(), vy.tolist(), fills):
+            fig.polygon(list(zip(xs, ys)), fill=fill, opacity=0.7, cls="hex")
 
     if "zones" in layers:
         origin = tr.apply(0.0, 0.0)

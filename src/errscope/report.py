@@ -10,6 +10,7 @@ import numpy as np
 
 from . import __version__
 from .errorspace import ErrorSpaceAnalysis
+from .exceptions import DegenerateDistribution
 from .ingest import PredictionSet
 from .metrics import boxplot_stats, metric_report, sort_models_by_metric
 
@@ -29,9 +30,12 @@ def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     """Per-model metrics, boxplot stats and ranking as a JSON-able dict."""
     reports, per_model = {}, {}
     for m, errors in zip(ps.model_names, ps.errors.T):
-        reports[m] = metric_report(errors, ps.y_true)
+        with np.errstate(over="ignore"):
+            reports[m] = rep = metric_report(errors, ps.y_true)
+        if not (math.isfinite(rep.rmse) and math.isfinite(rep.r_squared or 0.0)):
+            raise DegenerateDistribution(f"metrics of model {m!r} overflow float64")
         per_model[m] = {
-            "metrics": asdict(reports[m]),
+            "metrics": asdict(rep),
             "boxplot": asdict(boxplot_stats(errors)),
         }
     warnings = []
@@ -47,10 +51,9 @@ def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     }
 
 
-def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis,
-                      sort_key: str = "rmse") -> dict:
-    """Metrics report extended with the 2D pair comparison summary."""
-    report = build_metrics_report(ps, sort_key)
+def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
+    """Metrics report, ranked by rmse, extended with the 2D pair comparison summary."""
+    report = build_metrics_report(ps)
     e = analysis.e
     corr = math.nan
     if analysis.n >= 2:
@@ -72,5 +75,5 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis,
 
 
 def to_json(payload: dict) -> str:
-    """Canonical JSON serialization: stable key order, LF-terminated."""
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """Canonical JSON serialization: stable key order, LF-terminated, finite numbers."""
+    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"

@@ -1,8 +1,9 @@
 """Scalar reference implementations the tests check the package against."""
 
-import numpy as np
+import math
+from collections import Counter
 
-from errscope.density import axial_to_xy
+import numpy as np
 
 
 def check_spd(m) -> None:
@@ -35,17 +36,48 @@ def colormap_rgb(control_points, t: float) -> tuple[int, int, int]:
     return tuple(int(c) for c in pts[-1][1])
 
 
+def axial_to_xy(q: int, r: int, radius: float) -> tuple[float, float]:
+    """Cartesian center of a pointy-top hexagon in axial coordinates."""
+    x = radius * math.sqrt(3.0) * (q + r / 2.0)
+    y = radius * 1.5 * r
+    return (x, y)
+
+
+def hex_vertices(q: int, r: int, radius: float) -> list[tuple[float, float]]:
+    """The six corners of a pointy-top hexagon, one vertex at a time."""
+    cx, cy = axial_to_xy(q, r, radius)
+    corners = []
+    for k in range(6):
+        angle = math.pi / 3.0 * k + math.pi / 6.0
+        corners.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
+    return corners
+
+
+def hex_cells_counter(q, r) -> list[list[int]]:
+    """[q, r, count] of each occupied cell, counted by a Counter, sorted by (q, r)."""
+    counts = Counter(zip(np.asarray(q).tolist(), np.asarray(r).tolist()))
+    return [[qi, ri, c] for (qi, ri), c in sorted(counts.items())]
+
+
 def hex_total(layer) -> int:
-    return sum(c for _, _, c in layer.cells)
+    return sum(c for _, _, c in layer.cells.tolist())
 
 
 def hex_centers(layer) -> np.ndarray:
     """Cartesian centers of the occupied cells, row-aligned with cells."""
-    return np.array([axial_to_xy(q, r, layer.hex_radius) for q, r, _ in layer.cells])
+    return np.array([axial_to_xy(q, r, layer.hex_radius) for q, r, _ in layer.cells.tolist()])
+
+
+def kde_values(pts, xs, ys, bandwidth) -> np.ndarray:
+    """KDE grid values from one whole-array Gaussian expression per axis."""
+    hx, hy = bandwidth
+    gx = np.exp(-0.5 * ((xs[:, None] - pts[None, :, 0]) / hx) ** 2) / (hx * math.sqrt(2.0 * math.pi))
+    gy = np.exp(-0.5 * ((ys[:, None] - pts[None, :, 1]) / hy) ** 2) / (hy * math.sqrt(2.0 * math.pi))
+    return (gx @ gy.T) / pts.shape[0]
 
 
 def riemann_mass(grid) -> float:
     """Total probability mass of a KdeGrid by rectangle sum."""
-    dx = (grid.x_max - grid.x_min) / (grid.nx - 1)
-    dy = (grid.y_max - grid.y_min) / (grid.ny - 1)
+    dx = (grid.xs[-1] - grid.xs[0]) / (grid.xs.size - 1)
+    dy = (grid.ys[-1] - grid.ys[0]) / (grid.ys.size - 1)
     return float(grid.values.sum() * dx * dy)

@@ -161,8 +161,8 @@ def test_overflowing_error_exits_2(tmp_path, capsys, monkeypatch, args):
     assert err == "error: error of model 'M1' at instance 1 overflows float64\n"
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
-def test_compare_huge_errors_exit_3(tmp_path, capsys, metric):
+def huge_errors_csv(tmp_path) -> Path:
+    """50 rows whose errors are N(0, 1) * 1e200: finite, but their squares overflow."""
     rng = np.random.default_rng(0)
     y = rng.uniform(0.0, 100.0, size=50)
     preds = y[:, None] + rng.normal(size=(50, 2)) * 1e200
@@ -170,6 +170,12 @@ def test_compare_huge_errors_exit_3(tmp_path, capsys, metric):
                    for i, (t, (a, b)) in enumerate(zip(y.tolist(), preds.tolist())))
     path = tmp_path / "huge.csv"
     path.write_text("id,y_true,M1,M2\n" + rows)
+    return path
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_compare_huge_errors_exit_3(tmp_path, capsys, metric):
+    path = huge_errors_csv(tmp_path)
     rep = tmp_path / "rep.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -179,6 +185,27 @@ def test_compare_huge_errors_exit_3(tmp_path, capsys, metric):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--plots", "figs"]],
+                         ids=["table", "json", "plots"])
+def test_metrics_huge_errors_exit_3(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    path = huge_errors_csv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        assert main(["metrics", str(path), *flags]) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: metrics of model 'M1' overflow float64\n"
+    assert out == ""
+    assert not Path("figs", "boxplots.svg").exists()
+
+
+def test_to_json_rejects_nan():
+    with pytest.raises(ValueError):
+        errscope.report.to_json({"rmse": float("nan")})
+    with pytest.raises(ValueError):
+        errscope.report.to_json({"r_squared": [-float("inf")]})
 
 
 def test_compare_unknown_model_exits_2(demo_csv, tmp_path):

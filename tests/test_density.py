@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import hex_centers, hex_total, riemann_mass
+from oracles import (
+    axial_to_xy,
+    hex_cells_counter,
+    hex_centers,
+    hex_total,
+    hex_vertices,
+    kde_values,
+    riemann_mass,
+)
 
-from errscope import hexbin, kde2d
-from errscope.density import axial_to_xy, default_hex_radius, xy_to_axial
+from errscope import SCENARIOS, ScenarioSpec, generate, hex_corners, hexbin, kde2d
+from errscope.density import default_hex_radius, xy_to_axial
 from errscope.exceptions import DegenerateDistribution
 
 
@@ -65,6 +73,23 @@ def test_kde_permutation_invariance():
     assert np.allclose(g0.values, g1.values)
 
 
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_kde_matches_whole_array_oracle(kind):
+    e = generate(ScenarioSpec(kind=kind, n=1_000, seed=9)).errors[:, :2]
+    grid = kde2d(e)
+    assert np.array_equal(grid.values, kde_values(e, grid.xs, grid.ys, grid.bandwidth))
+
+
+def test_kde_explicit_grid_matches_whole_array_oracle():
+    pts = np.random.default_rng(10).normal(size=(3_000, 2)) * [1e-3, 1e4]
+    spec = (-0.004, 0.0035, -3.5e4, 4.1e4, 57, 31)
+    grid = kde2d(pts, grid_spec=spec, bandwidth=(2e-4, 1.5e3))
+    assert np.array_equal(grid.xs, np.linspace(-0.004, 0.0035, 57))
+    assert np.array_equal(grid.ys, np.linspace(-3.5e4, 4.1e4, 31))
+    assert grid.xs[-1] == 0.0035 and grid.ys[0] == -3.5e4
+    assert np.array_equal(grid.values, kde_values(pts, grid.xs, grid.ys, (2e-4, 1.5e3)))
+
+
 def test_kde_degenerate_inputs():
     with pytest.raises(DegenerateDistribution):
         kde2d(np.zeros((5, 2)))
@@ -83,7 +108,7 @@ def test_kde_flat_axis_fallback():
 
 def test_hexbin_single_point():
     layer = hexbin([(0.0, 0.0)], hex_radius=2.0)
-    assert layer.cells == ((0, 0, 1),)
+    assert layer.cells.tolist() == [[0, 0, 1]]
 
 
 def test_hexbin_cluster_in_one_cell():
@@ -101,6 +126,26 @@ def test_hexbin_counts_conserved():
     assert hex_total(layer) == 10_000
     assert len({(q, r) for q, r, _ in layer.cells}) == len(layer.cells)
     assert all(c >= 1 for _, _, c in layer.cells)
+
+
+@pytest.mark.parametrize("radius", [0.9, 1e-12])
+def test_hexbin_cells_match_counter_oracle(radius):
+    # Negative coordinates throughout; the tiny radius gives axial coordinates
+    # near 1e13, where a packed key q * width + r would overflow int64.
+    pts = np.random.default_rng(8).normal(loc=-30.0, scale=10.0, size=(5_000, 2))
+    layer = hexbin(pts, radius)
+    q, r = xy_to_axial(pts[:, 0], pts[:, 1], radius)
+    assert layer.cells.dtype == np.int64 and layer.cells.shape[1] == 3
+    assert layer.cells.tolist() == hex_cells_counter(q, r)
+
+
+def test_hex_corners_match_scalar_loop():
+    pts = np.random.default_rng(7).uniform(-60.0, 60.0, size=(20_000, 2))
+    layer = hexbin(pts, 1.2)
+    assert len(layer.cells) > 3_000
+    expected = [[list(v) for v in hex_vertices(q, r, layer.hex_radius)]
+                for q, r, _ in layer.cells.tolist()]
+    assert hex_corners(layer).tolist() == expected
 
 
 def test_hexbin_matches_nearest_center_oracle():

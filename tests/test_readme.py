@@ -18,4 +18,6 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
                    for i in range(20))
     Path("predictions.csv").write_text("id,y_true,M1,M2\n" + rows)
     exec(compile(library_example(), str(README), "exec"), {})
-    assert Path("error_space.svg").read_text().startswith("<?xml")
+    svg = Path("error_space.svg").read_text()
+    assert svg.startswith("<?xml")
+    assert 'class="hex"' in svg and 'fill-opacity="0.6"' in svg  # hexbin and KDE drawn
