@@ -32,6 +32,6 @@ from .render import (
     render_error_space,
     render_model_grid,
 )
-from .synth import SCENARIOS, ScenarioSpec, generate
+from .synth import SCENARIOS, generate
 
 __version__ = "0.1.0"

@@ -1,14 +1,12 @@
 """Command-line interface: metrics, compare and synth subcommands.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical degeneracy.
-Set ERRSCOPE_NO_COLOR to disable ANSI in terminal summaries.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -26,15 +24,7 @@ from .render import (
     render_model_grid,
 )
 from .report import build_metrics_report, build_pair_report, to_json
-from .synth import SCENARIOS, ScenarioSpec, generate
-
-
-def _use_color() -> bool:
-    return "ERRSCOPE_NO_COLOR" not in os.environ and sys.stdout.isatty()
-
-
-def _bold(text: str) -> str:
-    return f"\x1b[1m{text}\x1b[0m" if _use_color() else text
+from .synth import SCENARIOS, generate
 
 
 def _load(path: str):
@@ -44,7 +34,7 @@ def _load(path: str):
 
 
 def _print_metrics_table(report: dict) -> None:
-    print(_bold(f"{'model':<12} {'mae':>10} {'rmse':>10} {'r2':>8}  ranked by {report['ranking']['key']}"))
+    print(f"{'model':<12} {'mae':>10} {'rmse':>10} {'r2':>8}  ranked by {report['ranking']['key']}")
     for name in report["ranking"]["order"]:
         m = report["per_model"][name]["metrics"]
         r2 = "n/a" if m["r_squared"] is None else f"{m['r_squared']:.4f}"
@@ -90,7 +80,7 @@ def cmd_compare(args) -> int:
         Path(args.json).write_text(to_json(report), encoding="utf-8")
 
     pair = report["pair"]
-    print(_bold(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}"))
+    print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")
     for table in ("zone", "quadrant"):
         print(f"{table:<14} count")
         for name, count in pair[f"{table}_counts"].items():
@@ -115,13 +105,12 @@ def cmd_synth(args) -> int:
         except ValueError:
             raise ErrscopeError(f"--param {key}: {value!r} is not a number") from None
     try:
-        ps = generate(ScenarioSpec(kind=args.kind, n=args.n, seed=args.seed,
-                                   parameters=params))
+        ps = generate(args.kind, args.n, seed=args.seed, params=params)
     except ValueError as exc:
         raise ErrscopeError(str(exc)) from None
     Path(args.output).write_text(ps.to_csv(), encoding="utf-8", newline="")
 
-    print(_bold(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}"))
+    print(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}")
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")
     for m, errors in zip(ps.model_names, ps.errors.T):
         print(f"{m:<8} {mae(errors):>10.4f} {rmse(errors):>10.4f}")

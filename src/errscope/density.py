@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DegenerateDistribution
 
-DEFAULT_GRID_RESOLUTION = 200
+GRID_RESOLUTION = 200
 GRID_PADDING_BANDWIDTHS = 3.0
 
 
@@ -58,13 +58,9 @@ def scott_bandwidth(points: np.ndarray) -> tuple[float, float]:
     return (out[0], out[1])
 
 
-def kde2d(points, grid_spec: tuple[float, float, float, float, int, int] | None = None,
-          bandwidth: tuple[float, float] | None = None) -> KdeGrid:
-    """Gaussian kernel density estimate on a regular grid.
-
-    grid_spec is (x_min, x_max, y_min, y_max, nx, ny); by default the grid
-    covers the data padded by 3 bandwidths at 200x200.
-    """
+def kde2d(points, bandwidth: tuple[float, float] | None = None) -> KdeGrid:
+    """Gaussian kernel density estimate on a 200x200 grid covering the data
+    padded by 3 bandwidths; a density that overflows float64 is an error."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = pts.shape[0]
     if n < 2:
@@ -76,19 +72,17 @@ def kde2d(points, grid_spec: tuple[float, float, float, float, int, int] | None 
     if hx <= 0.0 or hy <= 0.0:
         raise DegenerateDistribution("bandwidth must be positive on both axes")
 
-    if grid_spec is None:
-        pad = GRID_PADDING_BANDWIDTHS
-        grid_spec = (
-            float(pts[:, 0].min() - pad * hx), float(pts[:, 0].max() + pad * hx),
-            float(pts[:, 1].min() - pad * hy), float(pts[:, 1].max() + pad * hy),
-            DEFAULT_GRID_RESOLUTION, DEFAULT_GRID_RESOLUTION,
-        )
-    x_min, x_max, y_min, y_max, nx, ny = grid_spec
-
-    xs = np.linspace(x_min, x_max, nx)
-    ys = np.linspace(y_min, y_max, ny)
-    # Separable kernel: values = Gx @ Gy^T / n with per-axis Gaussian factors.
-    values = (_gaussian(xs, pts[:, 0], hx) @ _gaussian(ys, pts[:, 1], hy).T) / n
+    pad = GRID_PADDING_BANDWIDTHS
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(pts[:, 0].min() - pad * hx, pts[:, 0].max() + pad * hx,
+                         GRID_RESOLUTION)
+        ys = np.linspace(pts[:, 1].min() - pad * hy, pts[:, 1].max() + pad * hy,
+                         GRID_RESOLUTION)
+        # Separable kernel: values = Gx @ Gy^T / n with per-axis Gaussian factors.
+        values = (_gaussian(xs, pts[:, 0], hx) @ _gaussian(ys, pts[:, 1], hy).T) / n
+    if not np.isfinite(values).all():
+        raise DegenerateDistribution(f"KDE with bandwidth ({hx!r}, {hy!r}) "
+                                     "overflows float64")
     return KdeGrid(xs=xs, ys=ys, values=values, bandwidth=(hx, hy))
 
 
@@ -146,11 +140,14 @@ def default_hex_radius(points) -> float:
 
 def hexbin(points, hex_radius: float) -> HexbinLayer:
     """Count points per hexagonal cell; empty cells are omitted."""
-    if hex_radius <= 0.0:
-        raise ValueError("hex_radius must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 1:
         raise DegenerateDistribution("hexbin needs at least one point")
+    # Axial coordinates must fit int64, and the cell geometry float64.
+    if not (hex_radius > 0.0 and float(np.abs(pts).max()) / hex_radius < 2.0 ** 62
+            and math.isfinite(math.sqrt(3.0) * hex_radius)):
+        raise DegenerateDistribution(f"hex radius {hex_radius!r} is out of range "
+                                     "for errors of this size")
     q, r = xy_to_axial(pts[:, 0], pts[:, 1], hex_radius)
     order = np.lexsort((r, q))
     q, r = q[order], r[order]

@@ -209,7 +209,11 @@ def analyze_pair(e, model_a: str, model_b: str,
     if metric == "euclidean":
         dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     else:
-        dist = mahalanobis_many(pts, center, cov_inv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = mahalanobis_many(pts, center, cov_inv)
+        if not np.isfinite(dist).all():
+            raise DegenerateDistribution("Mahalanobis distances overflow float64: the error "
+                                         "covariance is too small to invert")
 
     zone, quadrant = classify(pts)
     return ErrorSpaceAnalysis(

@@ -29,10 +29,6 @@ class UnknownModel(ErrscopeError):
     """A referenced model name is not present in the prediction set."""
 
 
-class ConstantTarget(ErrscopeError):
-    """R-squared is undefined: the target has zero total sum of squares."""
-
-
 class DegenerateDistribution(ErrscopeError):
     """Too few or fully coincident points for the requested estimate."""
 

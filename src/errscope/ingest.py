@@ -71,14 +71,6 @@ class PredictionSet:
                             "overflows float64")
         object.__setattr__(self, "errors", errors)
 
-    def __eq__(self, other):
-        if not isinstance(other, PredictionSet):
-            return NotImplemented
-        return (self.instance_ids == other.instance_ids
-                and self.model_names == other.model_names
-                and np.array_equal(self.y_true, other.y_true)
-                and np.array_equal(self.predictions, other.predictions))
-
     @property
     def n(self) -> int:
         return self.y_true.size

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConstantTarget, LengthMismatch
+from .exceptions import LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,16 @@ def rmse(e) -> float:
     return float(np.sqrt(np.mean(np.square(e))))
 
 
-def _r_squared(e: np.ndarray, y_true: np.ndarray) -> float:
-    """Coefficient of determination 1 - SSres/SStot of signed errors e."""
+def _r_squared(e: np.ndarray, y_true: np.ndarray) -> float | None:
+    """Coefficient of determination 1 - SSres/SStot of signed errors e; None
+    when the target has fewer than two values or is constant."""
     if y_true.shape != e.shape:
         raise LengthMismatch(f"{y_true.size} truths vs {e.size} errors")
     if y_true.size < 2:
-        raise ConstantTarget("r_squared needs at least two instances")
+        return None
     ss_tot = float(np.sum(np.square(y_true - y_true.mean())))
     if ss_tot == 0.0:
-        raise ConstantTarget("target values are constant")
+        return None
     ss_res = float(np.sum(np.square(e)))
     return 1.0 - ss_res / ss_tot
 
@@ -83,8 +84,4 @@ def sort_models_by_metric(reports: dict[str, MetricReport], key: str = "rmse") -
 
 def metric_report(e: np.ndarray, y_true: np.ndarray) -> MetricReport:
     """All scalar metrics of one model's (n,) errors; r_squared is None when undefined."""
-    try:
-        r2 = _r_squared(e, y_true)
-    except ConstantTarget:
-        r2 = None
-    return MetricReport(mae=mae(e), rmse=rmse(e), r_squared=r2, n=e.size)
+    return MetricReport(mae=mae(e), rmse=rmse(e), r_squared=_r_squared(e, y_true), n=e.size)

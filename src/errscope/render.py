@@ -15,7 +15,7 @@ import numpy as np
 
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
-from .exceptions import ErrscopeError, MissingLayerInput
+from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
 from .ingest import PredictionSet
 from .metrics import BoxplotStats
 
@@ -36,7 +36,7 @@ ERROR_SPACE_LAYERS = ("zones", "scatter", "proximity", "crown", "kde", "hexbin")
 def fmt(v: float) -> str:
     """Fixed float formatting: max 6 significant digits, no negative zero."""
     if not math.isfinite(v):
-        raise ValueError(f"non-finite coordinate {v!r}")
+        raise DegenerateDistribution(f"figure coordinate {v!r} is not finite")
     s = format(float(v), ".6g")
     return "0" if s == "-0" else s
 
@@ -98,7 +98,9 @@ class Transform:
     ty: float
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        return (self.sx * x + self.tx, self.sy * y + self.ty)
+        # An overflow gives an infinite coordinate, which fmt rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.sx * x + self.tx, self.sy * y + self.ty)
 
     @staticmethod
     def fit(x0: float, x1: float, y0: float, y1: float,
@@ -147,9 +149,6 @@ class Figure:
                                   np.asarray(cy, dtype=float).tolist(), fills)
         )
 
-    def circle(self, cx: float, cy: float, r: float, fill: str, **style) -> None:
-        self.circles([cx], [cy], r, fill, **style)
-
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
         dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
@@ -193,8 +192,6 @@ def _white_background(fig: Figure) -> None:
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], about six of them."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw), default=10.0) * mag
@@ -258,10 +255,9 @@ def render_boxplots(stats: list[tuple[str, BoxplotStats]]) -> Figure:
         fig.polygon([(x0, y_q1), (x1, y_q1), (x1, y_q3), (x0, y_q3)],
                     fill="#c6dbef", stroke="#000000", stroke_width=1.0)
         fig.line(x0, y_med, x1, y_med, "#000000", width=2.0)
-        for o in s.outliers:
-            _, oy = tr.apply(0.0, o)
-            fig.circle(xc, oy, 2.5, "none", stroke=rgb(SCATTER_COLOR),
-                       stroke_width=1.0, cls="outlier")
+        _, oy = tr.apply(0.0, np.array(s.outliers, dtype=float))
+        fig.circles(np.full(oy.size, xc), oy, 2.5, "none", stroke=rgb(SCATTER_COLOR),
+                    stroke_width=1.0, cls="outlier")
         fig.text(xc, height - MARGIN + 20, name, size=13)
 
     return fig
@@ -281,8 +277,6 @@ def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
     lo, hi = lo - pad, hi + pad
     tr = Transform.fit(lo, hi, lo, hi, left, left + PANEL_SIZE - 2 * MARGIN,
                        top, top + PANEL_SIZE - 2 * MARGIN)
-    if fig.transform is None:
-        fig.transform = tr
     fig.line(*tr.apply(lo, lo), *tr.apply(hi, hi), "#888888", width=1.5)
     fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, _fills(pct), cls="pt")
     fig.text((tr.apply(lo, 0)[0] + tr.apply(hi, 0)[0]) / 2,
@@ -360,10 +354,7 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     e = analysis.e
     ex, ey = _crown_extent(analysis)
     cx, cy = analysis.median2d
-    limit = max(
-        float(np.abs(e).max()) if e.size else 1.0,
-        abs(cx) + ex, abs(cy) + ey, 1e-12,
-    ) * 1.05
+    limit = max(float(np.abs(e).max()), abs(cx) + ex, abs(cy) + ey, 1e-12) * 1.05
 
     tr = Transform.fit(-limit, limit, -limit, limit, MARGIN, PANEL_SIZE - MARGIN,
                        MARGIN, PANEL_SIZE - MARGIN)
@@ -373,8 +364,9 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     if "kde" in layers:
         vmax = float(kde.values.max())
         if vmax > 0.0:
-            dx = (kde.xs[-1] - kde.xs[0]) / (kde.xs.size - 1)
-            dy = (kde.ys[-1] - kde.ys[0]) / (kde.ys.size - 1)
+            # Python floats: a cell size that overflows the canvas gives inf, which fmt rejects.
+            dx = float(kde.xs[-1] - kde.xs[0]) / (kde.xs.size - 1)
+            dy = float(kde.ys[-1] - kde.ys[0]) / (kde.ys.size - 1)
             ix, iy = np.nonzero(kde.values > 0.01 * vmax)
             x0, y0 = tr.apply(kde.xs[ix] - dx / 2, kde.ys[iy] + dy / 2)
             fills = _fills(1.0 - kde.values[ix, iy] / vmax)
@@ -426,8 +418,8 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     if "crown" in layers:
         if analysis.metric == "euclidean":
             ccx, ccy = tr.apply(cx, cy)
-            fig.circle(ccx, ccy, abs(tr.sx) * analysis.crown_threshold, "none",
-                       stroke="#ffffff", stroke_width=2.0, cls="crown")
+            fig.circles([ccx], [ccy], abs(tr.sx) * analysis.crown_threshold, "none",
+                        stroke="#ffffff", stroke_width=2.0, cls="crown")
         else:
             verts = [tr.apply(x, y) for x, y in _crown_curve(analysis)]
             fig.polygon(verts, fill="none", stroke="#ffffff", stroke_width=2.0,

@@ -8,22 +8,14 @@ params) always yields a bit-identical result.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ingest import PredictionSet
 
 Y_RANGE = (0.0, 100.0)
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    kind: str
-    n: int
-    seed: int
-    parameters: dict[str, float] = field(default_factory=dict)
 
 
 def _ground_truth(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -131,21 +123,24 @@ def gen_correlated_pair(n: int, correlation: float = 0.9, sigma: float = 10.0,
 
 
 SCENARIOS = {
-    "outlier_vs_moderate": (gen_outlier_vs_moderate, ("outlier_magnitude", "moderate_sigma")),
-    "under_vs_over": (gen_under_vs_over, ("bias", "sigma")),
-    "equal_metrics_divergent": (gen_equal_metrics_divergent, ("level", "jitter")),
-    "asymmetric_pair": (gen_asymmetric_pair, ("correlation", "shift", "sigma")),
-    "correlated_pair": (gen_correlated_pair, ("correlation", "sigma")),
+    "outlier_vs_moderate": gen_outlier_vs_moderate,
+    "under_vs_over": gen_under_vs_over,
+    "equal_metrics_divergent": gen_equal_metrics_divergent,
+    "asymmetric_pair": gen_asymmetric_pair,
+    "correlated_pair": gen_correlated_pair,
 }
 
 
-def generate(spec: ScenarioSpec) -> PredictionSet:
-    """Dispatch a ScenarioSpec to its generator."""
-    if spec.kind not in SCENARIOS:
-        raise ValueError(f"unknown scenario kind {spec.kind!r}; "
+def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None = None
+             ) -> PredictionSet:
+    """Run the generator of a scenario kind; params are its keyword
+    arguments other than n and seed."""
+    if kind not in SCENARIOS:
+        raise ValueError(f"unknown scenario kind {kind!r}; "
                          f"known: {', '.join(sorted(SCENARIOS))}")
-    fn, allowed = SCENARIOS[spec.kind]
-    unknown = set(spec.parameters) - set(allowed)
+    fn = SCENARIOS[kind]
+    params = params or {}
+    unknown = set(params) - (set(inspect.signature(fn).parameters) - {"n", "seed"})
     if unknown:
-        raise ValueError(f"unknown parameter(s) for {spec.kind!r}: {', '.join(sorted(unknown))}")
-    return fn(spec.n, seed=spec.seed, **spec.parameters)
+        raise ValueError(f"unknown parameter(s) for {kind!r}: {', '.join(sorted(unknown))}")
+    return fn(n, seed=seed, **params)

@@ -81,3 +81,12 @@ def riemann_mass(grid) -> float:
     dx = (grid.xs[-1] - grid.xs[0]) / (grid.xs.size - 1)
     dy = (grid.ys[-1] - grid.ys[0]) / (grid.ys.size - 1)
     return float(grid.values.sum() * dx * dy)
+
+
+def same_prediction_set(a, b) -> bool:
+    """Field-by-field equality of two PredictionSets (== is identity)."""
+    return (a.instance_ids == b.instance_ids
+            and a.model_names == b.model_names
+            and np.array_equal(a.y_true, b.y_true)
+            and np.array_equal(a.predictions, b.predictions)
+            and np.array_equal(a.errors, b.errors))

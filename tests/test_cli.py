@@ -1,14 +1,19 @@
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import errscope.cli
 import errscope.report
 from errscope.cli import main
 from errscope.metrics import boxplot_stats
+from errscope.synth import generate
 
 try:
     import jsonschema
@@ -45,13 +50,14 @@ def test_synth_unknown_kind_exits_2(capsys):
     assert exc.value.code == 2  # argparse choice validation
 
 
-def test_synth_bad_param_exits_2(tmp_path):
+@pytest.mark.parametrize("param", ["wat=1", "n=5"])
+def test_synth_bad_param_exits_2(tmp_path, capsys, param):
     assert main(["synth", "--kind", "under_vs_over", "--n", "10",
-                 "--param", "wat=1", "-o", str(tmp_path / "x.csv")]) == 2
+                 "--param", param, "-o", str(tmp_path / "x.csv")]) == 2
+    assert "unknown parameter(s)" in capsys.readouterr().err
 
 
-def test_metrics_json_report(demo_csv, capsys, monkeypatch):
-    monkeypatch.setenv("ERRSCOPE_NO_COLOR", "1")
+def test_metrics_json_report(demo_csv, capsys):
     assert main(["metrics", str(demo_csv), "--sort", "mae", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ranking"]["key"] == "mae"
@@ -93,8 +99,7 @@ def test_metrics_missing_file_exits_2(tmp_path):
     assert main(["metrics", str(tmp_path / "nope.csv")]) == 2
 
 
-def test_compare_outputs(demo_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ERRSCOPE_NO_COLOR", "1")
+def test_compare_outputs(demo_csv, tmp_path, capsys):
     svg = tmp_path / "cmp.svg"
     rep = tmp_path / "rep.json"
     assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2",
@@ -221,8 +226,7 @@ def test_compare_degenerate_exits_3(tmp_path):
                  "-o", str(tmp_path / "x.svg")]) == 3
 
 
-def test_compare_identical_models(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ERRSCOPE_NO_COLOR", "1")
+def test_compare_identical_models(tmp_path, capsys):
     path = tmp_path / "same.csv"
     rows = "\n".join(f"r{i},{i},{i + 1},{i + 1}" for i in range(10))
     path.write_text(f"id,y_true,M1,M2\n{rows}\n")
@@ -235,8 +239,7 @@ def test_compare_identical_models(tmp_path, capsys, monkeypatch):
     assert report["pair"]["error_correlation"] is None
 
 
-def test_cli_idempotent_byte_identical(demo_csv, tmp_path, monkeypatch):
-    monkeypatch.setenv("ERRSCOPE_NO_COLOR", "1")
+def test_cli_idempotent_byte_identical(demo_csv, tmp_path):
     outs = []
     for tag in ("one", "two"):
         svg = tmp_path / f"{tag}.svg"
@@ -248,8 +251,7 @@ def test_cli_idempotent_byte_identical(demo_csv, tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_synth_metrics_compare_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("ERRSCOPE_NO_COLOR", "1")
+def test_synth_metrics_compare_roundtrip(tmp_path):
     from errscope.synth import SCENARIOS
 
     for kind in sorted(SCENARIOS):
@@ -262,3 +264,86 @@ def test_synth_metrics_compare_roundtrip(tmp_path, monkeypatch):
             a, b = header[2], header[3]
             assert main(["compare", str(csv_path), "--a", a, "--b", b,
                          "-o", str(tmp_path / "rt.svg")]) == 0
+
+
+# A fixed 40 x 2 normal sample; the float64-edge tests scale it by 10^k.
+EDGE_SAMPLE = np.random.default_rng(40).normal(size=(40, 2))
+ALL_LAYERS = "zones,proximity,crown,kde,hexbin"
+
+
+def errors_csv(path: Path, e: np.ndarray) -> Path:
+    """A CSV whose truths are 0, so the models' errors are exactly e."""
+    path.write_text("id,y_true,M1,M2\n" + "".join(
+        f"r{i},0.0,{a!r},{b!r}\n" for i, (a, b) in enumerate(e.tolist())))
+    return path
+
+
+def run_compare(path: Path, outdir: Path, flags) -> tuple[int, str, Path, Path]:
+    """compare M1 vs M2 with every numpy warning raised as an error."""
+    svg, rep = outdir / "x.svg", outdir / "rep.json"
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["compare", str(path), "--a", "M1", "--b", "M2", *flags,
+                     "-o", str(svg), "--json", str(rep)])
+    return code, err.getvalue(), svg, rep
+
+
+ASYM_ERRORS = generate("asymmetric_pair", 300, seed=17).errors  # within about +-40
+EDGE_CASES = {
+    # Subnormal covariance: its inverse overflows.
+    "mahalanobis_1e-158": (EDGE_SAMPLE * 1e-158, ["--metric", "mahalanobis"]),
+    # The KDE factors peak near 1 / bandwidth, and their product overflows.
+    "kde_1e-160": (EDGE_SAMPLE * 1e-160, ["--metric", "euclidean", "--layers", ALL_LAYERS]),
+    "kde_1e-300": (EDGE_SAMPLE * 1e-300, ["--metric", "mahalanobis", "--layers", ALL_LAYERS]),
+    "bandwidth_1e308": (ASYM_ERRORS, ["--layers", "kde", "--bandwidth", "1e308,1e308"]),
+    "bandwidth_1e-300": (ASYM_ERRORS, ["--layers", "kde", "--bandwidth", "1e-300,1e-300"]),
+    # Axial coordinates beyond int64; hexagons or their canvas beyond float64.
+    "hex_radius_1e-20": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e-20"]),
+    "hex_radius_1e308": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e308"]),
+    "hex_radius_1.7e308": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1.7e308"]),
+}
+
+
+@pytest.mark.parametrize("e, flags", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_compare_float64_edges_exit_3(tmp_path, e, flags):
+    code, err, svg, rep = run_compare(errors_csv(tmp_path / "in.csv", e), tmp_path, flags)
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not svg.exists() and not rep.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(k=st.integers(-320, 300), metric=st.sampled_from(["euclidean", "mahalanobis"]),
+       hex_radius=st.none() | st.floats(5e-324, 1.7e308),
+       bandwidth=st.none() | st.tuples(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308)))
+@example(k=-158, metric="mahalanobis", hex_radius=None, bandwidth=None)
+@example(k=-160, metric="euclidean", hex_radius=None, bandwidth=None)
+@example(k=-300, metric="mahalanobis", hex_radius=None, bandwidth=None)
+@example(k=0, metric="mahalanobis", hex_radius=None, bandwidth=(1e308, 1e308))
+@example(k=0, metric="mahalanobis", hex_radius=None, bandwidth=(1e-300, 1e-300))
+@example(k=1, metric="mahalanobis", hex_radius=1e-20, bandwidth=None)
+@example(k=1, metric="mahalanobis", hex_radius=1e308, bandwidth=None)
+@example(k=1, metric="euclidean", hex_radius=1.7e308, bandwidth=None)
+def test_compare_any_scale_exit_contract(k, metric, hex_radius, bandwidth):
+    flags = ["--metric", metric, "--layers", ALL_LAYERS]
+    if hex_radius is not None:
+        flags += ["--hex-radius", repr(hex_radius)]
+    if bandwidth is not None:
+        flags += ["--bandwidth", f"{bandwidth[0]!r},{bandwidth[1]!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code, err, svg, rep = run_compare(
+            errors_csv(tmp / "in.csv", EDGE_SAMPLE * 10.0 ** k), tmp, flags)
+        assert code in (0, 2, 3)
+        if code == 3:
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert not svg.exists()
+        if code == 0:
+            report = json.loads(rep.read_text(), parse_constant=_reject_constant)
+            if jsonschema is not None:
+                jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))

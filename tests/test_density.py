@@ -12,82 +12,76 @@ from oracles import (
     riemann_mass,
 )
 
-from errscope import SCENARIOS, ScenarioSpec, generate, hex_corners, hexbin, kde2d
+from errscope import SCENARIOS, generate, hex_corners, hexbin, kde2d
 from errscope.density import default_hex_radius, xy_to_axial
 from errscope.exceptions import DegenerateDistribution
 
 
-def padded_grid(pts, hx, hy, nx=200, ny=200, pad=4.0):
-    return (
-        float(pts[:, 0].min() - pad * hx), float(pts[:, 0].max() + pad * hx),
-        float(pts[:, 1].min() - pad * hy), float(pts[:, 1].max() + pad * hy),
-        nx, ny,
-    )
-
-
 def test_kde_peak_closed_form():
-    # Every point at the origin: density at the origin is the kernel peak.
+    # Every point at the origin: the density is the kernel itself.
     pts = np.zeros((10, 2))
     hx, hy = 0.7, 1.3
-    grid = kde2d(pts, grid_spec=(-1.0, 1.0, -1.0, 1.0, 3, 3), bandwidth=(hx, hy))
-    center_value = grid.values[1, 1]  # grid midpoint is (0, 0)
-    assert center_value == pytest.approx(1.0 / (2.0 * math.pi * hx * hy))
+    grid = kde2d(pts, bandwidth=(hx, hy))
+    assert grid.xs[0] == -3.0 * hx and grid.ys[-1] == 3.0 * hy
+
+    def phi(t):
+        return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+    expected = np.outer(phi(grid.xs / hx) / hx, phi(grid.ys / hy) / hy)
+    np.testing.assert_allclose(grid.values, expected, rtol=1e-14, atol=0.0)
+    assert grid.values.max() == pytest.approx(1.0 / (2.0 * math.pi * hx * hy), rel=1e-3)
 
 
 def test_kde_mass_normalized():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(200, 2)) * [2.0, 0.5]
-    grid = kde2d(pts)
-    hx, hy = grid.bandwidth
-    grid = kde2d(pts, grid_spec=padded_grid(pts, hx, hy), bandwidth=(hx, hy))
-    assert riemann_mass(grid) == pytest.approx(1.0, abs=0.02)
+    assert riemann_mass(kde2d(pts)) == pytest.approx(1.0, abs=0.02)
 
 
 def test_kde_two_equal_clusters_symmetric_peaks():
-    cluster = np.random.default_rng(1).normal(scale=0.1, size=(50, 2))
-    pts = np.vstack([cluster + [-5.0, 0.0], cluster + [5.0, 0.0]])
-    grid = kde2d(pts, grid_spec=(-8.0, 8.0, -2.0, 2.0, 161, 41), bandwidth=(0.3, 0.3))
-    left = grid.values[: 80, :].max()
-    right = grid.values[81:, :].max()
+    # Two clusters mirrored through the origin, so the grid is too.
+    cluster = np.random.default_rng(1).normal(scale=0.1, size=(50, 2)) + [-5.0, 0.0]
+    grid = kde2d(np.vstack([cluster, -cluster]), bandwidth=(0.3, 0.3))
+    left = grid.values[:100, :].max()
+    right = grid.values[100:, :].max()
     assert abs(left - right) < 1e-9
 
 
 def test_kde_translation_equivariance():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(50, 2))
-    spec = (-4.0, 4.0, -4.0, 4.0, 33, 33)
-    g0 = kde2d(pts, grid_spec=spec, bandwidth=(0.5, 0.5))
+    g0 = kde2d(pts, bandwidth=(0.5, 0.5))
     shift = np.array([12.5, -3.25])
-    spec_shifted = (spec[0] + shift[0], spec[1] + shift[0],
-                    spec[2] + shift[1], spec[3] + shift[1], 33, 33)
-    g1 = kde2d(pts + shift, grid_spec=spec_shifted, bandwidth=(0.5, 0.5))
+    g1 = kde2d(pts + shift, bandwidth=(0.5, 0.5))
+    np.testing.assert_allclose(g1.xs, g0.xs + shift[0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(g1.ys, g0.ys + shift[1], rtol=0.0, atol=1e-12)
     assert np.max(np.abs(g0.values - g1.values)) < 1e-12
 
 
 def test_kde_permutation_invariance():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 2))
-    spec = (-3.0, 3.0, -3.0, 3.0, 17, 17)
-    g0 = kde2d(pts, grid_spec=spec, bandwidth=(0.4, 0.4))
-    g1 = kde2d(pts[rng.permutation(40)], grid_spec=spec, bandwidth=(0.4, 0.4))
+    g0 = kde2d(pts, bandwidth=(0.4, 0.4))
+    g1 = kde2d(pts[rng.permutation(40)], bandwidth=(0.4, 0.4))
+    assert np.array_equal(g0.xs, g1.xs) and np.array_equal(g0.ys, g1.ys)
     assert np.allclose(g0.values, g1.values)
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_kde_matches_whole_array_oracle(kind):
-    e = generate(ScenarioSpec(kind=kind, n=1_000, seed=9)).errors[:, :2]
+    e = generate(kind, 1_000, seed=9).errors[:, :2]
     grid = kde2d(e)
     assert np.array_equal(grid.values, kde_values(e, grid.xs, grid.ys, grid.bandwidth))
 
 
-def test_kde_explicit_grid_matches_whole_array_oracle():
+def test_kde_axis_scales_match_whole_array_oracle():
     pts = np.random.default_rng(10).normal(size=(3_000, 2)) * [1e-3, 1e4]
-    spec = (-0.004, 0.0035, -3.5e4, 4.1e4, 57, 31)
-    grid = kde2d(pts, grid_spec=spec, bandwidth=(2e-4, 1.5e3))
-    assert np.array_equal(grid.xs, np.linspace(-0.004, 0.0035, 57))
-    assert np.array_equal(grid.ys, np.linspace(-3.5e4, 4.1e4, 31))
-    assert grid.xs[-1] == 0.0035 and grid.ys[0] == -3.5e4
-    assert np.array_equal(grid.values, kde_values(pts, grid.xs, grid.ys, (2e-4, 1.5e3)))
+    bandwidth = (2e-4, 1.5e3)
+    grid = kde2d(pts, bandwidth=bandwidth)
+    for k, axis in enumerate((grid.xs, grid.ys)):
+        pad = 3.0 * bandwidth[k]
+        assert np.array_equal(axis, np.linspace(pts[:, k].min() - pad, pts[:, k].max() + pad, 200))
+    assert np.array_equal(grid.values, kde_values(pts, grid.xs, grid.ys, bandwidth))
 
 
 def test_kde_degenerate_inputs():
@@ -97,6 +91,23 @@ def test_kde_degenerate_inputs():
         kde2d(np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("scale, bandwidth", [
+    (1e-160, None), (1e-300, None), (1.0, (1e308, 1e308)), (1.0, (1e-300, 1e-300)),
+], ids=["scott_1e-160", "scott_1e-300", "bandwidth_1e308", "bandwidth_1e-300"])
+def test_kde_overflow_is_degenerate(scale, bandwidth):
+    pts = np.random.default_rng(40).normal(size=(40, 2)) * scale
+    # This point sits on the first grid node, where both factors peak at 1 / (2.5 h).
+    pts[0] = pts.min(axis=0) - scale
+    with pytest.raises(DegenerateDistribution, match="overflows"):
+        kde2d(pts, bandwidth=bandwidth)
+
+
+def test_kde_zero_density_is_valid():
+    # No grid node within reach of a kernel: the density is 0, not an error.
+    pts = np.random.default_rng(40).normal(size=(40, 2))
+    assert not kde2d(pts, bandwidth=(1e-300, 1e-300)).values.any()
+
+
 def test_kde_flat_axis_fallback():
     # One axis constant with nonzero IQR impossible; constant axis borrows
     # the other's bandwidth instead of crashing.
@@ -104,6 +115,15 @@ def test_kde_flat_axis_fallback():
     grid = kde2d(pts)
     assert grid.bandwidth[1] > 0.0
     assert np.all(np.isfinite(grid.values))
+
+
+@pytest.mark.parametrize("radius", [1e-20, 1e-300, 1.7e308, 0.0, -1.0, math.nan])
+def test_hexbin_radius_out_of_range(radius):
+    pts = np.random.default_rng(40).normal(scale=10.0, size=(300, 2))
+    with pytest.raises(DegenerateDistribution, match="hex radius"):
+        hexbin(pts, radius)
+    # Up to 2^62 cells across stays valid.
+    assert hex_total(hexbin(pts, float(np.abs(pts).max()) / 2.0 ** 61)) == 300
 
 
 def test_hexbin_single_point():

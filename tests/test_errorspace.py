@@ -203,6 +203,16 @@ def test_analyze_pair_rejects_bad_input(e, exc):
         analyze_pair(e, "A", "B", metric="euclidean")
 
 
+@pytest.mark.parametrize("scale", [1e-156, 1e-158, 1e-160])
+def test_analyze_pair_subnormal_covariance_is_degenerate(scale):
+    # The covariance is subnormal and its inverse overflows; Euclidean
+    # distances of the same errors are finite.
+    e = np.random.default_rng(40).normal(size=(40, 2)) * scale
+    with pytest.raises(DegenerateDistribution, match="distances"):
+        analyze_pair(e, "A", "B", metric="mahalanobis")
+    assert np.isfinite(analyze_pair(e, "A", "B", metric="euclidean").distance).all()
+
+
 def test_analysis_serialization_shape():
     rng = np.random.default_rng(8)
     an = analyze_pair(pair(rng.normal(size=10), rng.normal(size=10)), "A", "B")

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import same_prediction_set
 
 from errscope import PredictionSet, parse_predictions
 from errscope.exceptions import (
@@ -101,12 +102,13 @@ def test_json_inconsistent_model_sets():
 
 def test_serialize_parse_roundtrip():
     ps = parse_predictions("id,y_true,M1,M2\na,1.5,2.25,0.125\nb,-3.0,3.0,1e-9")
-    assert parse_predictions(ps.to_csv()) == ps
+    assert same_prediction_set(parse_predictions(ps.to_csv()), ps)
     instances = [
         {"id": iid, "y_true": y, "predictions": dict(zip(ps.model_names, preds))}
         for iid, y, preds in zip(ps.instance_ids, ps.y_true.tolist(), ps.predictions.tolist())
     ]
-    assert parse_predictions(json.dumps({"instances": instances}), format="json") == ps
+    assert same_prediction_set(
+        parse_predictions(json.dumps({"instances": instances}), format="json"), ps)
 
 
 def test_duplicate_ids_allowed_but_reported():

@@ -17,7 +17,7 @@ from errscope import (
     render_error_space,
     render_model_grid,
 )
-from errscope.exceptions import MissingLayerInput, UnknownModel
+from errscope.exceptions import DegenerateDistribution, MissingLayerInput, UnknownModel
 from errscope.render import colormap, fmt, rgb
 
 
@@ -33,8 +33,9 @@ def test_fmt_six_significant_digits():
     assert fmt(-0.0) == "0"
     assert fmt(123456.789) == "123457"
     assert fmt(0.000123456789) == "0.000123457"
-    with pytest.raises(ValueError):
-        fmt(float("nan"))
+    for v in (float("nan"), float("inf")):
+        with pytest.raises(DegenerateDistribution):
+            fmt(v)
 
 
 def test_colormap_endpoints_and_interpolation():
