@@ -74,7 +74,8 @@ def test_kde_matches_whole_array_oracle(kind):
     assert np.array_equal(grid.values, kde_values(e, grid.xs, grid.ys, grid.bandwidth))
 
 
-def test_kde_axis_scales_match_whole_array_oracle():
+def test_kde_explicit_grid_matches_whole_array_oracle():
+    """Default grid at axis scales 1e-3 and 1e4; its axes are checked against linspace."""
     pts = np.random.default_rng(10).normal(size=(3_000, 2)) * [1e-3, 1e4]
     bandwidth = (2e-4, 1.5e3)
     grid = kde2d(pts, bandwidth=bandwidth)
