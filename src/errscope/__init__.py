@@ -5,8 +5,6 @@ from .errorspace import (
     QUADRANTS,
     ZONES,
     ErrorSpaceAnalysis,
-    Quadrant,
-    Zone,
     analyze_pair,
     classify,
     covariance2,
@@ -17,8 +15,6 @@ from .errorspace import (
 )
 from .ingest import PredictionSet, parse_predictions
 from .metrics import (
-    BoxplotStats,
-    MetricReport,
     boxplot_stats,
     mae,
     metric_report,

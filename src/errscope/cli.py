@@ -15,15 +15,16 @@ from .density import default_hex_radius, hexbin, kde2d
 from .errorspace import analyze_pair
 from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import parse_predictions
-from .metrics import BoxplotStats, mae, rmse
+from .metrics import mae, rmse
 from .render import (
+    DEFAULT_LAYERS,
     ERROR_SPACE_LAYERS,
     check_layers,
     render_boxplots,
     render_error_space,
     render_model_grid,
 )
-from .report import build_metrics_report, build_pair_report, to_json
+from .report import build_metrics_report, build_pair_report, to_json, with_points
 from .synth import SCENARIOS, generate
 
 
@@ -47,13 +48,14 @@ def cmd_metrics(args) -> int:
     ps = _load(args.input)
     report = build_metrics_report(ps, sort_key=args.sort)
     if args.plots:
+        order = report["ranking"]["order"]
+        # Build both figures before saving either: a degenerate one leaves no output.
+        boxplots = render_boxplots([(m, report["per_model"][m]["boxplot"]) for m in order])
+        grid = render_model_grid(ps, order, global_scale=args.global_scale)
         outdir = Path(args.plots)
         outdir.mkdir(parents=True, exist_ok=True)
-        order = report["ranking"]["order"]
-        stats = [(m, BoxplotStats(**report["per_model"][m]["boxplot"])) for m in order]
-        render_boxplots(stats).save(outdir / "boxplots.svg")
-        render_model_grid(ps, order, global_scale=args.global_scale).save(
-            outdir / "pred_vs_actual_grid.svg")
+        boxplots.save(outdir / "boxplots.svg")
+        grid.save(outdir / "pred_vs_actual_grid.svg")
     if args.json:
         sys.stdout.write(to_json(report))
     else:
@@ -76,8 +78,7 @@ def cmd_compare(args) -> int:
 
     report = build_pair_report(ps, analysis)
     if args.json:
-        report["errorspace"] = analysis.to_dict()
-        Path(args.json).write_text(to_json(report), encoding="utf-8")
+        Path(args.json).write_text(to_json(with_points(report, analysis)), encoding="utf-8")
 
     pair = report["pair"]
     print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="model on the y-axis")
     p.add_argument("--metric", choices=["euclidean", "mahalanobis"],
                    default="mahalanobis")
-    p.add_argument("--layers", type=_layers, default="zones,proximity,crown",
+    p.add_argument("--layers", type=_layers, default=DEFAULT_LAYERS,
                    help="comma-separated: " + ",".join(ERROR_SPACE_LAYERS))
     p.add_argument("--bandwidth", type=_bandwidth, metavar="HX,HY",
                    help="KDE bandwidth override")

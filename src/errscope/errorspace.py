@@ -8,7 +8,6 @@ Mahalanobis) drives the percentile-proximity colormap and the median crown.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,23 +18,9 @@ from .exceptions import DegenerateDistribution, LengthMismatch, NonFinite
 _COND_LIMIT = 1e12
 _RIDGE_SCALE = 1e-9
 
-
-class Zone(str, enum.Enum):
-    A_BETTER = "a_better"
-    B_BETTER = "b_better"
-    TIE = "tie"
-
-
-class Quadrant(str, enum.Enum):
-    OVER_OVER = "over_over"
-    OVER_UNDER = "over_under"
-    UNDER_OVER = "under_over"
-    UNDER_UNDER = "under_under"
-    ON_AXIS = "on_axis"
-
-
-ZONES = tuple(Zone)
-QUADRANTS = tuple(Quadrant)
+# Names of the zones and quadrants; the int8 codes of an analysis index them.
+ZONES = ("a_better", "b_better", "tie")
+QUADRANTS = ("over_over", "over_under", "under_over", "under_under", "on_axis")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,39 +54,13 @@ class ErrorSpaceAnalysis:
     def quadrant_counts(self) -> dict[str, int]:
         return _counts(self.quadrant, QUADRANTS)
 
-    def to_dict(self) -> dict:
-        zones = [z.value for z in ZONES]
-        quads = [q.value for q in QUADRANTS]
-        # tolist() gives Python floats, which json writes as repr.
-        columns = zip(*self.e.T.tolist(), self.zone.tolist(), self.quadrant.tolist(),
-                      self.distance.tolist(), self.percentile.tolist())
-        return {
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "metric": self.metric,
-            "points": [
-                {"e1": e1, "e2": e2, "zone": zones[z], "quadrant": quads[q],
-                 "distance": d, "percentile": p}
-                for e1, e2, z, q, d, p in columns
-            ],
-            "summary": {
-                "n": self.n,
-                "median2d": list(self.median2d),
-                "covariance": self.covariance.ravel().tolist(),
-                "crown_threshold": self.crown_threshold,
-                "zone_counts": self.zone_counts,
-                "quadrant_counts": self.quadrant_counts,
-            },
-        }
-
 
 def _counts(codes: np.ndarray, names: tuple) -> dict[str, int]:
-    counts = np.bincount(codes, minlength=len(names)).tolist()
-    return {name.value: c for name, c in zip(names, counts)}
+    return dict(zip(names, np.bincount(codes, minlength=len(names)).tolist()))
 
 
 def classify(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zone and quadrant codes (indices into ZONES, QUADRANTS) of each row.
+    """The zone and quadrant codes (indices into ZONES, QUADRANTS) of each row.
 
     Zones compare |e1| with |e2| exactly, no epsilon: points on y = x or
     y = -x tie. Quadrants follow the sign pattern; an exact zero in either
@@ -109,14 +68,12 @@ def classify(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     e = np.asarray(e, dtype=float).reshape(-1, 2)
     a1, a2 = np.abs(e[:, 0]), np.abs(e[:, 1])
-    zone = np.select([a1 < a2, a1 > a2],
-                     [ZONES.index(Zone.A_BETTER), ZONES.index(Zone.B_BETTER)],
-                     ZONES.index(Zone.TIE))
-    # QUADRANTS lists over_over, over_under, under_over, under_under, so the
-    # code of an off-axis point is 2 * (e1 < 0) + (e2 < 0).
+    # ZONES lists a_better, b_better, tie.
+    zone = np.select([a1 < a2, a1 > a2], [0, 1], 2)
+    # QUADRANTS lists over_over, over_under, under_over, under_under, on_axis,
+    # so the code of an off-axis point is 2 * (e1 < 0) + (e2 < 0).
     under = e < 0.0
-    quadrant = np.where((e == 0.0).any(axis=1), QUADRANTS.index(Quadrant.ON_AXIS),
-                        2 * under[:, 0] + under[:, 1])
+    quadrant = np.where((e == 0.0).any(axis=1), 4, 2 * under[:, 0] + under[:, 1])
     return zone.astype(np.int8), quadrant.astype(np.int8)
 
 

@@ -8,30 +8,9 @@ Tukey 1.5*IQR rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import LengthMismatch
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    mae: float
-    rmse: float
-    r_squared: float | None
-    n: int
-
-
-@dataclass(frozen=True)
-class BoxplotStats:
-    min_whisker: float
-    q1: float
-    median: float
-    q3: float
-    max_whisker: float
-    iqr: float
-    outliers: tuple[float, ...]
 
 
 def mae(e) -> float:
@@ -56,8 +35,9 @@ def _r_squared(e: np.ndarray, y_true: np.ndarray) -> float | None:
     return 1.0 - ss_res / ss_tot
 
 
-def boxplot_stats(e) -> BoxplotStats:
-    """Five-number summary with Tukey fences; fence-exceeding points listed."""
+def boxplot_stats(e) -> dict:
+    """Five-number summary with Tukey fences and the fence-exceeding points,
+    ascending, keyed in report order."""
     x = np.asarray(e, dtype=float)
     q1, med, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
@@ -69,19 +49,20 @@ def boxplot_stats(e) -> BoxplotStats:
     # whiskers never cross the box.
     min_whisker = min(float(inside.min()), q1)
     max_whisker = max(float(inside.max()), q3)
-    outliers = tuple(float(v) for v in np.sort(x[(x < lo_fence) | (x > hi_fence)]))
-    return BoxplotStats(min_whisker, q1, med, q3, max_whisker, iqr, outliers)
+    return {"min_whisker": min_whisker, "q1": q1, "median": med, "q3": q3,
+            "max_whisker": max_whisker, "iqr": iqr,
+            "outliers": np.sort(x[(x < lo_fence) | (x > hi_fence)]).tolist()}
 
 
-def sort_models_by_metric(reports: dict[str, MetricReport], key: str = "rmse") -> list[str]:
+def sort_models_by_metric(reports: dict[str, dict], key: str = "rmse") -> list[str]:
     """Model names ascending by mae or rmse; ties broken lexicographically."""
     if key not in ("mae", "rmse"):
         raise ValueError(f"sort key must be 'mae' or 'rmse', got {key!r}")
     if not reports:
         raise ValueError("no metric reports to sort")
-    return sorted(reports, key=lambda m: (getattr(reports[m], key), m))
+    return sorted(reports, key=lambda m: (reports[m][key], m))
 
 
-def metric_report(e: np.ndarray, y_true: np.ndarray) -> MetricReport:
+def metric_report(e: np.ndarray, y_true: np.ndarray) -> dict:
     """All scalar metrics of one model's (n,) errors; r_squared is None when undefined."""
-    return MetricReport(mae=mae(e), rmse=rmse(e), r_squared=_r_squared(e, y_true), n=e.size)
+    return {"mae": mae(e), "rmse": rmse(e), "r_squared": _r_squared(e, y_true), "n": e.size}

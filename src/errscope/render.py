@@ -17,7 +17,6 @@ from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
 from .ingest import PredictionSet
-from .metrics import BoxplotStats
 
 PANEL_SIZE = 800.0
 MARGIN = 60.0
@@ -31,6 +30,7 @@ POINT_RADIUS = 3.0
 SCATTER_COLOR = (68, 68, 68)
 
 ERROR_SPACE_LAYERS = ("zones", "scatter", "proximity", "crown", "kde", "hexbin")
+DEFAULT_LAYERS = ("zones", "proximity", "crown")
 
 
 def fmt(v: float) -> str:
@@ -164,10 +164,10 @@ class Figure:
                  f'fill="{fill}"{_style(**style)}/>')
 
     def text(self, x: float, y: float, content: str, size: float = 14.0,
-             anchor: str = "middle", fill: str = "#000000") -> None:
+             anchor: str = "middle") -> None:
         self.add(
             f'<text x="{fmt(x)}" y="{fmt(y)}" text-anchor="{anchor}" '
-            f'font-size="{fmt(size)}" font-family="sans-serif" fill="{fill}">'
+            f'font-size="{fmt(size)}" font-family="sans-serif" fill="#000000">'
             f"{_escape(content)}</text>"
         )
 
@@ -193,6 +193,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], about six of them."""
     span = hi - lo
     raw = span / 6
+    if raw < np.finfo(float).tiny:
+        # A subnormal step's power of ten can round to 0, and log10(0) fails.
+        raise DegenerateDistribution(f"axis span {span!r} is too small to draw")
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw), default=10.0) * mag
     first = math.ceil(lo / step) * step
@@ -207,8 +210,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 # ---------------------------------------------------------------------------
 # boxplots
 
-def render_boxplots(stats: list[tuple[str, BoxplotStats]]) -> Figure:
-    """One box-and-whisker glyph per model on a shared error axis."""
+def render_boxplots(stats: list[tuple[str, dict]]) -> Figure:
+    """One box-and-whisker glyph per (model, boxplot_stats) on a shared error axis."""
     if not stats:
         raise ValueError("no boxplot stats to render")
     m = len(stats)
@@ -216,7 +219,7 @@ def render_boxplots(stats: list[tuple[str, BoxplotStats]]) -> Figure:
 
     values = []
     for _, s in stats:
-        values += [s.min_whisker, s.max_whisker, *s.outliers]
+        values += [s["min_whisker"], s["max_whisker"], *s["outliers"]]
     lo, hi = min(values + [0.0]), max(values + [0.0])
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     lo, hi = lo - pad, hi + pad
@@ -242,11 +245,11 @@ def render_boxplots(stats: list[tuple[str, BoxplotStats]]) -> Figure:
         x0, _ = tr.apply(cx - box_halfwidth, 0.0)
         x1, _ = tr.apply(cx + box_halfwidth, 0.0)
         xc, _ = tr.apply(cx, 0.0)
-        _, y_q1 = tr.apply(0.0, s.q1)
-        _, y_q3 = tr.apply(0.0, s.q3)
-        _, y_med = tr.apply(0.0, s.median)
-        _, y_lo = tr.apply(0.0, s.min_whisker)
-        _, y_hi = tr.apply(0.0, s.max_whisker)
+        _, y_q1 = tr.apply(0.0, s["q1"])
+        _, y_q3 = tr.apply(0.0, s["q3"])
+        _, y_med = tr.apply(0.0, s["median"])
+        _, y_lo = tr.apply(0.0, s["min_whisker"])
+        _, y_hi = tr.apply(0.0, s["max_whisker"])
 
         fig.line(xc, y_lo, xc, y_q1, "#000000")
         fig.line(xc, y_q3, xc, y_hi, "#000000")
@@ -255,7 +258,7 @@ def render_boxplots(stats: list[tuple[str, BoxplotStats]]) -> Figure:
         fig.polygon([(x0, y_q1), (x1, y_q1), (x1, y_q3), (x0, y_q3)],
                     fill="#c6dbef", stroke="#000000", stroke_width=1.0)
         fig.line(x0, y_med, x1, y_med, "#000000", width=2.0)
-        _, oy = tr.apply(0.0, np.array(s.outliers, dtype=float))
+        _, oy = tr.apply(0.0, np.array(s["outliers"], dtype=float))
         fig.circles(np.full(oy.size, xc), oy, 2.5, "none", stroke=rgb(SCATTER_COLOR),
                     stroke_width=1.0, cls="outlier")
         fig.text(xc, height - MARGIN + 20, name, size=13)
@@ -337,7 +340,7 @@ def _crown_curve(analysis: ErrorSpaceAnalysis) -> list[tuple[float, float]]:
 
 
 def render_error_space(analysis: ErrorSpaceAnalysis,
-                       layers=("zones", "proximity", "crown"),
+                       layers=DEFAULT_LAYERS,
                        kde: KdeGrid | None = None,
                        hexgrid: HexbinLayer | None = None) -> Figure:
     """The 2D error space with selectable layers.

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .errorspace import ErrorSpaceAnalysis
+from .errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from .exceptions import DegenerateDistribution
 from .ingest import PredictionSet
 from .metrics import boxplot_stats, metric_report, sort_models_by_metric
@@ -32,12 +31,9 @@ def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     for m, errors in zip(ps.model_names, ps.errors.T):
         with np.errstate(over="ignore"):
             reports[m] = rep = metric_report(errors, ps.y_true)
-        if not (math.isfinite(rep.rmse) and math.isfinite(rep.r_squared or 0.0)):
+        if not (math.isfinite(rep["rmse"]) and math.isfinite(rep["r_squared"] or 0.0)):
             raise DegenerateDistribution(f"metrics of model {m!r} overflow float64")
-        per_model[m] = {
-            "metrics": asdict(rep),
-            "boxplot": asdict(boxplot_stats(errors)),
-        }
+        per_model[m] = {"metrics": rep, "boxplot": boxplot_stats(errors)}
     warnings = []
     dups = ps.duplicate_ids()
     if dups:
@@ -72,6 +68,32 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
         "fraction_b_above_a": float(np.mean(e[:, 1] > e[:, 0])),
     }
     return report
+
+
+def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
+    """A copy of the pair report with every instance of the analysis under "errorspace"."""
+    # tolist() gives Python floats, which json writes as repr.
+    columns = zip(*analysis.e.T.tolist(), analysis.zone.tolist(), analysis.quadrant.tolist(),
+                  analysis.distance.tolist(), analysis.percentile.tolist())
+    errorspace = {
+        "model_a": analysis.model_a,
+        "model_b": analysis.model_b,
+        "metric": analysis.metric,
+        "points": [
+            {"e1": e1, "e2": e2, "zone": ZONES[z], "quadrant": QUADRANTS[q],
+             "distance": d, "percentile": p}
+            for e1, e2, z, q, d, p in columns
+        ],
+        "summary": {
+            "n": analysis.n,
+            "median2d": list(analysis.median2d),
+            "covariance": analysis.covariance.ravel().tolist(),
+            "crown_threshold": analysis.crown_threshold,
+            "zone_counts": analysis.zone_counts,
+            "quadrant_counts": analysis.quadrant_counts,
+        },
+    }
+    return {**report, "errorspace": errorspace}
 
 
 def to_json(payload: dict) -> str:

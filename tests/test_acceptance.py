@@ -7,7 +7,6 @@ import numpy as np
 from oracles import hex_centers, hex_total, riemann_mass
 
 from errscope import (
-    MetricReport,
     analyze_pair,
     hexbin,
     kde2d,
@@ -86,7 +85,7 @@ def test_c04_ranking_fixture():
         d = math.sqrt(s * s - m * m)
         e = np.array([m + d, m - d])
         assert abs(mae(e) - m) < 0.05 and abs(rmse(e) - s) < 0.05
-        reports[name] = MetricReport(mae=mae(e), rmse=rmse(e), r_squared=None, n=2)
+        reports[name] = {"mae": mae(e), "rmse": rmse(e), "r_squared": None, "n": 2}
     assert sort_models_by_metric(reports, "rmse")[:4] == ["A10", "A9", "A1", "A2"]
     assert sort_models_by_metric(reports, "mae")[:4] == ["A9", "A10", "A1", "A2"]
     ok(4, "ranking fixture hits A10,A9,A1,A2 by rmse and A9,A10,A1,A2 by mae")

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import errscope.cli
 import errscope.report
+from errscope import analyze_pair, parse_predictions, render_error_space
 from errscope.cli import main
 from errscope.metrics import boxplot_stats
 from errscope.synth import generate
@@ -210,6 +211,37 @@ def test_metrics_huge_errors_exit_3(tmp_path, capsys, monkeypatch, flags):
     assert err == "error: metrics of model 'M1' overflow float64\n"
     assert out == ""
     assert not Path("figs", "boxplots.svg").exists()
+
+
+@pytest.mark.parametrize("rows", [
+    # Boxplot axis spanning one subnormal: its tick step underflows.
+    "a,0,0,0\nb,0,5e-324,0\nc,0,0,5e-324\n",
+    # The boxplots draw, but the predicted-vs-actual axis overflows.
+    "a,-1e308,-1e308,-1e308\nb,1e308,1e308,1e308\n",
+], ids=["subnormal_span", "truth_1e308"])
+def test_metrics_plots_float64_edges_exit_3(tmp_path, capsys, rows):
+    path = tmp_path / "in.csv"
+    path.write_text("id,y_true,M1,M2\n" + rows)
+    figs = tmp_path / "figs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["metrics", str(path), "--plots", str(figs)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(figs.glob("*.svg")) == []
+
+
+def test_compare_default_layers(demo_csv, tmp_path):
+    svgs = []
+    for tag, flags in (("default", []), ("explicit", ["--layers", "zones,proximity,crown"])):
+        svg = tmp_path / f"{tag}.svg"
+        assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", *flags,
+                     "-o", str(svg)]) == 0
+        svgs.append(svg.read_bytes())
+    ps = parse_predictions(demo_csv.read_bytes())
+    analysis = analyze_pair(ps.errors[:, [ps.index("B1"), ps.index("B2")]], "B1", "B2")
+    svgs.append(render_error_space(analysis).to_svg().encode("utf-8"))
+    assert svgs[0] == svgs[1] == svgs[2]
 
 
 def test_to_json_rejects_nan():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from errscope import (
-    MetricReport,
     boxplot_stats,
     mae,
     metric_report,
@@ -24,7 +23,7 @@ def ev(errors):
 
 def r_squared(y_true, y_pred):
     y_true, y_pred = ev(y_true), ev(y_pred)
-    return metric_report(y_pred - y_true, y_true).r_squared
+    return metric_report(y_pred - y_true, y_true)["r_squared"]
 
 
 def test_mae_hand_values():
@@ -60,24 +59,24 @@ def test_r_squared_constant_target():
 
 def test_boxplot_singleton():
     s = boxplot_stats(ev([5.0]))
-    assert (s.min_whisker, s.q1, s.median, s.q3, s.max_whisker) == (5.0,) * 5
-    assert s.outliers == ()
+    assert (s["min_whisker"], s["q1"], s["median"], s["q3"], s["max_whisker"]) == (5.0,) * 5
+    assert s["outliers"] == []
 
 
 def test_boxplot_hand_example():
     s = boxplot_stats(ev([1, 2, 3, 4, 100]))
-    assert s.q1 == 2.0 and s.median == 3.0 and s.q3 == 4.0
-    assert s.iqr == 2.0
-    assert s.outliers == (100.0,)
-    assert s.max_whisker == 4.0
-    assert s.min_whisker == 1.0
+    assert s["q1"] == 2.0 and s["median"] == 3.0 and s["q3"] == 4.0
+    assert s["iqr"] == 2.0
+    assert s["outliers"] == [100.0]
+    assert s["max_whisker"] == 4.0
+    assert s["min_whisker"] == 1.0
 
 
 def test_boxplot_symmetric():
     data = list(range(-5, 6))
     s = boxplot_stats(ev(data))
-    assert s.median == 0.0
-    assert s.min_whisker == -s.max_whisker
+    assert s["median"] == 0.0
+    assert s["min_whisker"] == -s["max_whisker"]
 
 
 @given(error_lists)
@@ -114,17 +113,17 @@ def test_permutation_invariance(errors):
 def test_boxplot_partitions_points(errors):
     e = ev(errors)
     s = boxplot_stats(e)
-    inside = sum(1 for x in e if s.min_whisker <= x <= s.max_whisker)
-    assert inside + len(s.outliers) == e.size
-    lo, hi = s.q1 - 1.5 * s.iqr, s.q3 + 1.5 * s.iqr
-    assert all(o < lo or o > hi for o in s.outliers)
-    assert s.min_whisker <= s.q1 <= s.median <= s.q3 <= s.max_whisker
+    inside = sum(1 for x in e if s["min_whisker"] <= x <= s["max_whisker"])
+    assert inside + len(s["outliers"]) == e.size
+    lo, hi = s["q1"] - 1.5 * s["iqr"], s["q3"] + 1.5 * s["iqr"]
+    assert all(o < lo or o > hi for o in s["outliers"])
+    assert s["min_whisker"] <= s["q1"] <= s["median"] <= s["q3"] <= s["max_whisker"]
 
 
 def test_sort_models_tie_break():
     reports = {
-        "b": MetricReport(mae=1.0, rmse=2.0, r_squared=None, n=3),
-        "a": MetricReport(mae=1.0, rmse=2.0, r_squared=None, n=3),
+        "b": {"mae": 1.0, "rmse": 2.0, "r_squared": None, "n": 3},
+        "a": {"mae": 1.0, "rmse": 2.0, "r_squared": None, "n": 3},
     }
     assert sort_models_by_metric(reports, "rmse") == ["a", "b"]
     assert sort_models_by_metric(reports, "mae") == ["a", "b"]
