@@ -149,6 +149,18 @@ class Figure:
                                   np.asarray(cy, dtype=float).tolist(), fills)
         )
 
+    def rects(self, x, y, w: float, h: float, fills, **style) -> None:
+        """One w-by-h rect per entry of the x, y columns, as for circles."""
+        if isinstance(fills, str):
+            fills = repeat(fills)
+        size = f'width="{fmt(w)}" height="{fmt(h)}"'
+        tail = _style(**style)
+        self.elements.extend(
+            f'<rect x="{fmt(x0)}" y="{fmt(y0)}" {size} fill="{fill}"{tail}/>'
+            for x0, y0, fill in zip(np.asarray(x, dtype=float).tolist(),
+                                    np.asarray(y, dtype=float).tolist(), fills)
+        )
+
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
         dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
@@ -372,9 +384,8 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
             dy = float(kde.ys[-1] - kde.ys[0]) / (kde.ys.size - 1)
             ix, iy = np.nonzero(kde.values > 0.01 * vmax)
             x0, y0 = tr.apply(kde.xs[ix] - dx / 2, kde.ys[iy] + dy / 2)
-            fills = _fills(1.0 - kde.values[ix, iy] / vmax)
-            for x, y, fill in zip(x0.tolist(), y0.tolist(), fills):
-                fig.rect(x, y, abs(tr.sx) * dx, abs(tr.sy) * dy, fill, opacity=0.6)
+            fig.rects(x0, y0, abs(tr.sx) * dx, abs(tr.sy) * dy,
+                      _fills(1.0 - kde.values[ix, iy] / vmax), opacity=0.6)
 
     if "hexbin" in layers:
         counts = hexgrid.cells[:, 2]
