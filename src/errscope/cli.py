@@ -74,9 +74,11 @@ def cmd_compare(args) -> int:
         radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
         hexgrid = hexbin(analysis.e, radius)
 
-    render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid).save(args.output)
-
+    figure = render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid)
+    # The report checks every model's metrics: build it first, so a failure leaves no SVG.
     report = build_pair_report(ps, analysis)
+    figure.save(args.output)
+    del figure  # its strings need not outlive the save while the JSON is built
     if args.json:
         Path(args.json).write_text(to_json(with_points(report, analysis)), encoding="utf-8")
 

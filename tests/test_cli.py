@@ -351,6 +351,17 @@ def test_compare_float64_edges_exit_3(tmp_path, e, flags):
     assert not svg.exists() and not rep.exists()
 
 
+def test_compare_other_model_overflow_leaves_no_svg(tmp_path):
+    # M1 and M2 are fine; the report's metrics of M3 overflow.
+    path = tmp_path / "in.csv"
+    path.write_text("id,y_true,M1,M2,M3\na,0,1,2,1e200\nb,0,2,1,-1e200\n"
+                    "c,0,3,-1,1e200\nd,0,-1,2,1\n")
+    code, err, svg, rep = run_compare(path, tmp_path, [])
+    assert code == 3
+    assert err == "error: metrics of model 'M3' overflow float64\n"
+    assert not svg.exists() and not rep.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
