@@ -36,34 +36,34 @@ SYNTH_CSV = {
 # (kind, metric) -> (SVG, JSON report) of `compare --layers ALL_LAYERS --json`
 COMPARE = {
     ("asymmetric_pair", "euclidean"): (
-        "94566122fddecb484eb0d47c92a820564fe8dac73b113823d4bbd89b8d369017",
+        "4e96b64cd8d8a5f617b8c02e65e1dff7be985a0706d2df38b74d1d9474651da3",
         "c3fee582f23e89bf43f0cef71f1873ddc5950b019c70dfa8f0464d14e25596ef"),
     ("asymmetric_pair", "mahalanobis"): (
-        "1c269a5e074611b393ad5f12e2c99351befb6fc0229d0374b3b561e656339e4a",
+        "eb354f9deee56fbd41a62938f73e559dd51dff8720bf656c111bbdd8dccde6f2",
         "3a32c90f65fd258f2ed64a4a3ca790322404eaea8875f130849b97b0effdfc56"),
     ("correlated_pair", "euclidean"): (
-        "6a4b2009281c0d6d15414666a42607479b30419099d2d1f9f06608bb337e24f4",
+        "6b3d4fc0ae2eea1658eb808502d1ab4c6a46f0e995af972bdebb8f2532c9c5eb",
         "7a49098d66f3baa8232414037e7065b14881ec2db019dbffbb6eabdc21f98f88"),
     ("correlated_pair", "mahalanobis"): (
-        "2ef487a5e1c2be4665116b9dda48b7bbf39d991003d5a50e5f2a939957097747",
+        "1ffa17a624d08e4db083be1e0c559b165567a9389ba24c179641d159e7ea138e",
         "5ad77f29004925b12cc6e08e65c393ef9f2fdb5615b64f55efd03fec17ac941f"),
     ("equal_metrics_divergent", "euclidean"): (
-        "a21c529d95476410e396d71ded09dae9e570809eccb99e5c912098600e120616",
+        "fd1f7556ac86d92dd4c141acfef1568d9e28e51e32159a61e52f25986d1d9eb3",
         "9b7d69603f895e40a644fb66fb5b69c9bbd442d9d8c991c1b359d0974b344d4c"),
     ("equal_metrics_divergent", "mahalanobis"): (
-        "6ca6712e04b07188b9f982bb294feecd44c43ebfdad34ca897cc179e7e281830",
+        "50da1649511b3c2f3b9a8a61041b63b1f9b8b1f7c1276b4271701934aa8461bd",
         "b342438d59e147a2b7f93f0bab162bbe3a99a22e14e8ef44600ae06cec3dc14e"),
     ("outlier_vs_moderate", "euclidean"): (
-        "6f7863dfc0e7680d5a63f22a94c203e6a844adef7e11aa2f677cfa28e62f9b71",
+        "6e56fd7f2fcba81fb6d77f8569737a3090a9b33a1396fe160e90195e029c75a4",
         "7dbc4ae3253e7b51e1d7dca87390217f9e0173d74dacaf1cd67e01f1af3fa214"),
     ("outlier_vs_moderate", "mahalanobis"): (
-        "3293722aaed61ea430a651a317ed79abfac6653b0c9bb0dfd28da98524c2c92d",
+        "9ae313f4a7ec9829968d42a00646a3e3af10de4068e673ce8788badcf6c9c5a6",
         "209a9d520620656e97e246d4fcb09efaa6d3c5446ed0daea526882f278ef99b0"),
     ("under_vs_over", "euclidean"): (
-        "1201e789263c6f6a5b162f967c2dff775c47d2900a64d4c55f42e8d503423818",
+        "d7b83c6189a1f35031b5b656cc2b9cc25f8caa2179d0d7df46a23e1aaef98c2d",
         "d8ae9185851fb4c1ac0b760a6725d2f9415c7f36bcf62e3648d9a77bfae273e6"),
     ("under_vs_over", "mahalanobis"): (
-        "222384d8fe34e6e8c1b249c08359075587231be98aeb53f769a3756d5fb5d062",
+        "21f4e7e0321839e367ad5572fe24fc436d736dc4e27635bfd62126cd6c4ce041",
         "bd41cd768723aab30c04041ace194013b657bbae1c8ce8ace1f98592fb595880"),
 }
 
