@@ -1,9 +1,9 @@
 """Density layers over the 2D error plane: Gaussian KDE and hexbin.
 
 The KDE uses a product Gaussian kernel with a diagonal bandwidth (Scott's
-rule by default), binned per axis where the bandwidth allows. Hexagonal binning uses a pointy-top lattice anchored at
-the origin with standard cube rounding, so cell assignment is deterministic
-including on boundaries.
+rule by default), binned per axis where the bandwidth allows. Hexagonal
+binning uses a pointy-top lattice anchored at the origin with standard cube
+rounding, so cell assignment is deterministic including on boundaries.
 """
 
 from __future__ import annotations

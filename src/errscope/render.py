@@ -150,9 +150,7 @@ class Figure:
         )
 
     def rects(self, x, y, w: float, h: float, fills, **style) -> None:
-        """One w-by-h rect per entry of the x, y columns, as for circles."""
-        if isinstance(fills, str):
-            fills = repeat(fills)
+        """One w-by-h rect per entry of the x, y and fills columns; style is as for _style."""
         size = f'width="{fmt(w)}" height="{fmt(h)}"'
         tail = _style(**style)
         self.elements.extend(

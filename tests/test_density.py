@@ -91,6 +91,17 @@ def test_kde_explicit_grid_matches_whole_array_oracle():
     assert kde_error(pts, grid) <= 1e-3
 
 
+@pytest.mark.parametrize("ulps", [1 / 6.4, 1e-3], ids=["binned", "exact"])
+def test_kde_grid_finer_than_float_spacing(ulps):
+    # Points a few ulps apart at 1e10: grid (and fine) nodes coincide in float64,
+    # and the largest point sits on the last node.
+    ulp = np.spacing(1e10)
+    pts = 1e10 + ulp * np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]])
+    grid = kde2d(pts, bandwidth=(ulps * ulp, ulps * ulp))
+    assert len(np.unique(grid.xs)) == 3
+    assert kde_error(pts, grid) <= 1e-3
+
+
 def steps_per_bandwidth(grid) -> list[float]:
     """h / dx on each axis; below 1.3975 the KDE evaluates that axis exactly."""
     return [h / (axis[1] - axis[0]) for axis, h in zip((grid.xs, grid.ys), grid.bandwidth)]
