@@ -24,7 +24,7 @@ from .render import (
     render_error_space,
     render_model_grid,
 )
-from .report import build_metrics_report, build_pair_report, to_json, with_points
+from .report import build_metrics_report, build_pair_report, to_json, write_pair_json
 from .synth import SCENARIOS, generate
 
 
@@ -78,9 +78,8 @@ def cmd_compare(args) -> int:
     # The report checks every model's metrics: build it first, so a failure leaves no SVG.
     report = build_pair_report(ps, analysis)
     figure.save(args.output)
-    del figure  # its strings need not outlive the save while the JSON is built
     if args.json:
-        Path(args.json).write_text(to_json(with_points(report, analysis)), encoding="utf-8")
+        write_pair_json(args.json, report, analysis)
 
     pair = report["pair"]
     print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")

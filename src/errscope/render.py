@@ -132,19 +132,17 @@ class Figure:
         self.width = width
         self.height = height
         self.transform = transform
-        self.elements: list[str] = []
-
-    def add(self, fragment: str) -> None:
-        self.elements.append(fragment)
+        self.elements = [f'<rect x="0" y="0" width="{fmt(width)}" height="{fmt(height)}" '
+                         'fill="#ffffff"/>']
 
     def circles(self, cx, cy, r: float, fills, **style) -> None:
         """One circle per entry of the cx, cy columns; fills is one colour
         or one per circle. style is as for _style."""
         if isinstance(fills, str):
             fills = repeat(fills)
-        tail = _style(**style)
+        r, tail = fmt(r), _style(**style)
         self.elements.extend(
-            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(r)}" fill="{fill}"{tail}/>'
+            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{r}" fill="{fill}"{tail}/>'
             for x, y, fill in zip(np.asarray(cx, dtype=float).tolist(),
                                   np.asarray(cy, dtype=float).tolist(), fills)
         )
@@ -162,20 +160,16 @@ class Figure:
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
         dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
-        self.add(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-                 f'stroke="{stroke}" stroke-width="{fmt(width)}"{dash_attr}/>')
+        self.elements.append(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+                             f'stroke="{stroke}" stroke-width="{fmt(width)}"{dash_attr}/>')
 
     def polygon(self, points: list[tuple[float, float]], fill: str, **style) -> None:
         pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
-        self.add(f'<polygon points="{pts}" fill="{fill}"{_style(**style)}/>')
-
-    def rect(self, x: float, y: float, w: float, h: float, fill: str, **style) -> None:
-        self.add(f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" '
-                 f'fill="{fill}"{_style(**style)}/>')
+        self.elements.append(f'<polygon points="{pts}" fill="{fill}"{_style(**style)}/>')
 
     def text(self, x: float, y: float, content: str, size: float = 14.0,
              anchor: str = "middle") -> None:
-        self.add(
+        self.elements.append(
             f'<text x="{fmt(x)}" y="{fmt(y)}" text-anchor="{anchor}" '
             f'font-size="{fmt(size)}" font-family="sans-serif" fill="#000000">'
             f"{_escape(content)}</text>"
@@ -193,10 +187,6 @@ class Figure:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_svg())
-
-
-def _white_background(fig: Figure) -> None:
-    fig.rect(0.0, 0.0, fig.width, fig.height, "#ffffff")
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -237,7 +227,6 @@ def render_boxplots(stats: list[tuple[str, dict]]) -> Figure:
     tr = Transform.fit(0.0, float(m), lo, hi, MARGIN, width - MARGIN,
                        MARGIN, height - MARGIN)
     fig = Figure(width, height, transform=tr)
-    _white_background(fig)
 
     # Shared error axis with ticks, plus the zero reference line.
     for tick in _nice_ticks(lo, hi):
@@ -316,7 +305,6 @@ def render_model_grid(ps: PredictionSet, order: list[str],
     cols = min(m, GRID_COLUMNS)
     rows = math.ceil(m / GRID_COLUMNS)
     fig = Figure(cols * PANEL_SIZE, rows * PANEL_SIZE)
-    _white_background(fig)
     for k, (model, j, pct) in enumerate(zip(order, columns, pcts)):
         col, row = k % GRID_COLUMNS, k // GRID_COLUMNS
         _pred_vs_actual_panel(fig, ps.y_true, ps.predictions[:, j], pct,
@@ -372,7 +360,6 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     tr = Transform.fit(-limit, limit, -limit, limit, MARGIN, PANEL_SIZE - MARGIN,
                        MARGIN, PANEL_SIZE - MARGIN)
     fig = Figure(PANEL_SIZE, PANEL_SIZE, transform=tr)
-    _white_background(fig)
 
     if "kde" in layers:
         vmax = float(kde.values.max())

@@ -70,20 +70,22 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
     return report
 
 
-def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
-    """A copy of the pair report with every instance of the analysis under "errorspace"."""
-    # tolist() gives Python floats, which json writes as repr.
-    columns = zip(*analysis.e.T.tolist(), analysis.zone.tolist(), analysis.quadrant.tolist(),
-                  analysis.distance.tolist(), analysis.percentile.tolist())
+# One instance under errorspace.points, laid out as by json.dumps(indent=2);
+# %r of a Python float is the text json writes for it.
+_POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        "zone": "%s",\n'
+          '        "quadrant": "%s",\n        "distance": %r,\n        "percentile": %r\n      }')
+
+
+def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
+    """Write the pair report plus every instance of the analysis under "errorspace",
+    streaming the points from the arrays; the bytes are those of to_json."""
+    if not all(np.isfinite(a).all() for a in (analysis.e, analysis.distance, analysis.percentile)):
+        raise ValueError("Out of range float values are not JSON compliant")
     errorspace = {
         "model_a": analysis.model_a,
         "model_b": analysis.model_b,
         "metric": analysis.metric,
-        "points": [
-            {"e1": e1, "e2": e2, "zone": ZONES[z], "quadrant": QUADRANTS[q],
-             "distance": d, "percentile": p}
-            for e1, e2, z, q, d, p in columns
-        ],
+        "points": [],
         "summary": {
             "n": analysis.n,
             "median2d": list(analysis.median2d),
@@ -93,7 +95,16 @@ def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
             "quadrant_counts": analysis.quadrant_counts,
         },
     }
-    return {**report, "errorspace": errorspace}
+    # json escapes every '"' inside a string, so only the key itself matches.
+    head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
+    rows = map(_POINT.__mod__, zip(
+        *analysis.e.T.tolist(), map(ZONES.__getitem__, analysis.zone.tolist()),
+        map(QUADRANTS.__getitem__, analysis.quadrant.tolist()),
+        analysis.distance.tolist(), analysis.percentile.tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '"points": [' + next(rows)[1:])  # n >= 1; no comma before the first
+        fh.writelines(rows)
+        fh.write("\n    ]" + tail)
 
 
 def to_json(payload: dict) -> str:

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 
+from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
+
 
 def check_spd(m) -> None:
     m = np.asarray(m, dtype=float)
@@ -90,3 +92,29 @@ def same_prediction_set(a, b) -> bool:
             and np.array_equal(a.y_true, b.y_true)
             and np.array_equal(a.predictions, b.predictions)
             and np.array_equal(a.errors, b.errors))
+
+
+def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
+    """A copy of the pair report with every instance of the analysis under "errorspace"."""
+    # tolist() gives Python floats, which json writes as repr.
+    columns = zip(*analysis.e.T.tolist(), analysis.zone.tolist(), analysis.quadrant.tolist(),
+                  analysis.distance.tolist(), analysis.percentile.tolist())
+    errorspace = {
+        "model_a": analysis.model_a,
+        "model_b": analysis.model_b,
+        "metric": analysis.metric,
+        "points": [
+            {"e1": e1, "e2": e2, "zone": ZONES[z], "quadrant": QUADRANTS[q],
+             "distance": d, "percentile": p}
+            for e1, e2, z, q, d, p in columns
+        ],
+        "summary": {
+            "n": analysis.n,
+            "median2d": list(analysis.median2d),
+            "covariance": analysis.covariance.ravel().tolist(),
+            "crown_threshold": analysis.crown_threshold,
+            "zone_counts": analysis.zone_counts,
+            "quadrant_counts": analysis.quadrant_counts,
+        },
+    }
+    return {**report, "errorspace": errorspace}

@@ -393,6 +393,8 @@ def test_compare_any_scale_exit_contract(k, metric, hex_radius, bandwidth):
             assert err.startswith("error:") and err.count("\n") == 1
             assert not svg.exists()
         if code == 0:
-            report = json.loads(rep.read_text(), parse_constant=_reject_constant)
+            text = rep.read_text()
+            report = json.loads(text, parse_constant=_reject_constant)
+            assert text == json.dumps(report, indent=2) + "\n"
             if jsonschema is not None:
                 jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from errscope import (
 )
 from errscope.errorspace import regularized_inverse
 from errscope.exceptions import DegenerateDistribution, LengthMismatch, NonFinite
-from errscope.report import with_points
+from errscope.report import write_pair_json
 
 
 def pair(a, b):
@@ -212,10 +214,11 @@ def test_analyze_pair_subnormal_covariance_is_degenerate(scale):
     assert np.isfinite(analyze_pair(e, "A", "B", metric="euclidean").distance).all()
 
 
-def test_analysis_serialization_shape():
+def test_analysis_serialization_shape(tmp_path):
     rng = np.random.default_rng(8)
     an = analyze_pair(pair(rng.normal(size=10), rng.normal(size=10)), "A", "B")
-    d = with_points({}, an)["errorspace"]
+    write_pair_json(tmp_path / "report.json", {}, an)
+    d = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["errorspace"]
     assert len(d["points"]) == 10
     assert len(d["summary"]["covariance"]) == 4
     assert set(d["points"][0]) == {"e1", "e2", "zone", "quadrant", "distance", "percentile"}
