@@ -15,7 +15,6 @@ from .density import default_hex_radius, hexbin, kde2d
 from .errorspace import analyze_pair
 from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import parse_predictions
-from .metrics import mae, rmse
 from .render import (
     DEFAULT_LAYERS,
     ERROR_SPACE_LAYERS,
@@ -24,7 +23,8 @@ from .render import (
     render_error_space,
     render_model_grid,
 )
-from .report import build_metrics_report, build_pair_report, to_json, write_pair_json
+from .report import (build_metrics_report, build_pair_report, model_metrics, to_json,
+                     write_pair_json)
 from .synth import SCENARIOS, generate
 
 
@@ -106,16 +106,23 @@ def cmd_synth(args) -> int:
             params[key] = float(value)
         except ValueError:
             raise ErrscopeError(f"--param {key}: {value!r} is not a number") from None
+        if not math.isfinite(params[key]):
+            raise ErrscopeError(f"--param {key}: {value!r} is not finite")
     try:
         ps = generate(args.kind, args.n, seed=args.seed, params=params)
     except ValueError as exc:
         raise ErrscopeError(str(exc)) from None
+    except (FloatingPointError, OverflowError):
+        raise DegenerateDistribution(f"scenario {args.kind} leaves float64 with these "
+                                     "parameters") from None
+    # Checked before the CSV is written, so a failure leaves no file.
+    metrics = model_metrics(ps)
     Path(args.output).write_text(ps.to_csv(), encoding="utf-8", newline="")
 
     print(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}")
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")
-    for m, errors in zip(ps.model_names, ps.errors.T):
-        print(f"{m:<8} {mae(errors):>10.4f} {rmse(errors):>10.4f}")
+    for m, rep in metrics.items():
+        print(f"{m:<8} {rep['mae']:>10.4f} {rep['rmse']:>10.4f}")
     return 0
 
 

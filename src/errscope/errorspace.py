@@ -82,7 +82,12 @@ def median2d(points) -> tuple[float, float]:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 1:
         raise DegenerateDistribution("median2d needs at least one point")
-    return (float(np.median(pts[:, 0])), float(np.median(pts[:, 1])))
+    # The mean of the two middle values of an even count can overflow.
+    with np.errstate(over="ignore"):
+        center = (float(np.median(pts[:, 0])), float(np.median(pts[:, 1])))
+    if not np.isfinite(center).all():
+        raise DegenerateDistribution("error median overflows float64")
+    return center
 
 
 def covariance2(points) -> np.ndarray:

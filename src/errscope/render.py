@@ -33,12 +33,20 @@ ERROR_SPACE_LAYERS = ("zones", "scatter", "proximity", "crown", "kde", "hexbin")
 DEFAULT_LAYERS = ("zones", "proximity", "crown")
 
 
+def _numbers(values):
+    """Lazy strings of a float column: max 6 significant digits, no negative zero.
+    A non-finite entry is an error."""
+    v = np.asarray(values, dtype=float).ravel()
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise DegenerateDistribution(f"figure coordinate {v[bad][0].item()!r} is not finite")
+    # Adding 0.0 turns -0.0, the one value .6g writes as "-0", into 0.0.
+    return map(format, (v + 0.0).tolist(), repeat(".6g"))
+
+
 def fmt(v: float) -> str:
-    """Fixed float formatting: max 6 significant digits, no negative zero."""
-    if not math.isfinite(v):
-        raise DegenerateDistribution(f"figure coordinate {v!r} is not finite")
-    s = format(float(v), ".6g")
-    return "0" if s == "-0" else s
+    """One number as _numbers writes it."""
+    return next(_numbers(v))
 
 
 def rgb(color) -> str:
@@ -55,11 +63,7 @@ def check_layers(layers) -> tuple[str, ...]:
     return layers
 
 
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 # Warm near the center / accurate, cool far away, per the method's reading.
@@ -84,8 +88,9 @@ def colormap(t) -> np.ndarray:
     return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(int)
 
 
-def _fills(t) -> list[str]:
-    return [rgb(c) for c in colormap(t).tolist()]
+def _fills(t):
+    """Lazy "#rrggbb" WARM_COOL fills for an array of t."""
+    return map("#%06x".__mod__, (colormap(t) @ (65536, 256, 1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -110,19 +115,12 @@ class Transform:
         return Transform(sx=sx, tx=left - sx * x0, sy=sy, ty=bottom - sy * y0)
 
 
-def _style(opacity: float | None = None, stroke: str | None = None,
-           stroke_width: float | None = None, cls: str | None = None) -> str:
-    """Optional shape attributes in their fixed order, each after a space."""
-    out = ""
-    if opacity is not None:
-        out += f' fill-opacity="{fmt(opacity)}"'
-    if stroke is not None:
-        out += f' stroke="{stroke}"'
-    if stroke_width is not None:
-        out += f' stroke-width="{fmt(stroke_width)}"'
-    if cls is not None:
-        out += f' class="{cls}"'
-    return out
+def _attrs(**attrs) -> str:
+    """' name="value"' per attribute in call order: numbers through fmt, strings as
+    given, None skipped; cls is written class and each _ as -."""
+    return "".join(f' {"class" if k == "cls" else k.replace("_", "-")}="'
+                   f'{v if isinstance(v, str) else fmt(v)}"'
+                   for k, v in attrs.items() if v is not None)
 
 
 class Figure:
@@ -132,57 +130,53 @@ class Figure:
         self.width = width
         self.height = height
         self.transform = transform
-        self.elements = [f'<rect x="0" y="0" width="{fmt(width)}" height="{fmt(height)}" '
-                         'fill="#ffffff"/>']
+        self.elements = [f'<rect{_attrs(x=0, y=0, width=width, height=height, fill="#ffffff")}/>']
 
-    def circles(self, cx, cy, r: float, fills, **style) -> None:
-        """One circle per entry of the cx, cy columns; fills is one colour
-        or one per circle. style is as for _style."""
+    def _rows(self, head: str, columns, fills, **attrs) -> None:
+        """One element per row of the columns, each filling a %s of head, then fill and attrs.
+        fills is one colour or one per row. Attribute values hold no %."""
         if isinstance(fills, str):
             fills = repeat(fills)
-        r, tail = fmt(r), _style(**style)
-        self.elements.extend(
-            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{r}" fill="{fill}"{tail}/>'
-            for x, y, fill in zip(np.asarray(cx, dtype=float).tolist(),
-                                  np.asarray(cy, dtype=float).tolist(), fills)
-        )
+        row = f'<{head} fill="%s"{_attrs(**attrs)}/>'
+        self.elements.extend(map(row.__mod__, zip(*columns, fills)))
 
-    def rects(self, x, y, w: float, h: float, fills, **style) -> None:
-        """One w-by-h rect per entry of the x, y and fills columns; style is as for _style."""
-        size = f'width="{fmt(w)}" height="{fmt(h)}"'
-        tail = _style(**style)
-        self.elements.extend(
-            f'<rect x="{fmt(x0)}" y="{fmt(y0)}" {size} fill="{fill}"{tail}/>'
-            for x0, y0, fill in zip(np.asarray(x, dtype=float).tolist(),
-                                    np.asarray(y, dtype=float).tolist(), fills)
-        )
+    def circles(self, cx, cy, r: float, fills, **attrs) -> None:
+        """One circle per entry of the cx, cy columns."""
+        self._rows(f'circle cx="%s" cy="%s"{_attrs(r=r)}', (_numbers(cx), _numbers(cy)),
+                   fills, **attrs)
+
+    def rects(self, x, y, w: float, h: float, fills, **attrs) -> None:
+        """One w-by-h rect per entry of the x, y columns."""
+        self._rows(f'rect x="%s" y="%s"{_attrs(width=w, height=h)}', (_numbers(x), _numbers(y)),
+                   fills, **attrs)
+
+    def polygons(self, x, y, fills, **attrs) -> None:
+        """One polygon per row of the (k, v) vertex arrays x, y."""
+        xy = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
+        v = xy.shape[1]
+        points = " ".join(["%s,%s"] * v)
+        # Each row takes the next 2v numbers: x and y of each vertex in turn.
+        self._rows('polygon points="%s"', (map(points.__mod__, zip(*[_numbers(xy)] * (2 * v))),),
+                   fills, **attrs)
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
-        dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
-        self.elements.append(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-                             f'stroke="{stroke}" stroke-width="{fmt(width)}"{dash_attr}/>')
-
-    def polygon(self, points: list[tuple[float, float]], fill: str, **style) -> None:
-        pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
-        self.elements.append(f'<polygon points="{pts}" fill="{fill}"{_style(**style)}/>')
+        attrs = _attrs(x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=width,
+                       stroke_dasharray=dash)
+        self.elements.append(f"<line{attrs}/>")
 
     def text(self, x: float, y: float, content: str, size: float = 14.0,
              anchor: str = "middle") -> None:
-        self.elements.append(
-            f'<text x="{fmt(x)}" y="{fmt(y)}" text-anchor="{anchor}" '
-            f'font-size="{fmt(size)}" font-family="sans-serif" fill="#000000">'
-            f"{_escape(content)}</text>"
-        )
+        attrs = _attrs(x=x, y=y, text_anchor=anchor, font_size=size, font_family="sans-serif",
+                       fill="#000000")
+        self.elements.append(f"<text{attrs}>{content.translate(_XML_ESCAPES)}</text>")
 
     def to_svg(self) -> str:
-        head = (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{fmt(self.width)}" height="{fmt(self.height)}" '
-            f'viewBox="0 0 {fmt(self.width)} {fmt(self.height)}">\n'
-        )
-        return head + "\n".join(self.elements) + "\n</svg>\n"
+        box = " ".join(_numbers([0, 0, self.width, self.height]))
+        svg = _attrs(xmlns="http://www.w3.org/2000/svg", version="1.1", width=self.width,
+                     height=self.height, viewBox=box)
+        return ('<?xml version="1.0" encoding="UTF-8"?>\n'
+                f"<svg{svg}>\n" + "\n".join(self.elements) + "\n</svg>\n")
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -192,6 +186,8 @@ class Figure:
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], about six of them."""
     span = hi - lo
+    if not math.isfinite(span):
+        raise DegenerateDistribution(f"axis span from {lo!r} to {hi!r} overflows float64")
     raw = span / 6
     if raw < np.finfo(float).tiny:
         # A subnormal step's power of ten can round to 0, and log10(0) fails.
@@ -238,26 +234,18 @@ def render_boxplots(stats: list[tuple[str, dict]]) -> Figure:
     if lo <= 0.0 <= hi:
         fig.line(MARGIN, zero_y, width - MARGIN, zero_y, "#999999", dash="4 4")
 
-    box_halfwidth = 0.3
     for i, (name, s) in enumerate(stats):
-        cx = i + 0.5
-        x0, _ = tr.apply(cx - box_halfwidth, 0.0)
-        x1, _ = tr.apply(cx + box_halfwidth, 0.0)
-        xc, _ = tr.apply(cx, 0.0)
-        _, y_q1 = tr.apply(0.0, s["q1"])
-        _, y_q3 = tr.apply(0.0, s["q3"])
-        _, y_med = tr.apply(0.0, s["median"])
-        _, y_lo = tr.apply(0.0, s["min_whisker"])
-        _, y_hi = tr.apply(0.0, s["max_whisker"])
-
+        (x0, xc, x1), _ = tr.apply(i + 0.5 + np.array([-0.3, 0.0, 0.3]), 0.0)
+        _, y = tr.apply(0.0, np.array([s["q1"], s["q3"], s["median"], s["min_whisker"],
+                                       s["max_whisker"], *s["outliers"]]))
+        (y_q1, y_q3, y_med, y_lo, y_hi), oy = y[:5], y[5:]
         fig.line(xc, y_lo, xc, y_q1, "#000000")
         fig.line(xc, y_q3, xc, y_hi, "#000000")
         fig.line((x0 + xc) / 2, y_lo, (x1 + xc) / 2, y_lo, "#000000")
         fig.line((x0 + xc) / 2, y_hi, (x1 + xc) / 2, y_hi, "#000000")
-        fig.polygon([(x0, y_q1), (x1, y_q1), (x1, y_q3), (x0, y_q3)],
-                    fill="#c6dbef", stroke="#000000", stroke_width=1.0)
+        fig.polygons([[x0, x1, x1, x0]], [[y_q1, y_q1, y_q3, y_q3]], "#c6dbef",
+                     stroke="#000000", stroke_width=1.0)
         fig.line(x0, y_med, x1, y_med, "#000000", width=2.0)
-        _, oy = tr.apply(0.0, np.array(s["outliers"], dtype=float))
         fig.circles(np.full(oy.size, xc), oy, 2.5, "none", stroke=rgb(SCATTER_COLOR),
                     stroke_width=1.0, cls="outlier")
         fig.text(xc, height - MARGIN + 20, name, size=13)
@@ -274,7 +262,7 @@ def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
     lo = float(min(y_true.min(), y_pred.min()))
     hi = float(max(y_true.max(), y_pred.max()))
     if hi == lo:
-        hi = lo + 1.0
+        hi = lo + max(1.0, math.ulp(lo))
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     tr = Transform.fit(lo, hi, lo, hi, left, left + PANEL_SIZE - 2 * MARGIN,
@@ -315,26 +303,13 @@ def render_model_grid(ps: PredictionSet, order: list[str],
 # ---------------------------------------------------------------------------
 # 2D error space
 
-def _crown_extent(analysis: ErrorSpaceAnalysis) -> tuple[float, float]:
-    t = analysis.crown_threshold
-    if analysis.metric == "euclidean":
-        return (t, t)
-    cov = analysis.covariance
-    return (t * math.sqrt(max(cov[0, 0], 0.0)), t * math.sqrt(max(cov[1, 1], 0.0)))
-
-
-def _crown_curve(analysis: ErrorSpaceAnalysis) -> list[tuple[float, float]]:
-    """Data-space polyline of the ellipse at distance = crown_threshold."""
-    t = analysis.crown_threshold
-    cx, cy = analysis.median2d
+def _crown_curve(analysis: ErrorSpaceAnalysis) -> tuple[np.ndarray, np.ndarray]:
+    """Data-space x and y of the ellipse at distance = crown_threshold."""
+    a = 2.0 * math.pi * np.arange(CROWN_SEGMENTS) / CROWN_SEGMENTS
+    u = np.column_stack([np.cos(a), np.sin(a)])
     chol = np.linalg.cholesky(analysis.covariance)
-    pts = []
-    for k in range(CROWN_SEGMENTS):
-        a = 2.0 * math.pi * k / CROWN_SEGMENTS
-        u = np.array([math.cos(a), math.sin(a)])
-        v = t * (chol @ u)
-        pts.append((cx + float(v[0]), cy + float(v[1])))
-    return pts
+    t, (cx, cy) = analysis.crown_threshold, analysis.median2d
+    return cx + t * (u @ chol[0]), cy + t * (u @ chol[1])
 
 
 def render_error_space(analysis: ErrorSpaceAnalysis,
@@ -352,9 +327,10 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     if "hexbin" in layers and hexgrid is None:
         raise MissingLayerInput("hexbin layer requested without a HexbinLayer")
 
-    e = analysis.e
-    ex, ey = _crown_extent(analysis)
-    cx, cy = analysis.median2d
+    e, t, (cx, cy) = analysis.e, analysis.crown_threshold, analysis.median2d
+    # The crown's half-extent along each axis.
+    ex, ey = (t, t) if analysis.metric == "euclidean" else (
+        t * math.sqrt(max(analysis.covariance[i, i], 0.0)) for i in (0, 1))
     limit = max(float(np.abs(e).max()), abs(cx) + ex, abs(cy) + ey, 1e-12) * 1.05
 
     tr = Transform.fit(-limit, limit, -limit, limit, MARGIN, PANEL_SIZE - MARGIN,
@@ -370,38 +346,26 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
             ix, iy = np.nonzero(kde.values > 0.01 * vmax)
             x0, y0 = tr.apply(kde.xs[ix] - dx / 2, kde.ys[iy] + dy / 2)
             fig.rects(x0, y0, abs(tr.sx) * dx, abs(tr.sy) * dy,
-                      _fills(1.0 - kde.values[ix, iy] / vmax), opacity=0.6)
+                      _fills(1.0 - kde.values[ix, iy] / vmax), fill_opacity=0.6)
 
     if "hexbin" in layers:
         counts = hexgrid.cells[:, 2]
-        fills = _fills(1.0 - counts / counts.max())
         vx, vy = tr.apply(*np.moveaxis(hex_corners(hexgrid), -1, 0))  # (k, 6) each
-        for xs, ys, fill in zip(vx.tolist(), vy.tolist(), fills):
-            fig.polygon(list(zip(xs, ys)), fill=fill, opacity=0.7, cls="hex")
+        fig.polygons(vx, vy, _fills(1.0 - counts / counts.max()), fill_opacity=0.7, cls="hex")
 
+    # Canvas x of -limit, 0, limit and canvas y of limit, 0, -limit (top to bottom).
+    (x0, xmid, x1), (y1, ymid, y0) = tr.apply(limit * np.array([-1.0, 0.0, 1.0]),
+                                              limit * np.array([1.0, 0.0, -1.0]))
     if "zones" in layers:
-        origin = tr.apply(0.0, 0.0)
-        tl = tr.apply(-limit, limit)
-        tright = tr.apply(limit, limit)
-        bl = tr.apply(-limit, -limit)
-        br = tr.apply(limit, -limit)
-        # |e2| > |e1|: model A's error is smaller -> orange hourglass.
-        fig.polygon([origin, tl, tright], rgb(ZONE_A_FILL), opacity=ZONE_OPACITY,
-                    cls="zone-a")
-        fig.polygon([origin, bl, br], rgb(ZONE_A_FILL), opacity=ZONE_OPACITY,
-                    cls="zone-a")
-        fig.polygon([origin, tl, bl], rgb(ZONE_B_FILL), opacity=ZONE_OPACITY,
-                    cls="zone-b")
-        fig.polygon([origin, tright, br], rgb(ZONE_B_FILL), opacity=ZONE_OPACITY,
-                    cls="zone-b")
-        fig.line(*bl, *tright, "#666666")
-        fig.line(*tl, *br, "#666666")
+        # |e2| > |e1|: model A's error is smaller -> orange hourglass (top and bottom).
+        fig.polygons([[xmid, x0, x1]] * 2, [[ymid, y1, y1], [ymid, y0, y0]], rgb(ZONE_A_FILL),
+                     fill_opacity=ZONE_OPACITY, cls="zone-a")
+        fig.polygons([[xmid, x0, x0], [xmid, x1, x1]], [[ymid, y1, y0]] * 2, rgb(ZONE_B_FILL),
+                     fill_opacity=ZONE_OPACITY, cls="zone-b")
+        fig.line(x0, y0, x1, y1, "#666666")
+        fig.line(x0, y1, x1, y0, "#666666")
 
     # Axes through the origin.
-    x0, ymid = tr.apply(-limit, 0.0)
-    x1, _ = tr.apply(limit, 0.0)
-    xmid, y0 = tr.apply(0.0, -limit)
-    _, y1 = tr.apply(0.0, limit)
     fig.line(x0, ymid, x1, ymid, "#000000")
     fig.line(xmid, y0, xmid, y1, "#000000")
     for tick in _nice_ticks(-limit, limit):
@@ -416,19 +380,17 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
 
     if "crown" in layers:
         if analysis.metric == "euclidean":
-            ccx, ccy = tr.apply(cx, cy)
-            fig.circles([ccx], [ccy], abs(tr.sx) * analysis.crown_threshold, "none",
+            fig.circles(*tr.apply(np.array([cx]), np.array([cy])), abs(tr.sx) * t, "none",
                         stroke="#ffffff", stroke_width=2.0, cls="crown")
         else:
-            verts = [tr.apply(x, y) for x, y in _crown_curve(analysis)]
-            fig.polygon(verts, fill="none", stroke="#ffffff", stroke_width=2.0,
-                        cls="crown")
+            vx, vy = tr.apply(*_crown_curve(analysis))
+            fig.polygons([vx], [vy], "none", stroke="#ffffff", stroke_width=2.0, cls="crown")
 
     px, py = tr.apply(e[:, 0], e[:, 1])
     if "proximity" in layers:
         fig.circles(px, py, POINT_RADIUS, _fills(analysis.percentile), cls="pt")
     elif "scatter" in layers:
-        fig.circles(px, py, POINT_RADIUS, rgb(SCATTER_COLOR), opacity=0.7, cls="pt")
+        fig.circles(px, py, POINT_RADIUS, rgb(SCATTER_COLOR), fill_opacity=0.7, cls="pt")
 
     fig.text(PANEL_SIZE - MARGIN, ymid - 8, f"error {analysis.model_a}",
              size=13, anchor="end")

@@ -25,15 +25,22 @@ DECISIONS = {
 }
 
 
-def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
-    """Per-model metrics, boxplot stats and ranking as a JSON-able dict."""
-    reports, per_model = {}, {}
+def model_metrics(ps: PredictionSet) -> dict[str, dict]:
+    """metric_report of each model, by name; a metric that overflows float64 is an error."""
+    reports = {}
     for m, errors in zip(ps.model_names, ps.errors.T):
         with np.errstate(over="ignore"):
             reports[m] = rep = metric_report(errors, ps.y_true)
         if not (math.isfinite(rep["rmse"]) and math.isfinite(rep["r_squared"] or 0.0)):
             raise DegenerateDistribution(f"metrics of model {m!r} overflow float64")
-        per_model[m] = {"metrics": rep, "boxplot": boxplot_stats(errors)}
+    return reports
+
+
+def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
+    """Per-model metrics, boxplot stats and ranking as a JSON-able dict."""
+    reports = model_metrics(ps)
+    per_model = {m: {"metrics": rep, "boxplot": boxplot_stats(errors)}
+                 for (m, rep), errors in zip(reports.items(), ps.errors.T)}
     warnings = []
     dups = ps.duplicate_ids()
     if dups:
@@ -74,6 +81,18 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
 # %r of a Python float is the text json writes for it.
 _POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        "zone": "%s",\n'
           '        "quadrant": "%s",\n        "distance": %r,\n        "percentile": %r\n      }')
+# Rows converted to Python objects at a time: it bounds the writer's memory, not its bytes.
+POINT_CHUNK = 1 << 14
+
+
+def _point_rows(analysis: ErrorSpaceAnalysis):
+    """The _POINT row of each instance, converting POINT_CHUNK rows of the columns at a time."""
+    for i in range(0, analysis.n, POINT_CHUNK):
+        rows = slice(i, i + POINT_CHUNK)
+        yield from map(_POINT.__mod__, zip(
+            *analysis.e[rows].T.tolist(), map(ZONES.__getitem__, analysis.zone[rows].tolist()),
+            map(QUADRANTS.__getitem__, analysis.quadrant[rows].tolist()),
+            analysis.distance[rows].tolist(), analysis.percentile[rows].tolist()))
 
 
 def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
@@ -97,10 +116,7 @@ def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     }
     # json escapes every '"' inside a string, so only the key itself matches.
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
-    rows = map(_POINT.__mod__, zip(
-        *analysis.e.T.tolist(), map(ZONES.__getitem__, analysis.zone.tolist()),
-        map(QUADRANTS.__getitem__, analysis.quadrant.tolist()),
-        analysis.distance.tolist(), analysis.percentile.tolist()))
+    rows = _point_rows(analysis)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"points": [' + next(rows)[1:])  # n >= 1; no comma before the first
         fh.writelines(rows)

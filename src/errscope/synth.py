@@ -134,7 +134,9 @@ SCENARIOS = {
 def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None = None
              ) -> PredictionSet:
     """Run the generator of a scenario kind; params are its keyword
-    arguments other than n and seed."""
+    arguments other than n and seed. A float64 overflow, invalid operation
+    or division by zero raises FloatingPointError (OverflowError in Python
+    float arithmetic)."""
     if kind not in SCENARIOS:
         raise ValueError(f"unknown scenario kind {kind!r}; "
                          f"known: {', '.join(sorted(SCENARIOS))}")
@@ -143,4 +145,5 @@ def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None =
     unknown = set(params) - (set(inspect.signature(fn).parameters) - {"n", "seed"})
     if unknown:
         raise ValueError(f"unknown parameter(s) for {kind!r}: {', '.join(sorted(unknown))}")
-    return fn(n, seed=seed, **params)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return fn(n, seed=seed, **params)

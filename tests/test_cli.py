@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import tempfile
@@ -14,7 +15,8 @@ import errscope.report
 from errscope import analyze_pair, parse_predictions, render_error_space
 from errscope.cli import main
 from errscope.metrics import boxplot_stats
-from errscope.synth import generate
+from errscope.render import ERROR_SPACE_LAYERS
+from errscope.synth import SCENARIOS, generate
 
 try:
     import jsonschema
@@ -62,6 +64,25 @@ def test_synth_size_as_param_exits_2(tmp_path, capsys):
     assert main(["synth", "--kind", "under_vs_over", "--n", "10",
                  "--param", "n=5", "-o", str(tmp_path / "x.csv")]) == 2
     assert "unknown parameter(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--kind", "correlated_pair", "--n", "40", "--param", "sigma=1e200"], 3,
+     "error: scenario correlated_pair leaves float64 with these parameters\n"),
+    (["--kind", "equal_metrics_divergent", "--n", "5", "--seed", "1", "--param", "jitter=1e308"],
+     3, "error: metrics of model 'D1' overflow float64\n"),
+    (["--kind", "correlated_pair", "--n", "40", "--param", "sigma=nan"], 2,
+     "error: --param sigma: 'nan' is not finite\n"),
+    (["--kind", "outlier_vs_moderate", "--n", "40", "--param", "moderate_sigma=5e-324"], 3,
+     "error: scenario outlier_vs_moderate leaves float64 with these parameters\n"),
+], ids=["sigma_1e200", "jitter_1e308", "sigma_nan", "moderate_sigma_subnormal"])
+def test_synth_float64_edges_write_nothing(tmp_path, capsys, argv, code, err):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        assert main(["synth", *argv, "-o", str(out)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
 
 
 def test_metrics_json_report(demo_csv, capsys):
@@ -231,6 +252,22 @@ def test_metrics_plots_float64_edges_exit_3(tmp_path, capsys, rows):
     assert list(figs.glob("*.svg")) == []
 
 
+@pytest.mark.parametrize("value", ["1e16", "-1e16", "9007199254740992", "1e308", "-1.7e308"])
+@pytest.mark.parametrize("flags", [[], ["--global-scale"]], ids=["per_panel", "global_scale"])
+def test_metrics_plots_huge_constant_target(tmp_path, capsys, value, flags):
+    # Truth and prediction are one constant: the panel pads its zero span by
+    # at least one ulp, since adding 1.0 is lost at this magnitude.
+    path = tmp_path / "in.csv"
+    path.write_text(f"id,y_true,M1\nr0,{value},{value}\n")
+    figs = tmp_path / "figs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["metrics", str(path), "--plots", str(figs), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in figs.glob("*.svg")) == ["boxplots.svg",
+                                                        "pred_vs_actual_grid.svg"]
+
+
 def test_compare_default_layers(demo_csv, tmp_path):
     svgs = []
     for tag, flags in (("default", []), ("explicit", ["--layers", "zones,proximity,crown"])):
@@ -340,6 +377,8 @@ EDGE_CASES = {
     "hex_radius_1e-20": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e-20"]),
     "hex_radius_1e308": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e308"]),
     "hex_radius_1.7e308": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1.7e308"]),
+    # A finite axis limit whose span, twice the limit, overflows.
+    "axis_span_1e308": (np.array([[1e308, 1e308]]), ["--metric", "euclidean", "--layers", "zones"]),
 }
 
 
@@ -364,6 +403,14 @@ def test_compare_other_model_overflow_leaves_no_svg(tmp_path):
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def assert_strict_report(text: str) -> None:
+    """text is RFC 8259 JSON in the canonical layout, valid against the shipped schema."""
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert text == json.dumps(report, indent=2) + "\n"
+    if jsonschema is not None:
+        jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -393,8 +440,95 @@ def test_compare_any_scale_exit_contract(k, metric, hex_radius, bandwidth):
             assert err.startswith("error:") and err.count("\n") == 1
             assert not svg.exists()
         if code == 0:
-            text = rep.read_text()
-            report = json.loads(text, parse_constant=_reject_constant)
-            assert text == json.dumps(report, indent=2) + "\n"
-            if jsonschema is not None:
-                jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
+            assert_strict_report(rep.read_text())
+
+
+# Cells of the tiny CSVs: float64 edges, then an empty cell, a word and nan.
+NUMBERS = ["0", "1", "-1", "1e16", "-1e16", "1e308", "-1e308", "5e-324", "1e-160"]
+BAD_CELLS = ["", "x", "nan"]
+# Files a run may write; the test puts them in a fresh directory.
+FILES = ("in.csv", "figs", "x.svg", "rep.json", "out.csv")
+
+
+def _flag(name, values=st.just(None)):
+    """No flag, or the flag with one drawn value (None: the flag alone)."""
+    return st.just([]) | values.map(lambda v: [name] if v is None else [name, v])
+
+
+_positive = st.floats(5e-324, 1.7e308).map(repr)
+
+
+@st.composite
+def cli_cases(draw) -> tuple[list[str], str]:
+    """(argv, CSV text): metrics or compare on a CSV of 1-8 rows and 1-3 models, or synth."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    # A few numbers per case, so that many cases keep to one magnitude and reach the figures.
+    pool = st.sampled_from(draw(st.lists(st.sampled_from(NUMBERS), min_size=1, unique=True)))
+    cells = [[draw(pool) for _ in range(m + 1)] for _ in range(n)]
+    bad = draw(st.none() | st.sampled_from(BAD_CELLS))
+    if bad is not None:  # at most one bad cell, so most inputs parse
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, m))] = bad
+    names = [f"M{j}" for j in range(1, m + 1)]
+    csv = "".join(",".join(row) + "\n" for row in [["id", "y_true", *names]]
+                  + [[f"r{i}", *row] for i, row in enumerate(cells)])
+    command = draw(st.sampled_from(["metrics", "compare", "synth"]))
+    if command == "metrics":
+        argv = ["metrics", "in.csv", *draw(_flag("--plots", st.just("figs"))),
+                *draw(_flag("--global-scale")), *draw(_flag("--json"))]
+    elif command == "compare":
+        layers = st.lists(st.sampled_from(ERROR_SPACE_LAYERS), min_size=1, unique=True)
+        argv = ["compare", "in.csv", "--a", draw(st.sampled_from(names)),
+                "--b", draw(st.sampled_from(names)),
+                "--metric", draw(st.sampled_from(["euclidean", "mahalanobis"])),
+                "--layers", ",".join(draw(layers)),
+                *draw(_flag("--bandwidth", st.tuples(_positive, _positive).map(",".join))),
+                *draw(_flag("--hex-radius", _positive)),
+                *draw(_flag("--json", st.just("rep.json"))),
+                "-o", "x.svg"]
+    else:
+        kind = draw(st.sampled_from(sorted(SCENARIOS)))
+        keys = sorted(set(inspect.signature(SCENARIOS[kind]).parameters) - {"n", "seed"})
+        params = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(NUMBERS + ["nan"])))
+        argv = _synth(kind, draw(st.integers(-1, 40)), *(f"{k}={v}" for k, v in params.items()),
+                      seed=draw(st.integers(0, 3)))
+    return argv, csv
+
+
+def _synth(kind, n, *params, seed=0):
+    return ["synth", "--kind", kind, "--n", str(n), "--seed", str(seed), "-o", "out.csv",
+            *sum((["--param", p] for p in params), [])]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=cli_cases())
+@example(case=(["metrics", "in.csv", "--plots", "figs"], "id,y_true,M1\nr0,1e16,1e16\n"))
+@example(case=(["metrics", "in.csv", "--plots", "figs", "--global-scale"],
+               "id,y_true,M1\nr0,-1e16,-1e16\n"))
+@example(case=(["compare", "in.csv", "--a", "M1", "--b", "M1", "--metric", "euclidean",
+                "--layers", "zones", "-o", "x.svg"], "id,y_true,M1\nr0,0,1e308\n"))
+@example(case=(["compare", "in.csv", "--a", "M1", "--b", "M1", "--metric", "euclidean",
+                "--layers", "zones", "-o", "x.svg"], "id,y_true,M1\nr0,0,-1e308\nr1,0,-1e308\n"))
+@example(case=(_synth("correlated_pair", 40, "sigma=1e200"), ""))
+@example(case=(_synth("equal_metrics_divergent", 5, "jitter=1e308", seed=1), ""))
+@example(case=(_synth("correlated_pair", 40, "sigma=nan"), ""))
+@example(case=(_synth("outlier_vs_moderate", 40, "moderate_sigma=5e-324"), ""))
+def test_cli_exit_contract(case):
+    """Exit 0, 2 or 3 on any tiny input and flag values. A failure prints one
+    error line and writes nothing; a report written is strict, schema-valid JSON."""
+    argv, csv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.csv").write_text(csv)
+        argv = [str(tmp / a) if a in FILES else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            assert [p.name for p in tmp.iterdir()] == ["in.csv"]
+        elif argv[0] == "metrics" and "--json" in argv:
+            assert_strict_report(out.getvalue())
+        elif "--json" in argv:
+            assert_strict_report((tmp / "rep.json").read_text())

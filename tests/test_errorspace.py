@@ -64,6 +64,9 @@ def test_median2d():
     assert median2d([(0, 0), (2, 4), (10, -4)]) == (2.0, 0.0)
     sym = [(1, 1), (-1, -1), (2, -2), (-2, 2)]
     assert median2d(sym) == (0.0, 0.0)
+    # The two middle values sum past float64 (any numpy warning fails the test).
+    with pytest.raises(DegenerateDistribution, match="median overflows"):
+        median2d([(-1e308, 0.0), (-1e308, 0.0)])
 
 
 def test_covariance2_hand_values():
