@@ -117,7 +117,8 @@ def cmd_synth(args) -> int:
                                      "parameters") from None
     # Checked before the CSV is written, so a failure leaves no file.
     metrics = model_metrics(ps)
-    Path(args.output).write_text(ps.to_csv(), encoding="utf-8", newline="")
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        ps.write_csv(fh)
 
     print(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}")
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")

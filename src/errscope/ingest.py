@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,14 @@ from .exceptions import (
     NonNumeric,
     UnknownModel,
 )
+
+CSV_CHUNK = 1 << 14
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """One CSV field: quoted, with each quote doubled, when it holds a comma, quote, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +99,22 @@ class PredictionSet:
             seen.add(iid)
         return list(dups)
 
-    def to_csv(self) -> str:
-        """Canonical wide-CSV serialization (parse is its left inverse)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("id", "y_true") + self.model_names)
-        # tolist() gives Python floats, whose repr is the shortest exact form;
-        # converting whole columns avoids a list object per row.
-        columns = [self.y_true.tolist()] + self.predictions.T.tolist()
-        writer.writerows(zip(self.instance_ids, *(map(repr, c) for c in columns)))
-        return buf.getvalue()
+    def write_csv(self, fh) -> None:
+        """Write the canonical wide CSV to an open text file (parse is its left inverse).
+
+        Open the file with newline="". Rows are formatted from CSV_CHUNK rows of
+        the arrays at a time, so no copy of the table or the text is built;
+        tolist() gives Python floats, whose repr is the shortest exact form.
+        """
+        fh.write(",".join(map(_csv_field, ("id", "y_true") + self.model_names)) + "\n")
+        row = "%s" + ",%r" * (1 + len(self.model_names)) + "\n"
+        for i in range(0, self.n, CSV_CHUNK):
+            rows = slice(i, i + CSV_CHUNK)
+            ids = self.instance_ids[rows]
+            if _NEEDS_QUOTES.search("".join(ids)):  # plain ids pass through untouched
+                ids = map(_csv_field, ids)
+            fh.writelines(map(row.__mod__, zip(
+                ids, self.y_true[rows].tolist(), *self.predictions[rows].T.tolist())))
 
 
 def _non_numeric(row: list[str], header: list[str], lineno: int) -> NonNumeric:

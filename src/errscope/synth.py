@@ -122,6 +122,10 @@ def gen_correlated_pair(n: int, correlation: float = 0.9, sigma: float = 10.0,
                                sigma=sigma, seed=seed)
 
 
+# Spreads and magnitudes; a generator may square one, so a negative value
+# would otherwise pass as its absolute value.
+SCALE_PARAMS = frozenset({"sigma", "moderate_sigma", "jitter", "level"})
+
 SCENARIOS = {
     "outlier_vs_moderate": gen_outlier_vs_moderate,
     "under_vs_over": gen_under_vs_over,
@@ -134,9 +138,9 @@ SCENARIOS = {
 def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None = None
              ) -> PredictionSet:
     """Run the generator of a scenario kind; params are its keyword
-    arguments other than n and seed. A float64 overflow, invalid operation
-    or division by zero raises FloatingPointError (OverflowError in Python
-    float arithmetic)."""
+    arguments other than n and seed, and those in SCALE_PARAMS must be >= 0.
+    A float64 overflow, invalid operation or division by zero raises
+    FloatingPointError (OverflowError in Python float arithmetic)."""
     if kind not in SCENARIOS:
         raise ValueError(f"unknown scenario kind {kind!r}; "
                          f"known: {', '.join(sorted(SCENARIOS))}")
@@ -145,5 +149,8 @@ def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None =
     unknown = set(params) - (set(inspect.signature(fn).parameters) - {"n", "seed"})
     if unknown:
         raise ValueError(f"unknown parameter(s) for {kind!r}: {', '.join(sorted(unknown))}")
+    for key, value in params.items():
+        if key in SCALE_PARAMS and not value >= 0.0:
+            raise ValueError(f"--param {key}: must be >= 0, got {value!r}")
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         return fn(n, seed=seed, **params)

@@ -1,5 +1,7 @@
 """Scalar reference implementations the tests check the package against."""
 
+import csv
+import io
 import math
 from collections import Counter
 
@@ -92,6 +94,18 @@ def same_prediction_set(a, b) -> bool:
             and np.array_equal(a.y_true, b.y_true)
             and np.array_equal(a.predictions, b.predictions)
             and np.array_equal(a.errors, b.errors))
+
+
+def to_csv(ps) -> str:
+    """Wide-CSV text of a PredictionSet through csv.writer, in one string."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "y_true") + ps.model_names)
+    # tolist() gives Python floats, whose repr is the shortest exact form;
+    # converting whole columns avoids a list object per row.
+    columns = [ps.y_true.tolist()] + ps.predictions.T.tolist()
+    writer.writerows(zip(ps.instance_ids, *(map(repr, c) for c in columns)))
+    return buf.getvalue()
 
 
 def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:

@@ -85,6 +85,20 @@ def test_synth_float64_edges_write_nothing(tmp_path, capsys, argv, code, err):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("outlier_vs_moderate", "moderate_sigma"), ("under_vs_over", "sigma"),
+    ("equal_metrics_divergent", "jitter"), ("equal_metrics_divergent", "level"),
+    ("asymmetric_pair", "sigma"), ("correlated_pair", "sigma"),
+])
+def test_synth_negative_scale_exits_2(tmp_path, capsys, kind, key):
+    # asymmetric_pair and correlated_pair square sigma, so -1 used to pass as 1.
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--kind", kind, "--n", "40", "--param", f"{key}=-1",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --param {key}: must be >= 0, got -1.0\n")
+    assert not out.exists()
+
+
 def test_metrics_json_report(demo_csv, capsys):
     assert main(["metrics", str(demo_csv), "--sort", "mae", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,11 +1,14 @@
+import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import same_prediction_set
+from hypothesis import example, given, settings, strategies as st
+from oracles import same_prediction_set, to_csv
 
-from errscope import PredictionSet, parse_predictions
+from errscope import PredictionSet, generate, parse_predictions
 from errscope.exceptions import (
     DuplicateModelName,
     LengthMismatch,
@@ -14,6 +17,7 @@ from errscope.exceptions import (
     NonNumeric,
     UnknownModel,
 )
+from errscope.ingest import CSV_CHUNK
 
 
 def test_minimal_csv():
@@ -100,15 +104,80 @@ def test_json_inconsistent_model_sets():
         parse_predictions(text, format="json")
 
 
+def written_csv(ps) -> str:
+    buf = io.StringIO(newline="")
+    ps.write_csv(buf)
+    return buf.getvalue()
+
+
 def test_serialize_parse_roundtrip():
     ps = parse_predictions("id,y_true,M1,M2\na,1.5,2.25,0.125\nb,-3.0,3.0,1e-9")
-    assert same_prediction_set(parse_predictions(ps.to_csv()), ps)
+    assert same_prediction_set(parse_predictions(written_csv(ps)), ps)
     instances = [
         {"id": iid, "y_true": y, "predictions": dict(zip(ps.model_names, preds))}
         for iid, y, preds in zip(ps.instance_ids, ps.y_true.tolist(), ps.predictions.tolist())
     ]
     assert same_prediction_set(
         parse_predictions(json.dumps({"instances": instances}), format="json"), ps)
+
+
+# Every character csv quoting could care about, plus a few that it must leave alone.
+FIELDS = st.text(st.sampled_from([",", '"', "\r", "\n", "\x0c", "#", " ", "\u00e9", "a", "0"]),
+                 max_size=5)
+SPECIAL_VALUES = [-0.0, 5e-324, 1e308, -1e308]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(ids=st.lists(FIELDS, min_size=1, max_size=6),
+       names=st.lists(FIELDS.filter(bool), min_size=1, max_size=3, unique=True),
+       floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+       n=st.integers(1, 40) | st.integers(1, CSV_CHUNK + 1),
+       seed=st.integers(0, 2**32 - 1))
+@example(ids=["a\rb", "c"], names=["M"], floats=[], n=CSV_CHUNK + 1, seed=0)
+@example(ids=["c0"], names=["C1", "C2"], floats=[1.5], n=CSV_CHUNK + 1, seed=1)
+def test_write_csv_parse_roundtrip(ids, names, floats, n, seed):
+    """parse_predictions is the left inverse of write_csv, bit for bit, and
+    without a CR in any field the bytes are those of csv.writer."""
+    table = np.random.default_rng(seed).choice(SPECIAL_VALUES + floats, size=(n, 1 + len(names)))
+    y, preds = table[:, 0], table[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an error that overflows is refused
+        preds = np.where(np.isfinite(preds - y[:, None]), preds, y[:, None])
+    ps = PredictionSet(tuple(ids[i % len(ids)] for i in range(n)), y, tuple(names), preds)
+    text = written_csv(ps)
+    back = parse_predictions(text)
+    assert back.instance_ids == ps.instance_ids
+    assert back.model_names == ps.model_names
+    assert bits(back.y_true) == bits(ps.y_true)
+    assert bits(back.predictions) == bits(ps.predictions)
+    if "\r" not in "".join(ids + names):
+        assert text == to_csv(ps)
+
+
+@pytest.mark.parametrize("text", [
+    'id,y_true,M\n"a\rb",1.0,2.0\n',
+    'id,y_true,"a\rb",M\nx,1.0,2.0,3.0\n',
+], ids=["id", "model_name"])
+def test_write_csv_quotes_carriage_return(text):
+    # csv.writer leaves a field with a CR but no LF unquoted, which its reader splits.
+    ps = parse_predictions(text)
+    assert written_csv(ps) == text
+    assert same_prediction_set(parse_predictions(written_csv(ps)), ps)
+
+
+def test_write_csv_traced_peak_at_2e5(tmp_path):
+    ps = generate("under_vs_over", 200_000)
+    with open(tmp_path / "synth.csv", "w", encoding="utf-8", newline="") as fh:
+        tracemalloc.start()
+        try:
+            ps.write_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_duplicate_ids_allowed_but_reported():

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -30,7 +31,9 @@ def test_generators_deterministic(kind):
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_generated_sets_pass_ingest(kind):
     ps = generate(kind, 50, seed=1)
-    assert same_prediction_set(parse_predictions(ps.to_csv()), ps)
+    buf = io.StringIO(newline="")
+    ps.write_csv(buf)
+    assert same_prediction_set(parse_predictions(buf.getvalue()), ps)
 
 
 def test_outlier_scenario_profile():
