@@ -7,6 +7,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -19,8 +20,23 @@ from .exceptions import (
     UnknownModel,
 )
 
-CSV_CHUNK = 1 << 14
+# Rows converted to Python objects at a time: it bounds a writer's memory, not its bytes.
+ROW_CHUNK = 1 << 14
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # not valid Unicode; a JSON escape can carry one
+
+
+def rows(template: str, *columns):
+    """template % row over the rows of the equal-length columns, ROW_CHUNK rows at a time.
+
+    A numpy column goes through tolist(), so a float64 formats as a Python float; any
+    other sequence is sliced as it is. chain, not a generator: no frame resumes per row.
+    """
+    def chunk(i):
+        part = slice(i, i + ROW_CHUNK)
+        return map(template.__mod__, zip(*(
+            c[part].tolist() if isinstance(c, np.ndarray) else c[part] for c in columns)))
+    return chain.from_iterable(map(chunk, range(0, len(columns[0]), ROW_CHUNK)))
 
 
 def _csv_field(text: str) -> str:
@@ -57,6 +73,8 @@ class PredictionSet:
             raise MalformedHeader("at least one model column is required")
         if "" in names:
             raise DuplicateModelName("model names must be non-empty")
+        for name in filter(_LONE_SURROGATE.search, names):  # raises on the first
+            raise MalformedHeader(f"model name {name!r} is not valid Unicode")
         if len(set(names)) != len(names):
             dupes = sorted({m for m in names if names.count(m) > 1})
             raise DuplicateModelName(f"duplicate model column(s): {', '.join(dupes)}")
@@ -102,19 +120,15 @@ class PredictionSet:
     def write_csv(self, fh) -> None:
         """Write the canonical wide CSV to an open text file (parse is its left inverse).
 
-        Open the file with newline="". Rows are formatted from CSV_CHUNK rows of
-        the arrays at a time, so no copy of the table or the text is built;
-        tolist() gives Python floats, whose repr is the shortest exact form.
+        Open the file with newline="". Rows are streamed from the arrays through
+        rows(), so no copy of the table or the text is built.
         """
         fh.write(",".join(map(_csv_field, ("id", "y_true") + self.model_names)) + "\n")
-        row = "%s" + ",%r" * (1 + len(self.model_names)) + "\n"
-        for i in range(0, self.n, CSV_CHUNK):
-            rows = slice(i, i + CSV_CHUNK)
-            ids = self.instance_ids[rows]
-            if _NEEDS_QUOTES.search("".join(ids)):  # plain ids pass through untouched
-                ids = map(_csv_field, ids)
-            fh.writelines(map(row.__mod__, zip(
-                ids, self.y_true[rows].tolist(), *self.predictions[rows].T.tolist())))
+        ids = self.instance_ids
+        if _NEEDS_QUOTES.search("".join(ids)):  # plain ids pass through untouched
+            ids = tuple(map(_csv_field, ids))
+        fh.writelines(rows("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
+                           ids, self.y_true, *self.predictions.T))
 
 
 def _non_numeric(row: list[str], header: list[str], lineno: int) -> NonNumeric:

@@ -1,56 +1,50 @@
 """Deterministic SVG rendering of the comparison figures.
 
 Every figure is a standalone SVG 1.1 document with no external resources,
-timestamps or random ids. Numbers are formatted to at most 6 significant
-digits, so identical inputs always serialize to identical bytes.
+timestamps or random ids. Numbers are written with %.6g and fills as #rrggbb,
+so identical inputs always serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
-from .ingest import PredictionSet
+from .ingest import PredictionSet, rows
 
 PANEL_SIZE = 800.0
 MARGIN = 60.0
 GRID_COLUMNS = 4
 CROWN_SEGMENTS = 256
 
-ZONE_A_FILL = (255, 165, 0)   # orange: model A better, |y| > |x|
-ZONE_B_FILL = (34, 139, 34)   # green: model B better, |y| < |x|
+ZONE_A_FILL = "#ffa500"  # orange: model A better, |y| > |x|
+ZONE_B_FILL = "#228b22"  # green: model B better, |y| < |x|
 ZONE_OPACITY = 0.15
 POINT_RADIUS = 3.0
-SCATTER_COLOR = (68, 68, 68)
+SCATTER_COLOR = "#444444"
 
 ERROR_SPACE_LAYERS = ("zones", "scatter", "proximity", "crown", "kde", "hexbin")
 DEFAULT_LAYERS = ("zones", "proximity", "crown")
 
 
-def _numbers(values):
-    """Lazy strings of a float column: max 6 significant digits, no negative zero.
-    A non-finite entry is an error."""
+def _numbers(values) -> np.ndarray:
+    """A float column, flattened, ready for %.6g; a non-finite entry is an error."""
     v = np.asarray(values, dtype=float).ravel()
     bad = ~np.isfinite(v)
     if bad.any():
         raise DegenerateDistribution(f"figure coordinate {v[bad][0].item()!r} is not finite")
-    # Adding 0.0 turns -0.0, the one value .6g writes as "-0", into 0.0.
-    return map(format, (v + 0.0).tolist(), repeat(".6g"))
+    # Adding 0.0 turns -0.0, the one value %.6g writes as "-0", into 0.0.
+    return v + 0.0
 
 
 def fmt(v: float) -> str:
-    """One number as _numbers writes it."""
-    return next(_numbers(v))
-
-
-def rgb(color) -> str:
-    return "#{:02x}{:02x}{:02x}".format(*color)
+    """One number as the figures write it."""
+    return "%.6g" % _numbers(v)[0]
 
 
 def check_layers(layers) -> tuple[str, ...]:
@@ -63,7 +57,10 @@ def check_layers(layers) -> tuple[str, ...]:
     return layers
 
 
-_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# Each character XML 1.0 forbids (C0 controls but tab, LF, CR; U+FFFE, U+FFFF) shows as U+FFFD.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                              **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20),
+                                               0xFFFE, 0xFFFF], "\ufffd")})
 
 
 # Warm near the center / accurate, cool far away, per the method's reading.
@@ -88,9 +85,9 @@ def colormap(t) -> np.ndarray:
     return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(int)
 
 
-def _fills(t):
-    """Lazy "#rrggbb" WARM_COOL fills for an array of t."""
-    return map("#%06x".__mod__, (colormap(t) @ (65536, 256, 1)).tolist())
+def _fills(t) -> np.ndarray:
+    """WARM_COOL fills for an array of t, packed as 0xrrggbb ints."""
+    return colormap(t) @ (65536, 256, 1)
 
 
 @dataclass(frozen=True)
@@ -133,31 +130,29 @@ class Figure:
         self.elements = [f'<rect{_attrs(x=0, y=0, width=width, height=height, fill="#ffffff")}/>']
 
     def _rows(self, head: str, columns, fills, **attrs) -> None:
-        """One element per row of the columns, each filling a %s of head, then fill and attrs.
-        fills is one colour or one per row. Attribute values hold no %."""
-        if isinstance(fills, str):
-            fills = repeat(fills)
-        row = f'<{head} fill="%s"{_attrs(**attrs)}/>'
-        self.elements.extend(map(row.__mod__, zip(*columns, fills)))
+        """One element per row of the columns, which fill the %.6g fields of head. fills is
+        one colour or packed 0xrrggbb ints, one per row. No colour or attribute holds %."""
+        if not isinstance(fills, str):
+            fills, columns = "#%06x", (*columns, fills)
+        self.elements.extend(rows(f'<{head} fill="{fills}"{_attrs(**attrs)}/>', *columns))
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:
         """One circle per entry of the cx, cy columns."""
-        self._rows(f'circle cx="%s" cy="%s"{_attrs(r=r)}', (_numbers(cx), _numbers(cy)),
+        self._rows(f'circle cx="%.6g" cy="%.6g"{_attrs(r=r)}', (_numbers(cx), _numbers(cy)),
                    fills, **attrs)
 
     def rects(self, x, y, w: float, h: float, fills, **attrs) -> None:
         """One w-by-h rect per entry of the x, y columns."""
-        self._rows(f'rect x="%s" y="%s"{_attrs(width=w, height=h)}', (_numbers(x), _numbers(y)),
-                   fills, **attrs)
+        self._rows(f'rect x="%.6g" y="%.6g"{_attrs(width=w, height=h)}',
+                   (_numbers(x), _numbers(y)), fills, **attrs)
 
     def polygons(self, x, y, fills, **attrs) -> None:
         """One polygon per row of the (k, v) vertex arrays x, y."""
         xy = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
-        v = xy.shape[1]
-        points = " ".join(["%s,%s"] * v)
-        # Each row takes the next 2v numbers: x and y of each vertex in turn.
-        self._rows('polygon points="%s"', (map(points.__mod__, zip(*[_numbers(xy)] * (2 * v))),),
-                   fills, **attrs)
+        k, v = xy.shape[:2]
+        # Column 2j of a row is the x of vertex j, column 2j + 1 its y.
+        self._rows('polygon points="%s"' % " ".join(["%.6g,%.6g"] * v),
+                   _numbers(xy).reshape(k, 2 * v).T, fills, **attrs)
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:
@@ -172,7 +167,7 @@ class Figure:
         self.elements.append(f"<text{attrs}>{content.translate(_XML_ESCAPES)}</text>")
 
     def to_svg(self) -> str:
-        box = " ".join(_numbers([0, 0, self.width, self.height]))
+        box = " ".join(map(fmt, (0, 0, self.width, self.height)))
         svg = _attrs(xmlns="http://www.w3.org/2000/svg", version="1.1", width=self.width,
                      height=self.height, viewBox=box)
         return ('<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -246,7 +241,7 @@ def render_boxplots(stats: list[tuple[str, dict]]) -> Figure:
         fig.polygons([[x0, x1, x1, x0]], [[y_q1, y_q1, y_q3, y_q3]], "#c6dbef",
                      stroke="#000000", stroke_width=1.0)
         fig.line(x0, y_med, x1, y_med, "#000000", width=2.0)
-        fig.circles(np.full(oy.size, xc), oy, 2.5, "none", stroke=rgb(SCATTER_COLOR),
+        fig.circles(np.full(oy.size, xc), oy, 2.5, "none", stroke=SCATTER_COLOR,
                     stroke_width=1.0, cls="outlier")
         fig.text(xc, height - MARGIN + 20, name, size=13)
 
@@ -291,8 +286,7 @@ def render_model_grid(ps: PredictionSet, order: list[str],
 
     m = len(order)
     cols = min(m, GRID_COLUMNS)
-    rows = math.ceil(m / GRID_COLUMNS)
-    fig = Figure(cols * PANEL_SIZE, rows * PANEL_SIZE)
+    fig = Figure(cols * PANEL_SIZE, math.ceil(m / GRID_COLUMNS) * PANEL_SIZE)
     for k, (model, j, pct) in enumerate(zip(order, columns, pcts)):
         col, row = k % GRID_COLUMNS, k // GRID_COLUMNS
         _pred_vs_actual_panel(fig, ps.y_true, ps.predictions[:, j], pct,
@@ -358,9 +352,9 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
                                               limit * np.array([1.0, 0.0, -1.0]))
     if "zones" in layers:
         # |e2| > |e1|: model A's error is smaller -> orange hourglass (top and bottom).
-        fig.polygons([[xmid, x0, x1]] * 2, [[ymid, y1, y1], [ymid, y0, y0]], rgb(ZONE_A_FILL),
+        fig.polygons([[xmid, x0, x1]] * 2, [[ymid, y1, y1], [ymid, y0, y0]], ZONE_A_FILL,
                      fill_opacity=ZONE_OPACITY, cls="zone-a")
-        fig.polygons([[xmid, x0, x0], [xmid, x1, x1]], [[ymid, y1, y0]] * 2, rgb(ZONE_B_FILL),
+        fig.polygons([[xmid, x0, x0], [xmid, x1, x1]], [[ymid, y1, y0]] * 2, ZONE_B_FILL,
                      fill_opacity=ZONE_OPACITY, cls="zone-b")
         fig.line(x0, y0, x1, y1, "#666666")
         fig.line(x0, y1, x1, y0, "#666666")
@@ -390,7 +384,7 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
     if "proximity" in layers:
         fig.circles(px, py, POINT_RADIUS, _fills(analysis.percentile), cls="pt")
     elif "scatter" in layers:
-        fig.circles(px, py, POINT_RADIUS, rgb(SCATTER_COLOR), fill_opacity=0.7, cls="pt")
+        fig.circles(px, py, POINT_RADIUS, SCATTER_COLOR, fill_opacity=0.7, cls="pt")
 
     fig.text(PANEL_SIZE - MARGIN, ymid - 8, f"error {analysis.model_a}",
              size=13, anchor="end")

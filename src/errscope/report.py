@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__
 from .errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from .exceptions import DegenerateDistribution
-from .ingest import PredictionSet
+from .ingest import PredictionSet, rows
 from .metrics import boxplot_stats, metric_report, sort_models_by_metric
 
 # Choices the method leaves open; embedded so figures are auditable.
@@ -81,18 +81,6 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
 # %r of a Python float is the text json writes for it.
 _POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        "zone": "%s",\n'
           '        "quadrant": "%s",\n        "distance": %r,\n        "percentile": %r\n      }')
-# Rows converted to Python objects at a time: it bounds the writer's memory, not its bytes.
-POINT_CHUNK = 1 << 14
-
-
-def _point_rows(analysis: ErrorSpaceAnalysis):
-    """The _POINT row of each instance, converting POINT_CHUNK rows of the columns at a time."""
-    for i in range(0, analysis.n, POINT_CHUNK):
-        rows = slice(i, i + POINT_CHUNK)
-        yield from map(_POINT.__mod__, zip(
-            *analysis.e[rows].T.tolist(), map(ZONES.__getitem__, analysis.zone[rows].tolist()),
-            map(QUADRANTS.__getitem__, analysis.quadrant[rows].tolist()),
-            analysis.distance[rows].tolist(), analysis.percentile[rows].tolist()))
 
 
 def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
@@ -116,10 +104,12 @@ def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     }
     # json escapes every '"' inside a string, so only the key itself matches.
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
-    rows = _point_rows(analysis)
+    points = rows(_POINT, *analysis.e.T, np.array(ZONES, dtype=object)[analysis.zone],
+                  np.array(QUADRANTS, dtype=object)[analysis.quadrant], analysis.distance,
+                  analysis.percentile)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '"points": [' + next(rows)[1:])  # n >= 1; no comma before the first
-        fh.writelines(rows)
+        fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
+        fh.writelines(points)
         fh.write("\n    ]" + tail)
 
 

@@ -4,10 +4,12 @@ import csv
 import io
 import math
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
+from errscope.render import Figure, _attrs
 
 
 def check_spd(m) -> None:
@@ -132,3 +134,41 @@ def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
         },
     }
     return {**report, "errorspace": errorspace}
+
+
+def svg_numbers(values):
+    """Lazy strings of a float column: max 6 significant digits, no negative zero."""
+    v = np.asarray(values, dtype=float).ravel()
+    # Adding 0.0 turns -0.0, the one value .6g writes as "-0", into 0.0.
+    return map(format, (v + 0.0).tolist(), repeat(".6g"))
+
+
+class FormatFigure(Figure):
+    """A Figure whose shape rows format each number through format(v, ".6g") and fill
+    a %s row template: the byte reference of Figure's row writer."""
+
+    def _rows(self, head: str, columns, fills, **attrs) -> None:
+        """One element per row of the columns, each filling a %s of head, then fill and attrs.
+        fills is one colour or packed 0xrrggbb ints, one per row."""
+        if isinstance(fills, str):
+            fills = repeat(fills)
+        else:
+            fills = map("#%06x".__mod__, np.asarray(fills).tolist())
+        row = f'<{head} fill="%s"{_attrs(**attrs)}/>'
+        self.elements.extend(map(row.__mod__, zip(*columns, fills)))
+
+    def circles(self, cx, cy, r: float, fills, **attrs) -> None:
+        self._rows(f'circle cx="%s" cy="%s"{_attrs(r=r)}', (svg_numbers(cx), svg_numbers(cy)),
+                   fills, **attrs)
+
+    def rects(self, x, y, w: float, h: float, fills, **attrs) -> None:
+        self._rows(f'rect x="%s" y="%s"{_attrs(width=w, height=h)}',
+                   (svg_numbers(x), svg_numbers(y)), fills, **attrs)
+
+    def polygons(self, x, y, fills, **attrs) -> None:
+        xy = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
+        v = xy.shape[1]
+        points = " ".join(["%s,%s"] * v)
+        # Each row takes the next 2v numbers: x and y of each vertex in turn.
+        self._rows('polygon points="%s"',
+                   (map(points.__mod__, zip(*[svg_numbers(xy)] * (2 * v))),), fills, **attrs)

@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -326,6 +327,50 @@ def test_compare_identical_models(tmp_path, capsys):
     assert report["pair"]["zone_counts"] == {"a_better": 0, "b_better": 0, "tie": 10}
     # constant error vectors: correlation undefined, reported as null
     assert report["pair"]["error_correlation"] is None
+
+
+def two_model_rows(n=20, seed=6):
+    """CSV rows r<i>,truth,first model,second model with spread-out errors."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.0, 10.0, size=n)
+    preds = y[:, None] + rng.normal(size=(n, 2))
+    return [f"r{i},{t!r},{a!r},{b!r}" for i, (t, (a, b)) in enumerate(zip(y.tolist(),
+                                                                          preds.tolist()))]
+
+
+# In an input file, only a JSON escape can carry a lone surrogate; "\udc80" is
+# also how an argument byte 0x80 reaches the CLI.
+@pytest.mark.parametrize("name", ["\ud800", "\udc80"], ids=["d800", "dc80"])
+@pytest.mark.parametrize("args", [
+    ["metrics"],
+    ["metrics", "--json"],
+    ["metrics", "--plots", "figs"],
+    ["compare", "--a", None, "--b", "M2", "-o", "e.svg", "--json", "e.json"],
+], ids=["table", "json", "plots", "compare"])
+def test_lone_surrogate_model_name_exits_2(tmp_path, capsys, monkeypatch, name, args):
+    monkeypatch.chdir(tmp_path)
+    instances = [{"id": i, "y_true": float(t), "predictions": {name: float(a), "M2": float(b)}}
+                 for i, t, a, b in (row.split(",") for row in two_model_rows())]
+    Path("sur.json").write_text(json.dumps({"instances": instances}))  # ASCII, with \u escapes
+    assert main([args[0], "sur.json", *(name if a is None else a for a in args[1:])]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sur.json"]
+
+
+@pytest.mark.parametrize("name", ["a\x01b", "a\x0cb", "a\x1fb"], ids=["x01", "x0c", "x1f"])
+def test_control_character_model_name_svgs_are_xml(tmp_path, capsys, name):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([f"id,y_true,{name},M2", *two_model_rows()]) + "\n")
+    svg, rep, figs = tmp_path / "e.svg", tmp_path / "e.json", tmp_path / "figs"
+    assert main(["compare", str(path), "--a", name, "--b", "M2", "--json", str(rep),
+                 "-o", str(svg)]) == 0
+    assert main(["metrics", str(path), "--plots", str(figs)]) == 0
+    for p in (svg, figs / "boxplots.svg", figs / "pred_vs_actual_grid.svg"):
+        ET.parse(p)  # XML 1.0 has no such character: each shows as U+FFFD
+        assert "a\ufffdb" in p.read_text(encoding="utf-8")
+    assert json.loads(rep.read_text(encoding="utf-8"))["pair"]["model_a"] == name
 
 
 def test_cli_idempotent_byte_identical(demo_csv, tmp_path):

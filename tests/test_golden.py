@@ -114,3 +114,42 @@ def test_metrics_digests(synth_csv, tmp_path, capsys):
            for name in ("boxplots.svg", "pred_vs_actual_grid.svg")}
     got["stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
     assert got == METRICS
+
+
+# Writer paths the digests above leave out, pinned before the three text writers
+# shared one row helper. `compare --layers zones,scatter,crown` on correlated_pair:
+SCATTER = {
+    "euclidean": "23082320c921d1823767855448b1250916d197c760eadd2514bb42b6b1682b52",
+    "mahalanobis": "0174d4fc09b36f65b681cb844da99240c4684c89cfc34d0378686778a5a53545",
+}
+# `metrics --plots DIR --global-scale` on asymmetric_pair
+GLOBAL_GRID = "e815bd615971068adf74fb6318f81d170ef6fd022ce1638e6db5f01c2f459954"
+# under_vs_over at n = 2^14 + 1, one row past the writers' chunk: the synth CSV,
+# then the SVG and report of `compare --layers ALL_LAYERS --json`.
+CHUNK_N = (1 << 14) + 1
+CHUNK = ("e31ff4f3701e34ca867d92b5a3cf4a4e5f90c2004858ec2cd85b4a360f0536f3",
+         "05b266428fa2c5582371aefecdbab095b65e2d6656791e7df5999c098e35f41a",
+         "3d29ab012ae9d6bbbee46e9c6945cc2a87244f7fddcd556201def763177b452d")
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_compare_scatter_digest(synth_csv, tmp_path, metric):
+    svg = tmp_path / "error_space.svg"
+    assert main(["compare", str(synth_csv["correlated_pair"]), "--a", "E1", "--b", "E2",
+                 "--metric", metric, "--layers", "zones,scatter,crown", "-o", str(svg)]) == 0
+    assert sha(svg.read_bytes()) == SCATTER[metric]
+
+
+def test_metrics_global_scale_digest(synth_csv, tmp_path):
+    assert main(["metrics", str(synth_csv["asymmetric_pair"]),
+                 "--plots", str(tmp_path), "--global-scale"]) == 0
+    assert sha((tmp_path / "pred_vs_actual_grid.svg").read_bytes()) == GLOBAL_GRID
+
+
+def test_past_one_chunk_digests(tmp_path):
+    csv, svg, report = (tmp_path / name for name in ("in.csv", "error_space.svg", "report.json"))
+    assert main(["synth", "--kind", "under_vs_over", "--n", str(CHUNK_N), "--seed", str(SEED),
+                 "-o", str(csv)]) == 0
+    assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers", ALL_LAYERS,
+                 "-o", str(svg), "--json", str(report)]) == 0
+    assert tuple(sha(p.read_bytes()) for p in (csv, svg, report)) == CHUNK

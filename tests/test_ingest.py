@@ -17,7 +17,7 @@ from errscope.exceptions import (
     NonNumeric,
     UnknownModel,
 )
-from errscope.ingest import CSV_CHUNK
+from errscope.ingest import ROW_CHUNK
 
 
 def test_minimal_csv():
@@ -135,10 +135,10 @@ def bits(a):
 @given(ids=st.lists(FIELDS, min_size=1, max_size=6),
        names=st.lists(FIELDS.filter(bool), min_size=1, max_size=3, unique=True),
        floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
-       n=st.integers(1, 40) | st.integers(1, CSV_CHUNK + 1),
+       n=st.integers(1, 40) | st.integers(1, ROW_CHUNK + 1),
        seed=st.integers(0, 2**32 - 1))
-@example(ids=["a\rb", "c"], names=["M"], floats=[], n=CSV_CHUNK + 1, seed=0)
-@example(ids=["c0"], names=["C1", "C2"], floats=[1.5], n=CSV_CHUNK + 1, seed=1)
+@example(ids=["a\rb", "c"], names=["M"], floats=[], n=ROW_CHUNK + 1, seed=0)
+@example(ids=["c0"], names=["C1", "C2"], floats=[1.5], n=ROW_CHUNK + 1, seed=1)
 def test_write_csv_parse_roundtrip(ids, names, floats, n, seed):
     """parse_predictions is the left inverse of write_csv, bit for bit, and
     without a CR in any field the bytes are those of csv.writer."""

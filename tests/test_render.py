@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import find_all, point_in_polygon, polygon_points
-from oracles import colormap_rgb
+from oracles import FormatFigure, colormap_rgb
 
 from errscope import (
     WARM_COOL,
@@ -17,7 +17,8 @@ from errscope import (
     render_model_grid,
 )
 from errscope.exceptions import DegenerateDistribution, MissingLayerInput, UnknownModel
-from errscope.render import colormap, fmt, rgb
+from errscope.ingest import ROW_CHUNK
+from errscope.render import Figure, colormap, fmt
 
 
 def sample_analysis(n=101, seed=0, metric="mahalanobis", scale_b=1.0):
@@ -35,6 +36,32 @@ def test_fmt_six_significant_digits():
     for v in (float("nan"), float("inf")):
         with pytest.raises(DegenerateDistribution):
             fmt(v)
+
+
+# A signed zero, the smallest subnormal, magnitudes %.6g writes in exponent form,
+# and a tie that rounds to even.
+SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5]
+
+
+@pytest.mark.parametrize("shape", ["circles", "rects", "polygons"])
+@pytest.mark.parametrize("fills", ["per_row", "constant"])
+def test_shape_rows_past_one_chunk_match_reference(shape, fills):
+    rng = np.random.default_rng(14)
+    n = ROW_CHUNK + 1
+    x, y = rng.choice(SVG_EDGES, size=(2, n, 3))
+    fills = rng.integers(0, 1 << 24, size=n) if fills == "per_row" else "none"
+    figs = Figure(10.0, 10.0), FormatFigure(10.0, 10.0)
+    for fig in figs:
+        if shape == "circles":
+            fig.circles(x[:, 0], y[:, 0], 3.0, fills, fill_opacity=0.7, cls="pt")
+        elif shape == "rects":
+            fig.rects(x[:, 0], y[:, 0], 2.5, 1e300, fills, fill_opacity=0.6)
+        else:
+            fig.polygons(x, y, fills, stroke="#000000", cls="hex")
+        assert len(fig.elements) == 1 + n  # the background, then one row each
+    # The first differing row, rather than a diff of two long documents.
+    assert next(((a, b) for a, b in zip(*(f.elements for f in figs)) if a != b), None) is None
+    assert figs[0].to_svg() == figs[1].to_svg()
 
 
 def test_colormap_endpoints_and_interpolation():
@@ -155,7 +182,7 @@ def test_pred_vs_actual_perfect_model_tied_colors():
     fig = render_model_grid(ps, ["M"])
     pts = find_all(fig, "circle", cls="pt")
     assert len(pts) == 3
-    tied = rgb(colormap([0.5])[0])
+    tied = "#%02x%02x%02x" % tuple(colormap([0.5])[0])
     assert all(p.get("fill") == tied for p in pts)
 
 
@@ -164,7 +191,7 @@ def test_pred_vs_actual_unique_coolest_point():
         "id,y_true,M\n" + "\n".join(f"r{i},{i},{i}.1" for i in range(9)) + "\nz,50,90")
     fig = render_model_grid(ps, ["M"])
     pts = find_all(fig, "circle", cls="pt")
-    coolest = rgb(colormap([0.95])[0])
+    coolest = "#%02x%02x%02x" % tuple(colormap([0.95])[0])
     assert sum(1 for p in pts if p.get("fill") == coolest) == 1
     with pytest.raises(UnknownModel):
         render_model_grid(ps, ["nope"])

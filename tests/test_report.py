@@ -8,8 +8,8 @@ import pytest
 import oracles
 
 from errscope import analyze_pair
-from errscope.ingest import PredictionSet
-from errscope.report import POINT_CHUNK, build_pair_report, to_json, write_pair_json
+from errscope.ingest import ROW_CHUNK, PredictionSet
+from errscope.report import build_pair_report, to_json, write_pair_json
 
 # Signed zeros, the smallest subnormal, integral values, a wide spread of
 # magnitudes, points on both diagonals and repeated rows (tied distances).
@@ -57,7 +57,7 @@ def test_hostile_model_names_match_reference(tmp_path, metric, a, b):
 
 def test_rows_past_one_chunk_match_reference(tmp_path):
     rng = np.random.default_rng(12)
-    ps = prediction_set(rng.normal(size=(POINT_CHUNK + 1, 2)))
+    ps = prediction_set(rng.normal(size=(ROW_CHUNK + 1, 2)))
     assert_matches_reference(tmp_path / "r.json", ps, "A", "B", "mahalanobis")
 
 
