@@ -2,19 +2,18 @@
 
 from .density import HexbinLayer, KdeGrid, default_hex_radius, hex_corners, hexbin, kde2d
 from .errorspace import (
+    METRICS,
     QUADRANTS,
     ZONES,
     ErrorSpaceAnalysis,
     analyze_pair,
     classify,
-    covariance2,
-    crown_threshold,
     mahalanobis_many,
-    median2d,
     percentile_ranks,
 )
 from .ingest import PredictionSet, parse_predictions
 from .metrics import (
+    SORT_KEYS,
     boxplot_stats,
     mae,
     metric_report,

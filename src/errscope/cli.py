@@ -12,9 +12,10 @@ from pathlib import Path
 
 from . import __version__
 from .density import default_hex_radius, hexbin, kde2d
-from .errorspace import analyze_pair
+from .errorspace import METRICS, analyze_pair
 from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import parse_predictions
+from .metrics import SORT_KEYS
 from .render import (
     DEFAULT_LAYERS,
     ERROR_SPACE_LAYERS,
@@ -110,7 +111,7 @@ def cmd_synth(args) -> int:
             raise ErrscopeError(f"--param {key}: {value!r} is not finite")
     try:
         ps = generate(args.kind, args.n, seed=args.seed, params=params)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # bad parameters, or an --n past memory
         raise ErrscopeError(str(exc)) from None
     except (FloatingPointError, OverflowError):
         raise DegenerateDistribution(f"scenario {args.kind} leaves float64 with these "
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="per-model metrics, ranking and 1D figures")
     p.add_argument("input", help="prediction file (.csv or .json)")
-    p.add_argument("--sort", choices=["mae", "rmse"], default="rmse")
+    p.add_argument("--sort", choices=SORT_KEYS, default="rmse")
     p.add_argument("--plots", metavar="DIR", help="write boxplot and grid SVGs here")
     p.add_argument("--global-scale", action="store_true",
                    help="normalize the grid colormap over all models at once")
@@ -173,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="prediction file (.csv or .json)")
     p.add_argument("--a", required=True, help="model on the x-axis")
     p.add_argument("--b", required=True, help="model on the y-axis")
-    p.add_argument("--metric", choices=["euclidean", "mahalanobis"],
-                   default="mahalanobis")
+    p.add_argument("--metric", choices=METRICS, default="mahalanobis")
     p.add_argument("--layers", type=_layers, default=DEFAULT_LAYERS,
                    help="comma-separated: " + ",".join(ERROR_SPACE_LAYERS))
     p.add_argument("--bandwidth", type=_bandwidth, metavar="HX,HY",

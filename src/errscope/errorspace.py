@@ -14,6 +14,8 @@ import numpy as np
 
 from .exceptions import DegenerateDistribution, LengthMismatch, NonFinite
 
+METRICS = ("euclidean", "mahalanobis")
+
 # Ridge kicks in when the sample covariance is singular or nearly so.
 _COND_LIMIT = 1e12
 _RIDGE_SCALE = 1e-9
@@ -77,42 +79,6 @@ def classify(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zone.astype(np.int8), quadrant.astype(np.int8)
 
 
-def median2d(points) -> tuple[float, float]:
-    """Componentwise median (same interpolation rule as the boxplots)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 1:
-        raise DegenerateDistribution("median2d needs at least one point")
-    # The mean of the two middle values of an even count can overflow.
-    with np.errstate(over="ignore"):
-        center = (float(np.median(pts[:, 0])), float(np.median(pts[:, 1])))
-    if not np.isfinite(center).all():
-        raise DegenerateDistribution("error median overflows float64")
-    return center
-
-
-def covariance2(points) -> np.ndarray:
-    """Sample covariance (1/(N-1), mean-centered) of a 2D point cloud."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 2:
-        raise DegenerateDistribution("covariance needs at least two points")
-    centered = pts - pts.mean(axis=0)
-    return centered.T @ centered / (pts.shape[0] - 1)
-
-
-def regularized_inverse(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a 2x2 covariance, ridging the diagonal when near-singular.
-
-    Returns (possibly ridged covariance, its inverse).
-    """
-    cov = np.asarray(cov, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.linalg.cond(cov)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        eps = _RIDGE_SCALE * max(cov[0, 0], cov[1, 1], 1.0)
-        cov = cov + eps * np.eye(2)
-    return cov, np.linalg.inv(cov)
-
-
 def mahalanobis_many(points: np.ndarray, center, cov_inv: np.ndarray) -> np.ndarray:
     """Vectorized Mahalanobis distances: one inversion, O(N) evaluations."""
     d = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
@@ -130,14 +96,6 @@ def percentile_ranks(distances) -> np.ndarray:
     return (less + 0.5 * tied) / d.size
 
 
-def crown_threshold(distances) -> float:
-    """Median distance: the crown splits points into equal halves."""
-    d = np.asarray(distances, dtype=float)
-    if d.size < 1:
-        raise DegenerateDistribution("crown_threshold needs at least one value")
-    return float(np.median(d))
-
-
 def analyze_pair(e, model_a: str, model_b: str,
                  metric: str = "mahalanobis") -> ErrorSpaceAnalysis:
     """Full 2D error-space analysis of an (n, 2) array of paired errors.
@@ -146,9 +104,9 @@ def analyze_pair(e, model_a: str, model_b: str,
     Distances are measured from the componentwise median; the Mahalanobis
     covariance is the mean-centered sample covariance of the whole cloud.
     """
-    if metric not in ("euclidean", "mahalanobis"):
-        raise ValueError(f"metric must be 'euclidean' or 'mahalanobis', got {metric!r}")
-    # A C-ordered copy: covariance2's column means depend on the layout in
+    if metric not in METRICS:
+        raise ValueError(f"metric must be {' or '.join(map(repr, METRICS))}, got {metric!r}")
+    # A C-ordered copy: the covariance's column means depend on the layout in
     # their last bit, and the reports pin those bits.
     pts = np.array(e, dtype=float, order="C")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
@@ -159,20 +117,29 @@ def analyze_pair(e, model_a: str, model_b: str,
     if metric == "mahalanobis" and n < 3:
         raise DegenerateDistribution("mahalanobis analysis needs at least 3 points")
 
-    center = median2d(pts)
-    cov, cov_inv = np.eye(2), np.eye(2)
+    # Componentwise median, the boxplots' rule; the mean of the two middle
+    # values of an even count can overflow.
+    with np.errstate(over="ignore"):
+        center = (float(np.median(pts[:, 0])), float(np.median(pts[:, 1])))
+    if not np.isfinite(center).all():
+        raise DegenerateDistribution("error median overflows float64")
+    cov = np.eye(2)
     if n >= 2:
         with np.errstate(over="ignore", invalid="ignore"):
-            cov = covariance2(pts)
+            centered = pts - pts.mean(axis=0)
+            cov = centered.T @ centered / (n - 1)
         if not np.isfinite(cov).all():
             raise DegenerateDistribution("error covariance overflows float64")
-        cov, cov_inv = regularized_inverse(cov)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.linalg.cond(cov)
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            cov = cov + _RIDGE_SCALE * max(cov[0, 0], cov[1, 1], 1.0) * np.eye(2)
 
     if metric == "euclidean":
         dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = mahalanobis_many(pts, center, cov_inv)
+            dist = mahalanobis_many(pts, center, np.linalg.inv(cov))
         if not np.isfinite(dist).all():
             raise DegenerateDistribution("Mahalanobis distances overflow float64: the error "
                                          "covariance is too small to invert")
@@ -189,5 +156,5 @@ def analyze_pair(e, model_a: str, model_b: str,
         median2d=center,
         covariance=cov,
         metric=metric,
-        crown_threshold=crown_threshold(dist),
+        crown_threshold=float(np.median(dist)),
     )

@@ -12,6 +12,8 @@ import numpy as np
 
 from .exceptions import LengthMismatch
 
+SORT_KEYS = ("mae", "rmse")
+
 
 def mae(e) -> float:
     return float(np.mean(np.abs(e)))
@@ -56,8 +58,8 @@ def boxplot_stats(e) -> dict:
 
 def sort_models_by_metric(reports: dict[str, dict], key: str = "rmse") -> list[str]:
     """Model names ascending by mae or rmse; ties broken lexicographically."""
-    if key not in ("mae", "rmse"):
-        raise ValueError(f"sort key must be 'mae' or 'rmse', got {key!r}")
+    if key not in SORT_KEYS:
+        raise ValueError(f"sort key must be {' or '.join(map(repr, SORT_KEYS))}, got {key!r}")
     if not reports:
         raise ValueError("no metric reports to sort")
     return sorted(reports, key=lambda m: (reports[m][key], m))

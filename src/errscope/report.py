@@ -79,8 +79,11 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
 
 # One instance under errorspace.points, laid out as by json.dumps(indent=2);
 # %r of a Python float is the text json writes for it.
-_POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        "zone": "%s",\n'
-          '        "quadrant": "%s",\n        "distance": %r,\n        "percentile": %r\n      }')
+_POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        %s,\n'
+          '        "distance": %r,\n        "percentile": %r\n      }')
+# The "zone" and "quadrant" lines of a point, at index zone * len(QUADRANTS) + quadrant.
+_ZONE_QUADRANT = np.array([f'"zone": "{z}",\n        "quadrant": "{q}"'
+                           for z in ZONES for q in QUADRANTS], dtype=object)
 
 
 def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
@@ -104,9 +107,8 @@ def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     }
     # json escapes every '"' inside a string, so only the key itself matches.
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
-    points = rows(_POINT, *analysis.e.T, np.array(ZONES, dtype=object)[analysis.zone],
-                  np.array(QUADRANTS, dtype=object)[analysis.quadrant], analysis.distance,
-                  analysis.percentile)
+    zone_quadrant = _ZONE_QUADRANT[analysis.zone * len(QUADRANTS) + analysis.quadrant]
+    points = rows(_POINT, *analysis.e.T, zone_quadrant, analysis.distance, analysis.percentile)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
         fh.writelines(points)

@@ -86,6 +86,16 @@ def test_synth_float64_edges_write_nothing(tmp_path, capsys, argv, code, err):
     assert not out.exists()
 
 
+def test_synth_size_beyond_memory_exits_2(tmp_path, capsys):
+    # 10^15 float64s are 8 PB, past a 47-bit address space: the first
+    # allocation is refused before anything is allocated.
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--kind", "under_vs_over", "--n", str(10**15), "-o", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, key", [
     ("outlier_vs_moderate", "moderate_sigma"), ("under_vs_over", "sigma"),
     ("equal_metrics_divergent", "jitter"), ("equal_metrics_divergent", "level"),

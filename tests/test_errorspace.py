@@ -10,13 +10,9 @@ from errscope import (
     ZONES,
     analyze_pair,
     classify,
-    covariance2,
-    crown_threshold,
     mahalanobis_many,
-    median2d,
     percentile_ranks,
 )
-from errscope.errorspace import regularized_inverse
 from errscope.exceptions import DegenerateDistribution, LengthMismatch, NonFinite
 from errscope.report import write_pair_json
 
@@ -59,29 +55,33 @@ def test_classify_quadrant():
     ]
 
 
+def euclidean(points):
+    return analyze_pair(np.array(points, dtype=float), "A", "B", metric="euclidean")
+
+
 def test_median2d():
-    assert median2d([(1.0, 2.0)]) == (1.0, 2.0)
-    assert median2d([(0, 0), (2, 4), (10, -4)]) == (2.0, 0.0)
+    assert euclidean([(1.0, 2.0)]).median2d == (1.0, 2.0)
+    assert euclidean([(0, 0), (2, 4), (10, -4)]).median2d == (2.0, 0.0)
     sym = [(1, 1), (-1, -1), (2, -2), (-2, 2)]
-    assert median2d(sym) == (0.0, 0.0)
+    assert euclidean(sym).median2d == (0.0, 0.0)
     # The two middle values sum past float64 (any numpy warning fails the test).
     with pytest.raises(DegenerateDistribution, match="median overflows"):
-        median2d([(-1e308, 0.0), (-1e308, 0.0)])
+        euclidean([(-1e308, 0.0), (-1e308, 0.0)])
 
 
 def test_covariance2_hand_values():
-    cov = covariance2([(0, 0), (1, 1)])
+    cov = euclidean([(0, 0), (1, 1)]).covariance
     assert np.allclose(cov, [[0.5, 0.5], [0.5, 0.5]])
-    cov = covariance2([(-1, 0), (1, 0), (0, -1), (0, 1)])
+    cov = euclidean([(-1, 0), (1, 0), (0, -1), (0, 1)]).covariance
     assert np.allclose(cov, [[2.0 / 3.0, 0.0], [0.0, 2.0 / 3.0]])
-    with pytest.raises(DegenerateDistribution):
-        covariance2([(1.0, 2.0)])
 
 
 def test_regularized_inverse_handles_singular():
     for pts in ([(0, 0), (1, 1), (2, 2)], [(3, 4), (3, 4), (3, 4)]):
-        cov, inv = regularized_inverse(covariance2(pts))
+        an = analyze_pair(np.array(pts, dtype=float), "A", "B", metric="mahalanobis")
+        cov, inv = an.covariance, np.linalg.inv(an.covariance)
         assert np.allclose(cov @ inv, np.eye(2), atol=1e-9)
+        assert np.isfinite(an.distance).all()
 
 
 def test_mahalanobis_hand_values():
@@ -103,7 +103,8 @@ def test_mahalanobis_rejects_non_spd():
     # ... and analyze_pair only ever hands mahalanobis_many an SPD inverse,
     # degenerate clouds included.
     for pts in ([(0, 0), (1, 1), (2, 2)], [(3, 4), (3, 4), (3, 4)], [(0, 0), (1, 0), (0, 1)]):
-        check_spd(regularized_inverse(covariance2(pts))[1])
+        an = analyze_pair(np.array(pts, dtype=float), "A", "B", metric="mahalanobis")
+        check_spd(np.linalg.inv(an.covariance))
 
 
 def test_mahalanobis_reflection_symmetry():
@@ -132,9 +133,13 @@ def test_percentile_ranks_permutation_deterministic():
 
 
 def test_crown_threshold():
-    assert crown_threshold([1, 2, 3]) == 2.0
-    assert crown_threshold([1, 2, 3, 10]) == 2.5
-    assert crown_threshold([4.0] * 7) == 4.0
+    # Each cloud's componentwise median is (0, 0), so the distances are the radii.
+    an = euclidean([(1, 0), (0, 2), (-3, 0)])
+    assert an.distance.tolist() == [1.0, 2.0, 3.0] and an.crown_threshold == 2.0
+    an = euclidean([(1, 0), (0, 2), (-3, 0), (0, -10)])
+    assert an.distance.tolist() == [1.0, 2.0, 3.0, 10.0] and an.crown_threshold == 2.5
+    an = euclidean([(4, 0), (-4, 0), (0, 4), (0, -4), (4, 0), (-4, 0), (0, 4)])
+    assert an.distance.tolist() == [4.0] * 7 and an.crown_threshold == 4.0
 
 
 def test_analyze_pair_identical_errors_all_tie():
@@ -233,7 +238,7 @@ def test_linear_distance_evaluation_count():
     rng = np.random.default_rng(9)
     small = rng.normal(size=(10_000, 2))
     big = rng.normal(size=(100_000, 2))
-    cov_inv = np.linalg.inv(covariance2(big))
+    cov_inv = np.linalg.inv(np.cov(big, rowvar=False))
 
     def best(pts):
         times = []

@@ -153,3 +153,37 @@ def test_past_one_chunk_digests(tmp_path):
     assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers", ALL_LAYERS,
                  "-o", str(svg), "--json", str(report)]) == 0
     assert tuple(sha(p.read_bytes()) for p in (csv, svg, report)) == CHUNK
+
+
+# The covariance ridge, which no scenario above reaches; pinned before the
+# error-space steps were folded into analyze_pair. `compare --json` on an
+# 8-row rank-1 cloud with errors on y = 2x (ridged covariance
+# [6.000000024, 12.0, 12.0, 24.000000024]) and on three rows of equal values.
+RIDGE_INPUTS = {
+    "rank1": "id,y_true,M1,M2\n" + "".join(f"r{i},0,{i},{2 * i}\n" for i in range(8)),
+    "identical": "id,y_true,M1,M2\n" + "".join(f"r{i},1,2,3\n" for i in range(3)),
+}
+RIDGE = {
+    ("identical", "euclidean"): (
+        "47ae42d2fa00330144a80d608b8b594a63604153ae322aea2974ea80b2a7023f",
+        "12bd91039e40b940be7ff292a8ecc7c0826bddbba56229b185fae9fda01183d2"),
+    ("identical", "mahalanobis"): (
+        "8763d23e4d33d1cffba119cef0a1f5e324e791bc40e78f2642f10ac3ad541431",
+        "8908ce77fe303cd42839cfb7d119c87bb14a4dc07c96bb03b87f21f06eb4d6c8"),
+    ("rank1", "euclidean"): (
+        "e3e0454e70f6511c00e746b382fb33bf0a9ce40904f51309df69954d752b2a91",
+        "7036b4ddddb17d79c93acc6885ff8f7d215e5c796f92eaa00f42d295c75d2976"),
+    ("rank1", "mahalanobis"): (
+        "658ae3874282be880ff8c45fcf8e29af0a2d14707694c1d72e6e6b5d832fced9",
+        "25887c44e783df00f1ecf6680ae93123cbf02f8761f7f02ed7d19786e97ba16c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RIDGE_INPUTS))
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_ridge_path_digests(tmp_path, case, metric):
+    csv, svg, report = (tmp_path / name for name in ("in.csv", "error_space.svg", "report.json"))
+    csv.write_text(RIDGE_INPUTS[case], encoding="utf-8")
+    assert main(["compare", str(csv), "--a", "M1", "--b", "M2", "--metric", metric,
+                 "-o", str(svg), "--json", str(report)]) == 0
+    assert (sha(svg.read_bytes()), sha(report.read_bytes())) == RIDGE[(case, metric)]
