@@ -6,7 +6,7 @@ class ErrscopeError(ValueError):
 
 
 class MalformedHeader(ErrscopeError):
-    """Not a prediction table: undecodable bytes, bad CSV header, misshapen JSON."""
+    """Not a prediction table: undecodable bytes, bad CSV header or syntax, misshapen JSON."""
 
 
 class LengthMismatch(ErrscopeError):

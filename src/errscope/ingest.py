@@ -7,7 +7,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -110,6 +110,8 @@ class PredictionSet:
 
     def duplicate_ids(self) -> list[str]:
         """Instance ids that occur more than once, ordered by each id's first repeat."""
+        if len(set(self.instance_ids)) == self.n:
+            return []
         seen, dups = set(), {}
         for iid in self.instance_ids:
             if iid in seen:
@@ -141,31 +143,89 @@ def _non_numeric(row: list[str], header: list[str], lineno: int) -> NonNumeric:
     return NonNumeric(f"cannot parse {text!r} as a number (row {lineno}, column {column!r})")
 
 
-def _parse_csv(text: str) -> PredictionSet:
+def _header_ok(header: list[str]) -> bool:
+    return len(header) >= 3 and header[0] == "id" and header[1] == "y_true"
+
+
+def _read_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
+    """(ids, header, values) through the csv module: y_true then the models, one row per id.
+
+    This path names every error of the file.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise MalformedHeader("empty file")
-    if len(header) < 3 or header[0] != "id" or header[1] != "y_true":
-        raise MalformedHeader(
-            "header must be 'id,y_true,<model>...', got " + ",".join(header)
-        )
     ids: list[str] = []
     values: list[float] = []  # row-major, len(header) - 1 per row
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise LengthMismatch(
-                f"row {lineno} has {len(row)} cells, expected {len(header)}"
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedHeader("empty file")
+        if not _header_ok(header):
+            raise MalformedHeader(
+                "header must be 'id,y_true,<model>...', got " + ",".join(header)
             )
-        ids.append(row[0])
-        try:
-            values.extend(map(float, row[1:]))
-        except ValueError:
-            raise _non_numeric(row, header, lineno) from None
-    table = np.array(values, dtype=float).reshape(len(ids), len(header) - 1)
-    return PredictionSet(tuple(ids), table[:, 0], tuple(header[2:]), table[:, 1:])
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise LengthMismatch(
+                    f"row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            ids.append(row[0])
+            try:
+                values.extend(map(float, row[1:]))
+            except ValueError:
+                raise _non_numeric(row, header, lineno) from None
+    except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+        raise MalformedHeader(f"row {reader.line_num}: {exc}") from None
+    return ids, header, np.array(values, dtype=float).reshape(len(ids), len(header) - 1)
+
+
+# A quote needs the csv module; a CR left after CRLF ends a line for csv but not for
+# the split on LF; loadtxt strips \x1c-\x1f as space, which float() does not; csv before
+# Python 3.11 rejects NUL.
+_NOT_PLAIN = ('"', "\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
+    """What _read_csv returns, read by numpy's C tokenizer, or None to hand the text over.
+
+    Only a file that _read_csv reads the same, bit for bit, is taken: one with no quote,
+    no lone CR, no blank line, no line past csv.field_size_limit() and exactly one cell
+    per header column on each row. Anything else, errors included, goes to _read_csv,
+    which names them.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    # The header stays in the list of lines: no copy of the text without it.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # after the LF that ends the last line
+    if len(lines) < 2:  # no rows, and loadtxt would warn that it read no data
+        return None
+    header = lines[0].split(",")
+    k = len(header)
+    if not _header_ok(header) or text.count(",") != len(lines) * (k - 1):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        # The same list of lines, not a StringIO of the text: no second copy of the file.
+        values = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1,
+                            usecols=range(1, k), ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips a blank line, which csv skips too but which has an id here. With one
+    # row per line, each reaching column k - 1, the comma count leaves no extra cell.
+    if values.shape != (len(lines) - 1, k - 1):
+        return None
+    return [line.partition(",")[0] for line in islice(lines, 1, None)], header, values
+
+
+def _parse_csv(text: str) -> PredictionSet:
+    ids, header, values = _read_plain_csv(text) or _read_csv(text)
+    return PredictionSet(tuple(ids), values[:, 0], tuple(header[2:]), values[:, 1:])
 
 
 def _number(value, where: str):
@@ -177,7 +237,7 @@ def _number(value, where: str):
 def _parse_json(text: str) -> PredictionSet:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise MalformedHeader(f"invalid JSON: {exc}") from None
     instances = payload.get("instances") if isinstance(payload, dict) else None
     if not isinstance(instances, list) or not instances:

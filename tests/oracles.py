@@ -89,6 +89,16 @@ def riemann_mass(grid) -> float:
     return float(grid.values.sum() * dx * dy)
 
 
+def midrank_percentiles(distances) -> np.ndarray:
+    """(#less + 0.5 * #tied) / N of each value, both counts from a binary search of the
+    sorted values."""
+    d = np.asarray(distances, dtype=float)
+    order = np.sort(d)
+    less = np.searchsorted(order, d, side="left")
+    tied = np.searchsorted(order, d, side="right") - less
+    return (less + 0.5 * tied) / d.size
+
+
 def same_prediction_set(a, b) -> bool:
     """Field-by-field equality of two PredictionSets (== is identity)."""
     return (a.instance_ids == b.instance_ids

@@ -189,6 +189,39 @@ def test_metrics_input_bytes(tmp_path, name):
     assert main(["metrics", str(path)]) == code
 
 
+ROWS = b",1,2,3\nb,1,2,3\nc,2,3,1\n"
+# file name -> content, each once a traceback: a cell past csv.field_size_limit(), quoted
+# or not; JSON nested past the recursion limit; an integer past Python's digit limit.
+BAD_INPUTS = {
+    "long_id.csv": b"id,y_true,M1,M2\n" + b"a" * 200_000 + ROWS,
+    "long_quoted_id.csv": b'id,y_true,M1,M2\n"' + b"a" * 200_000 + b'"' + ROWS,
+    "long_model_name.csv": b"id,y_true,M1," + b"M" * 200_000 + b"\na" + ROWS,
+    "nested.json": b"[" * 200_000,
+    "nested_instances.json": b'{"instances": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "digits.json": b'{"instances": [{"id": "a", "y_true": ' + b"1" * 5000
+                   + b', "predictions": {"M1": 1, "M2": 2}}]}',
+}
+
+
+@pytest.mark.parametrize("args", [["metrics", "--plots", "figs", "--json"],
+                                  ["compare", "--a", "M1", "--b", "M2", "-o", "x.svg"]],
+                         ids=["metrics", "compare"])
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, name, args):
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(BAD_INPUTS[name])
+    assert main([args[0], name, *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if name.startswith("long_"):
+        line = 1 if name == "long_model_name.csv" else 2
+        assert captured.err == f"error: row {line}: field larger than field limit (131072)\n"
+    elif name.startswith("nested"):
+        assert captured.err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 @pytest.mark.parametrize("flags", [
     ["--bandwidth", "1"],
     ["--bandwidth", "a,b"],

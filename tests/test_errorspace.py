@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import check_spd, mahalanobis
+from oracles import check_spd, mahalanobis, midrank_percentiles
 
 from errscope import (
     QUADRANTS,
@@ -130,6 +130,23 @@ def test_percentile_ranks_permutation_deterministic():
     d = rng.uniform(size=50)
     perm = rng.permutation(50)
     assert np.allclose(percentile_ranks(d)[perm], percentile_ranks(d[perm]))
+
+
+_rng = np.random.default_rng(11)
+RANK_CASES = {
+    "random": _rng.uniform(size=1000),
+    "heavy_ties": np.round(_rng.normal(size=1000), 1),
+    "all_equal": np.full(50, 2.5),
+    "one": np.array([7.0]),
+    "signed_zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0, 0.5, -0.0]),
+    "subnormals": np.array([5e-324, 0.0, 1e-310, 5e-324, 2.2e-308, 1e-320, 0.0]),
+    "distances_1e5": np.hypot(*_rng.normal(size=(2, 100_000))),
+}
+
+
+@pytest.mark.parametrize("d", RANK_CASES.values(), ids=RANK_CASES)
+def test_percentile_ranks_match_binary_search(d):
+    assert percentile_ranks(d).tobytes() == midrank_percentiles(d).tobytes()
 
 
 def test_crown_threshold():

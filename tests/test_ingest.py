@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import same_prediction_set, to_csv
+from test_cli import BAD_CELLS, NUMBERS
 
+import errscope.ingest
 from errscope import PredictionSet, generate, parse_predictions
 from errscope.exceptions import (
     DuplicateModelName,
+    ErrscopeError,
     LengthMismatch,
     MalformedHeader,
     NonFinite,
     NonNumeric,
     UnknownModel,
 )
-from errscope.ingest import ROW_CHUNK
+from errscope.ingest import ROW_CHUNK, _read_csv, _read_plain_csv
 
 
 def test_minimal_csv():
@@ -178,6 +181,104 @@ def test_write_csv_traced_peak_at_2e5(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+# Spliced into the cells of the exit-contract fuzz: text float() and loadtxt may read
+# differently (underscores, non-ASCII digits, whitespace float() does not strip), line
+# breaks that csv and str.splitlines do not share, NUL, which csv refused before Python 3.11,
+# and the quote and comma of csv syntax.
+SPLICES = BAD_CELLS + ["_", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                       "\x85", "\u2028", "\u0663", "\r\n", "\r", "\n", "\x00", '"', ","]
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A small wide CSV of number cells, a few of them with a splice put in or swapped in."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    rows = [["id", "y_true", *(f"M{j}" for j in range(1, m + 1))]]
+    rows += [[draw(st.sampled_from(NUMBERS)) for _ in range(m + 2)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, m + 1))
+        splice, cell = draw(st.sampled_from(SPLICES)), rows[i][j]
+        at = draw(st.none() | st.integers(0, len(cell)))
+        rows[i][j] = splice if at is None else cell[:at] + splice + cell[at:]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(map(",".join, rows)) + draw(st.sampled_from(["", eol]))
+
+
+def outcome(parse, text):
+    """The ids, model names and float bits that parse makes of text, or its error."""
+    try:
+        ps = parse(text)
+    except ErrscopeError as exc:
+        return type(exc), str(exc)
+    return ps.instance_ids, ps.model_names, bits(ps.y_true), bits(ps.predictions)
+
+
+def csv_module_only(text):
+    ids, header, values = _read_csv(text)
+    return PredictionSet(tuple(ids), values[:, 0], tuple(header[2:]), values[:, 1:])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=csv_texts())
+@example(text="id,y_true,M\na,1,2\nb,1,2,3\n")  # usecols alone would drop the extra cell
+@example(text="id,y_true,M\na,1\x1c,2\n")  # loadtxt reads 1.0, float() refuses
+@example(text="id,y_true,M\na,1_0,\u0663\n")  # float() reads both, loadtxt neither
+@example(text="id,y_true,M\na\u2028b,1,2\nc\x0bd,3,4\n")  # str.splitlines would split them
+@example(text="id,y_true,M\n\na,1,2\n\n\nb,3,4\n\n")
+@example(text="id,y_true,M\na,1,2,3,4\n\nb,5,6\n")  # commas add up, loadtxt skips a line
+@example(text="id,y_true,M\na,1,2\n \nb,3,4\n")
+@example(text="id,y_true,M\na,1,2\n\t\n")
+@example(text="id,y_true,M\na,,2\n")
+@example(text="id,y_true,M\n")
+@example(text="id,y_true,M")
+@example(text="id,y_true,M,\na,1,2,3\n")
+@example(text="id,y_true,M\na,-nan,2\n")
+@example(text="id,y_true,M\na,1,2\r\nb,3,4\rc,5,6\r\n")
+@example(text="id,y_true,M\ra,1,2\nb,1,2,3,4\n")  # csv ends the header at the CR
+@example(text="id,y_true,M\n" + "a" * 200_000 + ",1,2\n")
+@example(text="id,y_true,M\na," + "1" * 200_000 + ",2\n")
+def test_plain_path_reads_what_the_csv_module_reads(text):
+    """The loadtxt path either declines, or reads the same ids, header and float bits as
+    the csv module; either way parse_predictions ends as the csv module alone would."""
+    plain = _read_plain_csv(text)
+    if plain is not None:
+        ids, header, values = _read_csv(text)
+        assert plain[:2] == (ids, header)
+        assert bits(plain[2]) == bits(values)
+    assert outcome(parse_predictions, text) == outcome(csv_module_only, text)
+
+
+def canonical_csv(n: int) -> bytes:
+    return written_csv(generate("under_vs_over", n)).encode()
+
+
+def test_canonical_csv_takes_the_plain_path(monkeypatch):
+    data = canonical_csv(1000)
+    expected = csv_module_only(data.decode())
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("the csv module read a canonical CSV")
+
+    monkeypatch.setattr(errscope.ingest.csv, "reader", no_reader)
+    assert same_prediction_set(parse_predictions(data), expected)
+    # CRLF line ends too.
+    assert same_prediction_set(parse_predictions(data.replace(b"\n", b"\r\n")), expected)
+
+
+def test_parse_traced_peak_at_2e5():
+    """The lines go to loadtxt as a list, not as a StringIO copy of the text. With numpy
+    2.4.6 on Python 3.11 the peak read 51.1 MB that way, 93.7 MB through a StringIO and
+    94.8 MB through the csv module."""
+    data = canonical_csv(200_000)
+    tracemalloc.start()
+    try:
+        parse_predictions(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2**20
 
 
 def test_duplicate_ids_allowed_but_reported():
