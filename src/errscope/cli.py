@@ -41,8 +41,26 @@ def _print_metrics_table(report: dict) -> None:
         m = report["per_model"][name]["metrics"]
         r2 = "n/a" if m["r_squared"] is None else f"{m['r_squared']:.4f}"
         print(f"{name:<12} {m['mae']:>10.4f} {m['rmse']:>10.4f} {r2:>8}")
+    _print_warnings(report)
+
+
+def _print_warnings(report: dict) -> None:
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
+
+
+def _write_all(outputs) -> None:
+    """Call write(path) for each (path, write) in turn. If one fails, remove the
+    files already written, so that a failed command leaves no output."""
+    written = []
+    try:
+        for path, write in outputs:
+            write(path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def cmd_metrics(args) -> int:
@@ -55,8 +73,8 @@ def cmd_metrics(args) -> int:
         grid = render_model_grid(ps, order, global_scale=args.global_scale)
         outdir = Path(args.plots)
         outdir.mkdir(parents=True, exist_ok=True)
-        boxplots.save(outdir / "boxplots.svg")
-        grid.save(outdir / "pred_vs_actual_grid.svg")
+        _write_all([(outdir / "boxplots.svg", boxplots.save),
+                    (outdir / "pred_vs_actual_grid.svg", grid.save)])
     if args.json:
         sys.stdout.write(to_json(report))
     else:
@@ -78,9 +96,10 @@ def cmd_compare(args) -> int:
     figure = render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid)
     # The report checks every model's metrics: build it first, so a failure leaves no SVG.
     report = build_pair_report(ps, analysis)
-    figure.save(args.output)
+    outputs = [(args.output, figure.save)]
     if args.json:
-        write_pair_json(args.json, report, analysis)
+        outputs.append((args.json, lambda path: write_pair_json(path, report, analysis)))
+    _write_all(outputs)
 
     pair = report["pair"]
     print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")
@@ -94,6 +113,7 @@ def cmd_compare(args) -> int:
     print(f"crown threshold: {analysis.crown_threshold:.4f}")
     print(f"fraction with e_b > e_a: {pair['fraction_b_above_a']:.4f}")
     print(f"figure written to {args.output}")
+    _print_warnings(report)
     return 0
 
 
@@ -111,7 +131,7 @@ def cmd_synth(args) -> int:
             raise ErrscopeError(f"--param {key}: {value!r} is not finite")
     try:
         ps = generate(args.kind, args.n, seed=args.seed, params=params)
-    except (ValueError, MemoryError) as exc:  # bad parameters, or an --n past memory
+    except ValueError as exc:  # bad parameters
         raise ErrscopeError(str(exc)) from None
     except (FloatingPointError, OverflowError):
         raise DegenerateDistribution(f"scenario {args.kind} leaves float64 with these "
@@ -205,6 +225,9 @@ def main(argv=None) -> int:
         return 3
     except (ErrscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input file or a synth --n past memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -95,8 +95,8 @@ def kde2d(points, bandwidth: tuple[float, float] | None = None) -> KdeGrid:
 # Binned KDE after Wand (1994): an axis is linearly binned onto K sub-steps per
 # grid step, with K the least that keeps the binning error (delta / h)^2 / 8 of
 # the kernel peak within KDE_BIN_ERROR (Hall & Wand 1996). Past KDE_MAX_SUBSTEPS
-# the axis is evaluated exactly at the grid nodes within KDE_EXACT_REACH
-# bandwidths of each point; the Gaussian beyond 9h is below 2.6e-18 of its peak.
+# the axis is evaluated exactly at the grid nodes. Either way a kernel is summed
+# within KDE_EXACT_REACH bandwidths; the Gaussian beyond 9h is below 2.6e-18 of its peak.
 KDE_BIN_ERROR = 2.5e-4
 KDE_MAX_SUBSTEPS = 16
 KDE_EXACT_REACH = 9.0
@@ -115,12 +115,7 @@ def _kernel_sum(pts: np.ndarray, grids, bandwidths) -> np.ndarray:
         (ix, wx), (iy, wy) = ax.entries(chunk[:, 0]), ay.entries(chunk[:, 1])
         np.add.at(flat, (ix[:, :, None] * ay.nodes + iy[:, None, :]).ravel(),
                   (wx[:, :, None] * wy[:, None, :]).ravel())
-    # A binned axis maps its fine nodes onto the grid by the sampled kernel.
-    if ax.fine is not None:
-        c = ax.kernel() @ c
-    if ay.fine is not None:
-        c = c @ ay.kernel().T
-    return c
+    return ay.smooth(ax.smooth(c).T).T
 
 
 class _Axis:
@@ -136,16 +131,15 @@ class _Axis:
             self.nodes, self.width = self.fine.size, 2
         else:
             self.fine = None
-            lo, hi = self._reach(x)
+            lo, hi = self._reach(grid, x)
             # The most grid nodes within reach of a point; rounding can make nodes coincide.
             self.nodes, self.width = grid.size, max(1, int((hi - lo).max()))
 
-    def _reach(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point, the first grid node within KDE_EXACT_REACH bandwidths
-        and the first beyond them."""
+    def _reach(self, nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per x, the first node within KDE_EXACT_REACH bandwidths and the first beyond them."""
         reach = KDE_EXACT_REACH * self.h
-        return (np.searchsorted(self.grid, x - reach),
-                np.searchsorted(self.grid, x + reach, side="right"))
+        return (np.searchsorted(nodes, x - reach),
+                np.searchsorted(nodes, x + reach, side="right"))
 
     def entries(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(len(x), width) node indices and weights of the points x."""
@@ -156,7 +150,7 @@ class _Axis:
             gap = fine[j + 1] - fine[j]
             frac = np.divide(x - fine[j], gap, out=np.zeros_like(x), where=gap > 0.0)
             return np.column_stack([j, j + 1]), np.column_stack([1.0 - frac, frac])
-        lo, hi = self._reach(x)
+        lo, hi = self._reach(self.grid, x)
         idx = lo[:, None] + np.arange(self.width)
         outside = idx >= hi[:, None]
         np.minimum(idx, self.grid.size - 1, out=idx)
@@ -164,9 +158,15 @@ class _Axis:
         weights[outside] = 0.0
         return idx, weights
 
-    def kernel(self) -> np.ndarray:
-        """(grid, fine) kernel matrix that maps the binned mass onto the grid."""
-        return _gaussian(np.subtract.outer(self.grid, self.fine), self.h)
+    def smooth(self, c: np.ndarray) -> np.ndarray:
+        """c with its rows, one per node of this axis, carried onto the grid nodes.
+        A binned axis sums each grid node's kernel over the fine nodes in reach by
+        einsum, not by a BLAS product, whose last bits depend on its thread count."""
+        if self.fine is None:
+            return c
+        lo, hi = self._reach(self.fine, self.grid)
+        return np.array([np.einsum("f,fj->j", _gaussian(g - self.fine[a:b], self.h), c[a:b])
+                         for g, a, b in zip(self.grid.tolist(), lo.tolist(), hi.tolist())])
 
 
 def _gaussian(d: np.ndarray, h: float) -> np.ndarray:

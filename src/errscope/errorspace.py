@@ -90,14 +90,10 @@ def percentile_ranks(distances) -> np.ndarray:
     d = np.asarray(distances, dtype=float)
     if d.size < 1:
         raise DegenerateDistribution("percentile_ranks needs at least one value")
-    order = np.argsort(d, kind="stable")
-    s = d[order]
-    # One run per distinct value: #less is where its run starts, #tied is its length.
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    tied = np.diff(starts, append=d.size)
-    ranks = np.empty_like(d)
-    ranks[order] = np.repeat((starts + 0.5 * tied) / d.size, tied)
-    return ranks
+    # Per distinct value, #tied is its count and #less the counts of the values below it.
+    _, inverse, counts = np.unique(d, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    return ((starts + 0.5 * counts) / d.size)[inverse]
 
 
 def analyze_pair(e, model_a: str, model_b: str,

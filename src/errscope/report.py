@@ -109,7 +109,7 @@ def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
     zone_quadrant = _ZONE_QUADRANT[analysis.zone * len(QUADRANTS) + analysis.quadrant]
     points = rows(_POINT, *analysis.e.T, zone_quadrant, analysis.distance, analysis.percentile)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
         fh.writelines(points)
         fh.write("\n    ]" + tail)

@@ -1,3 +1,4 @@
+import builtins
 import inspect
 import io
 import json
@@ -96,6 +97,32 @@ def test_synth_size_beyond_memory_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param, err", [
+    ("sigma", "error: --param expects key=value, got 'sigma'\n"),
+    ("sigma=abc", "error: --param sigma: 'abc' is not a number\n"),
+], ids=["no_equals", "not_a_number"])
+def test_synth_malformed_param_exits_2(tmp_path, capsys, param, err):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--kind", "under_vs_over", "--n", "10", "--param", param,
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["metrics"], ["compare", "--a", "M1", "--b", "M2"]],
+                         ids=["metrics", "compare"])
+def test_input_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise MemoryError  # as a parse of a file too large for memory would, with no text
+
+    monkeypatch.setattr(errscope.cli, "parse_predictions", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("in.csv").write_text("id,y_true,M1,M2\na,0,1,2\n")
+    assert main([argv[0], "in.csv", *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
 @pytest.mark.parametrize("kind, key", [
     ("outlier_vs_moderate", "moderate_sigma"), ("under_vs_over", "sigma"),
     ("equal_metrics_divergent", "jitter"), ("equal_metrics_divergent", "level"),
@@ -141,6 +168,59 @@ def test_metrics_plots_written(demo_csv, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_metrics_plots_failure_removes_written_figure(demo_csv, tmp_path, capsys):
+    # The second figure's path is a directory: the first figure is removed, the directory kept.
+    plots = tmp_path / "plots"
+    (plots / "pred_vs_actual_grid.svg").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["metrics", str(demo_csv), "--plots", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in plots.iterdir()] == ["pred_vs_actual_grid.svg"]
+    assert (plots / "pred_vs_actual_grid.svg").is_dir()
+
+
+def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", "-o", str(tmp_path / "a.svg"),
+                 "--json", str(tmp_path / "nodir" / "r.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
+                                       f"'{tmp_path / 'nodir' / 'r.json'}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == [demo_csv.name]
+
+
+def test_duplicate_ids_warn_on_stderr(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("id,y_true,M1,M2\na,0,1,2\na,0,2,1\nb,0,-1,3\nc,0,3,-2\nd,0,1,1\n")
+    warning = "warning: duplicate instance ids: a\n"
+    assert main(["metrics", str(path)]) == 0
+    assert capsys.readouterr().err == warning
+    assert main(["compare", str(path), "--a", "M1", "--b", "M2",
+                 "-o", str(tmp_path / "x.svg")]) == 0
+    assert capsys.readouterr().err == warning
+
+
+def test_writers_fix_line_ends(tmp_path, monkeypatch):
+    # A text file opened without newline= is written with the platform's line
+    # separator, CRLF on some, which would change every output's bytes.
+    newlines = {}
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            newlines[Path(file).name] = kwargs.get("newline")
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--kind", "asymmetric_pair", "--n", "50", "-o", "in.csv"]) == 0
+    assert main(["metrics", "in.csv", "--plots", "figs"]) == 0
+    assert main(["compare", "in.csv", "--a", "E1", "--b", "E2", "-o", "x.svg",
+                 "--json", "rep.json"]) == 0
+    assert newlines == {"in.csv": "", "boxplots.svg": "\n", "pred_vs_actual_grid.svg": "\n",
+                        "x.svg": "\n", "rep.json": "\n"}
+
+
 def test_metrics_empty_file_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -179,6 +259,17 @@ INPUT_BYTES = {
                       + b', "predictions": {"M": 1}}]}', 2),
     "excel_bom.csv": (b"\xef\xbb\xbfid,y_true,M1\na,1.0,2.0\nb,2.0,2.5\n", 0),
 }
+# file name -> (content, error line)
+MALFORMED_JSON = {
+    "string_y_true.json": (b'{"instances": [{"id": "a", "y_true": "1", "predictions": {"M": 1}}]}',
+                           "instance 0: y_true is not a number"),
+    "bool_prediction.json":
+        (b'{"instances": [{"id": "a", "y_true": 1, "predictions": {"M": true}}]}',
+         "instance 0: prediction 'M' is not a number"),
+    "no_instances.json": (b'{"rows": []}', "JSON must contain a non-empty 'instances' array"),
+    "empty_predictions.json": (b'{"instances": [{"id": "a", "y_true": 1, "predictions": {}}]}',
+                               "instances must carry a non-empty 'predictions' map"),
+}
 
 
 @pytest.mark.parametrize("name", INPUT_BYTES)
@@ -190,6 +281,15 @@ def test_metrics_input_bytes(tmp_path, name):
 
 
 ROWS = b",1,2,3\nb,1,2,3\nc,2,3,1\n"
+@pytest.mark.parametrize("name", MALFORMED_JSON)
+def test_malformed_json_exits_2(tmp_path, capsys, name):
+    content, message = MALFORMED_JSON[name]
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["metrics", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # file name -> content, each once a traceback: a cell past csv.field_size_limit(), quoted
 # or not; JSON nested past the recursion limit; an integer past Python's digit limit.
 BAD_INPUTS = {

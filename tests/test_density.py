@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from oracles import (
     riemann_mass,
 )
 
+import errscope
 from errscope import SCENARIOS, generate, hex_corners, hexbin, kde2d
 from errscope.density import default_hex_radius, xy_to_axial
 from errscope.exceptions import DegenerateDistribution
@@ -141,6 +146,27 @@ def test_kde_accuracy_at_1e5(cloud):
     assert kde_error(pts, grid) <= 1e-3
 
 
+KDE_DIGESTS = """
+import hashlib
+from errscope import generate, kde2d
+for kind in ("correlated_pair", "outlier_vs_moderate"):
+    values = kde2d(generate(kind, 3000, seed=1).errors[:, :2]).values
+    print(kind, hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_kde_bits_independent_of_blas_threads():
+    # OpenBLAS reads its thread count when numpy loads, so each count gets its own process.
+    src = str(Path(errscope.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = [subprocess.run([sys.executable, "-c", KDE_DIGESTS], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": n}
+                              ).stdout for n in ("1", "2")]
+    assert digests[0].count("\n") == 2
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("pts", [correlated_cloud, near_cutoff_cloud],
                          ids=["correlated", "near_cutoff"])
 def test_kde_traced_peak_at_1e5(pts):
@@ -180,11 +206,12 @@ def test_kde_zero_density_is_valid():
 
 def test_kde_flat_axis_fallback():
     # One axis constant with nonzero IQR impossible; constant axis borrows
-    # the other's bandwidth instead of crashing.
+    # the other's bandwidth instead of crashing, whichever axis it is.
     pts = np.column_stack([np.linspace(0, 10, 20), np.zeros(20)])
-    grid = kde2d(pts)
-    assert grid.bandwidth[1] > 0.0
-    assert np.all(np.isfinite(grid.values))
+    for flat in (1, 0):
+        grid = kde2d(pts if flat else pts[:, ::-1])
+        assert grid.bandwidth[flat] == grid.bandwidth[1 - flat] > 0.0
+        assert np.all(np.isfinite(grid.values))
 
 
 @pytest.mark.parametrize("radius", [1e-20, 1e-300, 1.7e308, 0.0, -1.0, math.nan])
