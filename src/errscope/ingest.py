@@ -7,10 +7,11 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
+from ._text import row_chunks
 from .exceptions import (
     DuplicateModelName,
     LengthMismatch,
@@ -20,23 +21,8 @@ from .exceptions import (
     UnknownModel,
 )
 
-# Rows converted to Python objects at a time: it bounds a writer's memory, not its bytes.
-ROW_CHUNK = 1 << 14
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # not valid Unicode; a JSON escape can carry one
-
-
-def rows(template: str, *columns):
-    """template % row over the rows of the equal-length columns, ROW_CHUNK rows at a time.
-
-    A numpy column goes through tolist(), so a float64 formats as a Python float; any
-    other sequence is sliced as it is. chain, not a generator: no frame resumes per row.
-    """
-    def chunk(i):
-        part = slice(i, i + ROW_CHUNK)
-        return map(template.__mod__, zip(*(
-            c[part].tolist() if isinstance(c, np.ndarray) else c[part] for c in columns)))
-    return chain.from_iterable(map(chunk, range(0, len(columns[0]), ROW_CHUNK)))
 
 
 def _csv_field(text: str) -> str:
@@ -122,14 +108,14 @@ class PredictionSet:
     def write_csv(self, fh) -> None:
         """Write the canonical wide CSV to an open text file (parse is its left inverse).
 
-        Open the file with newline="". Rows are streamed from the arrays through
-        rows(), so no copy of the table or the text is built.
+        Open the file with newline="". Rows are written from the arrays one chunk at a
+        time, so no copy of the table or the text is built.
         """
         fh.write(",".join(map(_csv_field, ("id", "y_true") + self.model_names)) + "\n")
         ids = self.instance_ids
         if _NEEDS_QUOTES.search("".join(ids)):  # plain ids pass through untouched
             ids = tuple(map(_csv_field, ids))
-        fh.writelines(rows("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
+        fh.writelines(row_chunks("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
                            ids, self.y_true, *self.predictions.T))
 
 

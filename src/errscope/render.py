@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import row_chunks
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
-from .ingest import PredictionSet, rows
+from .ingest import PredictionSet
 
 PANEL_SIZE = 800.0
 MARGIN = 60.0
@@ -134,7 +135,8 @@ class Figure:
         one colour or packed 0xrrggbb ints, one per row. No colour or attribute holds %."""
         if not isinstance(fills, str):
             fills, columns = "#%06x", (*columns, fills)
-        self.elements.extend(rows(f'<{head} fill="{fills}"{_attrs(**attrs)}/>', *columns))
+        for chunk in row_chunks(f'<{head} fill="{fills}"{_attrs(**attrs)}/>\n', *columns):
+            self.elements += chunk[:-1].split("\n")
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:
         """One circle per entry of the cx, cy columns."""

@@ -8,9 +8,10 @@ import math
 import numpy as np
 
 from . import __version__
+from ._text import Picks, row_chunks
 from .errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from .exceptions import DegenerateDistribution
-from .ingest import PredictionSet, rows
+from .ingest import PredictionSet
 from .metrics import boxplot_stats, metric_report, sort_models_by_metric
 
 # Choices the method leaves open; embedded so figures are auditable.
@@ -82,8 +83,7 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
 _POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        %s,\n'
           '        "distance": %r,\n        "percentile": %r\n      }')
 # The "zone" and "quadrant" lines of a point, at index zone * len(QUADRANTS) + quadrant.
-_ZONE_QUADRANT = np.array([f'"zone": "{z}",\n        "quadrant": "{q}"'
-                           for z in ZONES for q in QUADRANTS], dtype=object)
+_ZONE_QUADRANT = [f'"zone": "{z}",\n        "quadrant": "{q}"' for z in ZONES for q in QUADRANTS]
 
 
 def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
@@ -107,8 +107,9 @@ def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     }
     # json escapes every '"' inside a string, so only the key itself matches.
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
-    zone_quadrant = _ZONE_QUADRANT[analysis.zone * len(QUADRANTS) + analysis.quadrant]
-    points = rows(_POINT, *analysis.e.T, zone_quadrant, analysis.distance, analysis.percentile)
+    zone_quadrant = Picks(_ZONE_QUADRANT, analysis.zone * len(QUADRANTS) + analysis.quadrant)
+    points = row_chunks(_POINT, *analysis.e.T, zone_quadrant, analysis.distance,
+                        analysis.percentile)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
         fh.writelines(points)

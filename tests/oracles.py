@@ -8,6 +8,7 @@ from itertools import repeat
 
 import numpy as np
 
+from errscope._text import Picks
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from errscope.render import Figure, _attrs
 
@@ -106,6 +107,18 @@ def same_prediction_set(a, b) -> bool:
             and np.array_equal(a.y_true, b.y_true)
             and np.array_equal(a.predictions, b.predictions)
             and np.array_equal(a.errors, b.errors))
+
+
+def rows(template: str, *columns):
+    """template % row for each row of the equal-length columns, one string per row: the
+    byte reference of the package's row writer.
+
+    A numpy column goes through tolist(), so a float64 formats as a Python float, and
+    the codes of Picks select its texts.
+    """
+    columns = [[c.texts[i] for i in c.codes.tolist()] if isinstance(c, Picks)
+               else c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return map(template.__mod__, zip(*columns))
 
 
 def to_csv(ps) -> str:

@@ -20,7 +20,8 @@ from errscope.exceptions import (
     NonNumeric,
     UnknownModel,
 )
-from errscope.ingest import ROW_CHUNK, _read_csv, _read_plain_csv
+from errscope._text import ROW_CHUNK
+from errscope.ingest import _read_csv, _read_plain_csv
 
 
 def test_minimal_csv():
@@ -127,7 +128,10 @@ def test_serialize_parse_roundtrip():
 # Every character csv quoting could care about, plus a few that it must leave alone.
 FIELDS = st.text(st.sampled_from([",", '"', "\r", "\n", "\x0c", "#", " ", "\u00e9", "a", "0"]),
                  max_size=5)
-SPECIAL_VALUES = [-0.0, 5e-324, 1e308, -1e308]
+# Every layout repr has: signed zeros, subnormals, exponent form at and past 1e16 and
+# below 1e-4, with two- and three-digit exponents, and fixed form in between.
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -3e-320, 1e308, -1e308, 1e16, -9999999999999998.0,
+                  1e-4, -2.5e-05, 0.001, 1.5e-300, -1.2345678901234567e+200, 123456.5]
 
 
 def bits(a):

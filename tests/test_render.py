@@ -17,7 +17,7 @@ from errscope import (
     render_model_grid,
 )
 from errscope.exceptions import DegenerateDistribution, MissingLayerInput, UnknownModel
-from errscope.ingest import ROW_CHUNK
+from errscope._text import ROW_CHUNK
 from errscope.render import Figure, colormap, fmt
 
 
@@ -38,9 +38,9 @@ def test_fmt_six_significant_digits():
             fmt(v)
 
 
-# A signed zero, the smallest subnormal, magnitudes %.6g writes in exponent form,
-# and a tie that rounds to even.
-SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5]
+# A signed zero, the smallest subnormal, magnitudes %.6g writes in exponent form
+# (two- and three-digit exponents, both signs), fixed form, and a tie that rounds to even.
+SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5, 1e-5, -2.5e-07, 1e16, 0.0001, -1234567.0]
 
 
 @pytest.mark.parametrize("shape", ["circles", "rects", "polygons"])

@@ -8,7 +8,8 @@ import pytest
 import oracles
 
 from errscope import analyze_pair
-from errscope.ingest import ROW_CHUNK, PredictionSet
+from errscope._text import ROW_CHUNK
+from errscope.ingest import PredictionSet
 from errscope.report import build_pair_report, to_json, write_pair_json
 
 # Signed zeros, the smallest subnormal, integral values, a wide spread of
@@ -57,7 +58,12 @@ def test_hostile_model_names_match_reference(tmp_path, metric, a, b):
 
 def test_rows_past_one_chunk_match_reference(tmp_path):
     rng = np.random.default_rng(12)
-    ps = prediction_set(rng.normal(size=(ROW_CHUNK + 1, 2)))
+    # Scales that give every layout of repr: fixed, below 1e-4, past 1e16, three-digit
+    # exponents and subnormals; then signed zeros.
+    scale = rng.choice([1.0, 1e-5, 1e20, 1e120, 1e-120, 1e-310], size=(ROW_CHUNK + 1, 2))
+    errors = rng.normal(size=(ROW_CHUNK + 1, 2)) * scale
+    errors[:2] = [[0.0, -0.0], [-0.0, 0.0]]
+    ps = prediction_set(errors)
     assert_matches_reference(tmp_path / "r.json", ps, "A", "B", "mahalanobis")
 
 
