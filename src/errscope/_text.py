@@ -2,6 +2,7 @@
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
 joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
 Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float.
+%s takes a column of texts already in bytes, Strings or Picks: no Python str per row.
 """
 
 from __future__ import annotations
@@ -133,18 +134,65 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             layouts.take((sign * 25 + sub) * 18 + nsig, axis=0))
 
 
-def _put_strings(strings, text: np.ndarray, keep: np.ndarray) -> None:
-    """Write the UTF-8 bytes of each string at the start of its row of text."""
-    blob = "".join(strings).encode("utf-8", "surrogatepass")
-    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
-    if len(blob) != lengths.sum():  # some character takes more than one byte
-        lengths = np.array([len(s.encode("utf-8", "surrogatepass")) for s in strings])
-    np.less(np.arange(keep.shape[1]), lengths[:, None], out=keep)
-    text[keep] = np.frombuffer(blob, dtype=np.uint8)
+class Strings:
+    """A column of texts as one array of their UTF-8 bytes, a lone surrogate encoded as by
+    surrogatepass: text i is blob[offsets[i]:offsets[i + 1]]."""
+
+    __slots__ = ("blob", "offsets")
+
+    def __init__(self, blob: np.ndarray, offsets: np.ndarray):
+        self.blob = blob  # uint8
+        self.offsets = offsets  # (n + 1,) int64, non-decreasing
+
+    @classmethod
+    def of(cls, texts) -> Strings:
+        """The column of an iterable of str, encoded in one pass."""
+        texts = texts if isinstance(texts, (list, tuple)) else list(texts)
+        blob = "".join(texts).encode("utf-8", "surrogatepass")
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        if len(blob) != lengths.sum():  # some character takes more than one byte
+            lengths = np.fromiter((len(t.encode("utf-8", "surrogatepass")) for t in texts),
+                                  dtype=np.int64, count=len(texts))
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(np.frombuffer(blob, dtype=np.uint8), offsets)
+
+    @classmethod
+    def numbered(cls, prefix: str, n: int) -> Strings:
+        """prefix + str(i) for i in range(n): the rows of one digit count at a time, the
+        digits from the "%04d" table."""
+        head = np.frombuffer(prefix.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        quads = _repr_tables()[0].view(np.uint8).reshape(-1, 4)
+        blocks, lengths = [np.empty(0, dtype=np.uint8)], [np.empty(0, dtype=np.int64)]
+        for d in range(1, len(str(max(n - 1, 0))) + 1):
+            i = np.arange(10 ** (d - 1) * (d > 1), min(n, 10 ** d))
+            rows = np.empty((i.size, head.size + d), dtype=np.uint8)
+            rows[:, :head.size] = head
+            for end in range(rows.shape[1], head.size, -4):  # the last four digits first
+                width = min(4, end - head.size)
+                rows[:, end - width:end] = quads[i % 10_000, 4 - width:]
+                i //= 10_000
+            blocks.append(rows.ravel())
+            lengths.append(np.full(rows.shape[0], rows.shape[1]))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(lengths), out=offsets[1:])
+        return cls(np.concatenate(blocks), offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, rows: slice) -> Strings:
+        """The texts of a slice of rows, sharing this blob."""
+        start, stop, _ = rows.indices(len(self))
+        return Strings(self.blob, self.offsets[start:max(start, stop) + 1])
+
+    def tolist(self) -> list[str]:
+        raw, bounds = self.blob.tobytes(), self.offsets.tolist()
+        return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
 
 
 class Picks(NamedTuple):
-    """A %s column whose row i is texts[codes[i]]: each text is encoded once."""
+    """A %s column whose row i is texts[codes[i]]: the texts are encoded once, as Strings."""
 
     texts: list
     codes: np.ndarray
@@ -159,24 +207,37 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
             b = min(a + _BLOCK, len(column))
             text[a:b, 2:7], text[a:b, 13:], keep[a:b] = _repr_block(column[a:b])
             text[a:b, 8:13] = text[a:b, 2:7]
-    elif spec == ".6g":
-        numbers = ("%.6g," * len(column)) % tuple(column.tolist())
-        ends = np.flatnonzero(np.frombuffer(numbers.encode(), dtype=np.uint8) == ord(","))
-        np.less(np.arange(keep.shape[1]), np.diff(ends, prepend=-1)[:, None] - 1, out=keep)
-        text[keep] = np.frombuffer(numbers.replace(",", "").encode(), dtype=np.uint8)
     elif spec == "06x":
         text[:], keep[:] = _HEX.take((column[:, None] >> (16, 8, 0)) & 255).view(np.uint8), True
     elif isinstance(column, Picks):  # its texts encoded, as (bytes, mask)
         (table, table_keep), codes = column
         text[:], keep[:] = table.take(codes, axis=0), table_keep.take(codes, axis=0)
-    else:
-        _put_strings(column, text, keep)
+    else:  # Strings: each text's bytes at the start of its row
+        np.less(np.arange(keep.shape[1]), np.diff(column.offsets)[:, None], out=keep)
+        text[keep] = column.blob[column.offsets[0]:column.offsets[-1]]
+
+
+def _put_g(columns: list, starts: list, text: np.ndarray, keep: np.ndarray) -> None:
+    """Fill every %.6g field of a chunk from one % pass over its values, row by row: the
+    field of columns[f] starts at byte column starts[f] of text and keep."""
+    values = np.stack(columns, axis=1)
+    numbers = ("%.6g," * values.size) % tuple(values.ravel().tolist())
+    ends = np.flatnonzero(np.frombuffer(numbers.encode(), dtype=np.uint8) == ord(","))
+    width = _WIDTH[".6g"]
+    fields = np.zeros((values.size, width), dtype=np.uint8)
+    fields_keep = np.less(np.arange(width), np.diff(ends, prepend=-1)[:, None] - 1)
+    fields[fields_keep] = np.frombuffer(numbers.replace(",", "").encode(), dtype=np.uint8)
+    fields, fields_keep = (a.reshape(*values.shape, width) for a in (fields, fields_keep))
+    for f, a in enumerate(starts):
+        text[:, a:a + width], keep[:, a:a + width] = fields[:, f], fields_keep[:, f]
 
 
 def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk: %r
-    takes float64, %.6g floats, %06x ints in [0, 2^24), %s str or Picks; no literal has %."""
+    takes float64, %.6g floats, %06x ints in [0, 2^24), %s Strings or Picks; no literal
+    has %."""
     parts, columns = _SPEC.split(template), list(columns)
+    specs = parts[1::2]
     n = len(columns[0].codes if isinstance(columns[0], Picks) else columns[0])
     # Each literal, then its field, takes the next byte columns; a %r field starts on a word.
     spans, end = [], 0
@@ -184,13 +245,12 @@ def row_chunks(template: str, *columns):
         spans.append((end, np.frombuffer(literal.encode(), dtype=np.uint8)))
         end += spans[-1][1].size
         if i < len(columns):
-            spec, column = parts[2 * i + 1], columns[i]
-            texts = getattr(column, "texts", column)  # UTF-8 takes up to 4 bytes a character
-            width = _WIDTH.get(spec) or max(map(len, texts), default=0) * (
-                4 - 3 * all(map(str.isascii, texts)))
+            spec, column = specs[i], columns[i]
+            strings = Strings.of(column.texts) if isinstance(column, Picks) else column
+            width = _WIDTH.get(spec) or int(np.diff(strings.offsets).max(initial=0))
             if isinstance(column, Picks):
-                table = np.zeros((len(column.texts), width), dtype=np.uint8)
-                _put_strings(column.texts, table, table_keep := np.empty(table.shape, bool))
+                table = np.zeros((len(strings), width), dtype=np.uint8)
+                _put(spec, strings, table, table_keep := np.empty(table.shape, bool))
                 columns[i] = Picks((table, table_keep), column.codes)
             end += -end % 4 * (spec == "r")
             spans.append((end, width))
@@ -201,10 +261,17 @@ def row_chunks(template: str, *columns):
     keep = np.zeros(text.shape, dtype=bool)
     for a, literal in spans[::2]:
         text[:, a:a + literal.size], keep[:, a:a + literal.size] = literal, True
+    g_fields = [i for i, spec in enumerate(specs) if spec == ".6g"]
     for start in range(0, n, step):
         m = min(step, n - start)
-        for spec, column, (a, width) in zip(parts[1::2], columns, spans[1::2]):
-            part = (Picks(column.texts, column.codes[start:start + m])
-                    if isinstance(column, Picks) else column[start:start + m])
+        rows = slice(start, start + m)
+        if g_fields:
+            _put_g([columns[i][rows] for i in g_fields],
+                   [spans[2 * i + 1][0] for i in g_fields], text[:m], keep[:m])
+        for spec, column, (a, width) in zip(specs, columns, spans[1::2]):
+            if spec == ".6g":
+                continue
+            part = (Picks(column.texts, column.codes[rows]) if isinstance(column, Picks)
+                    else column[rows])
             _put(spec, part, text[:m, a:a + width], keep[:m, a:a + width])
         yield str(text[:m][keep[:m]], "utf-8", "surrogatepass")

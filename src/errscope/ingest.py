@@ -7,11 +7,10 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from ._text import row_chunks
+from ._text import Strings, row_chunks
 from .exceptions import (
     DuplicateModelName,
     LengthMismatch,
@@ -22,7 +21,28 @@ from .exceptions import (
 )
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+_QUOTED_BYTES = np.frombuffer(b',"\r\n', dtype=np.uint8)
+_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)  # odd, so each power is too
+_HASH_ROWS = 1 << 16
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # not valid Unicode; a JSON escape can carry one
+
+
+def _hash64(ids: Strings) -> np.ndarray:
+    """A 64-bit polynomial hash of each id's bytes, mod 2^64: equal ids hash equal."""
+    lengths = np.diff(ids.offsets)
+    powers = np.cumprod(np.full(int(lengths.max(initial=0)), _HASH_BASE))  # wraps mod 2^64
+    hashes = np.zeros(len(ids), dtype=np.uint64)  # an empty id hashes to 0
+    for a in range(0, len(ids), _HASH_ROWS):  # bounds the per-byte temporaries
+        rows = slice(a, a + _HASH_ROWS)
+        starts, first = ids.offsets[:-1][rows], ids.offsets[a]
+        last = ids.offsets[a + starts.size]
+        # Each byte's place in its id, which picks its power.
+        at = np.arange(first, last) - np.repeat(starts, lengths[rows])
+        terms = (ids.blob[first:last] + np.uint64(1)) * powers[at]
+        full = lengths[rows] > 0
+        if full.any():
+            hashes[rows][full] = np.add.reduceat(terms, starts[full] - first)
+    return hashes
 
 
 def _csv_field(text: str) -> str:
@@ -35,18 +55,21 @@ class PredictionSet:
     """Ground truth plus one float64 prediction column per named model.
 
     Model column order is significant and preserved from the source file.
-    Instance ids are opaque; duplicates are legal but worth a warning.
+    Instance ids are opaque; duplicates are legal but worth a warning. They are kept
+    as Strings, their UTF-8 bytes; any sequence of str is encoded once.
     errors holds the signed errors prediction - truth (positive means
     overestimation), computed once and checked finite here.
     """
 
-    instance_ids: tuple[str, ...]
+    instance_ids: Strings
     y_true: np.ndarray  # (n,)
     model_names: tuple[str, ...]
     predictions: np.ndarray  # (n, m); column j holds model_names[j]
     errors: np.ndarray = field(init=False, repr=False)  # (n, m), like predictions
 
     def __post_init__(self):
+        if not isinstance(self.instance_ids, Strings):
+            object.__setattr__(self, "instance_ids", Strings.of(self.instance_ids))
         object.__setattr__(self, "y_true", np.asarray(self.y_true, dtype=float))
         object.__setattr__(self, "predictions", np.asarray(self.predictions, dtype=float))
         n = self.y_true.size
@@ -96,14 +119,21 @@ class PredictionSet:
 
     def duplicate_ids(self) -> list[str]:
         """Instance ids that occur more than once, ordered by each id's first repeat."""
-        if len(set(self.instance_ids)) == self.n:
+        ids = self.instance_ids
+        hashes = _hash64(ids)
+        order = np.sort(hashes)
+        repeated = order[1:][order[1:] == order[:-1]]
+        if not repeated.size:
             return []
+        # Only the ids whose hash repeats are compared, by their bytes: hashes can collide.
+        raw, bounds = ids.blob.tobytes(), ids.offsets.tolist()
         seen, dups = set(), {}
-        for iid in self.instance_ids:
+        for i in np.flatnonzero(np.isin(hashes, repeated)).tolist():
+            iid = raw[bounds[i]:bounds[i + 1]]
             if iid in seen:
                 dups[iid] = None
             seen.add(iid)
-        return list(dups)
+        return [iid.decode("utf-8", "surrogatepass") for iid in dups]
 
     def write_csv(self, fh) -> None:
         """Write the canonical wide CSV to an open text file (parse is its left inverse).
@@ -112,9 +142,9 @@ class PredictionSet:
         time, so no copy of the table or the text is built.
         """
         fh.write(",".join(map(_csv_field, ("id", "y_true") + self.model_names)) + "\n")
-        ids = self.instance_ids
-        if _NEEDS_QUOTES.search("".join(ids)):  # plain ids pass through untouched
-            ids = tuple(map(_csv_field, ids))
+        ids = self.instance_ids  # written as bytes; plain ids pass through untouched
+        if np.isin(ids.blob, _QUOTED_BYTES, kind="table").any():
+            ids = Strings.of(map(_csv_field, ids.tolist()))
         fh.writelines(row_chunks("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
                            ids, self.y_true, *self.predictions.T))
 
@@ -133,7 +163,7 @@ def _header_ok(header: list[str]) -> bool:
     return len(header) >= 3 and header[0] == "id" and header[1] == "y_true"
 
 
-def _read_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
+def _read_csv(text: str) -> tuple[Strings, list[str], np.ndarray]:
     """(ids, header, values) through the csv module: y_true then the models, one row per id.
 
     This path names every error of the file.
@@ -163,7 +193,8 @@ def _read_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
                 raise _non_numeric(row, header, lineno) from None
     except csv.Error as exc:  # such as a cell past csv.field_size_limit()
         raise MalformedHeader(f"row {reader.line_num}: {exc}") from None
-    return ids, header, np.array(values, dtype=float).reshape(len(ids), len(header) - 1)
+    values = np.array(values, dtype=float).reshape(len(ids), len(header) - 1)
+    return Strings.of(ids), header, values
 
 
 # A quote needs the csv module; a CR left after CRLF ends a line for csv but not for
@@ -172,7 +203,7 @@ def _read_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
 _NOT_PLAIN = ('"', "\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _read_plain_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
+def _read_plain_csv(text: str) -> tuple[Strings, list[str], np.ndarray] | None:
     """What _read_csv returns, read by numpy's C tokenizer, or None to hand the text over.
 
     Only a file that _read_csv reads the same, bit for bit, is taken: one with no quote,
@@ -184,18 +215,34 @@ def _read_plain_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None
         text = text.replace("\r\n", "\n")
     if any(c in text for c in _NOT_PLAIN):
         return None
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    lfs = np.flatnonzero(data == ord("\n"))
+    rows = lfs.size - text.endswith("\n")  # the lines after the header
+    header = text.partition("\n")[0].split(",")
+    k = len(header)
+    if rows < 1 or not _header_ok(header):  # with no rows, loadtxt would warn
+        return None
+    commas = np.flatnonzero(data == ord(","))
+    # A line's bytes, never fewer than the characters that csv's field limit counts.
+    widest = np.diff(lfs, prepend=-1, append=data.size).max() - 1
+    if commas.size != (rows + 1) * (k - 1) or widest > csv.field_size_limit():
+        return None
+    # Line j starts one past LF j - 1; with k - 1 commas on each line, its id ends at comma
+    # (k - 1) j. The ids are cut out here, so the bytes are not held while loadtxt runs.
+    starts = lfs[:rows] + 1
+    lengths = commas[k - 1::k - 1] - starts
+    del lfs, commas
+    if (lengths < 0).any():  # some line lacks its commas
+        return None
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    ids = Strings(data[np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])],
+                  offsets)
+    del data
     # The header stays in the list of lines: no copy of the text without it.
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # after the LF that ends the last line
-    if len(lines) < 2:  # no rows, and loadtxt would warn that it read no data
-        return None
-    header = lines[0].split(",")
-    k = len(header)
-    if not _header_ok(header) or text.count(",") != len(lines) * (k - 1):
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
     try:
         # The same list of lines, not a StringIO of the text: no second copy of the file.
         values = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1,
@@ -204,14 +251,14 @@ def _read_plain_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None
         return None
     # loadtxt skips a blank line, which csv skips too but which has an id here. With one
     # row per line, each reaching column k - 1, the comma count leaves no extra cell.
-    if values.shape != (len(lines) - 1, k - 1):
+    if values.shape != (rows, k - 1):
         return None
-    return [line.partition(",")[0] for line in islice(lines, 1, None)], header, values
+    return ids, header, values
 
 
 def _parse_csv(text: str) -> PredictionSet:
     ids, header, values = _read_plain_csv(text) or _read_csv(text)
-    return PredictionSet(tuple(ids), values[:, 0], tuple(header[2:]), values[:, 1:])
+    return PredictionSet(ids, values[:, 0], tuple(header[2:]), values[:, 1:])
 
 
 def _number(value, where: str):
@@ -248,7 +295,7 @@ def _parse_json(text: str) -> PredictionSet:
         values = np.array(rows, dtype=float)
     except OverflowError:
         raise NonFinite("a number is too large for float64") from None
-    return PredictionSet(tuple(ids), values[:, 0], tuple(model_names), values[:, 1:])
+    return PredictionSet(ids, values[:, 0], tuple(model_names), values[:, 1:])
 
 
 def parse_predictions(content: bytes | str, format: str = "csv") -> PredictionSet:

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ._text import Strings
 from .ingest import PredictionSet
 
 Y_RANGE = (0.0, 100.0)
@@ -27,7 +28,7 @@ def _ground_truth(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _build(ids_prefix: str, y: np.ndarray, models: dict[str, np.ndarray]) -> PredictionSet:
     return PredictionSet(
-        instance_ids=tuple(f"{ids_prefix}{i}" for i in range(y.size)),
+        instance_ids=Strings.numbered(ids_prefix, y.size),
         y_true=y,
         model_names=tuple(models),
         predictions=np.column_stack([y + err for err in models.values()]),

@@ -8,7 +8,7 @@ from itertools import repeat
 
 import numpy as np
 
-from errscope._text import Picks
+from errscope._text import Picks, Strings
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from errscope.render import Figure, _attrs
 
@@ -102,7 +102,7 @@ def midrank_percentiles(distances) -> np.ndarray:
 
 def same_prediction_set(a, b) -> bool:
     """Field-by-field equality of two PredictionSets (== is identity)."""
-    return (a.instance_ids == b.instance_ids
+    return (a.instance_ids.tolist() == b.instance_ids.tolist()
             and a.model_names == b.model_names
             and np.array_equal(a.y_true, b.y_true)
             and np.array_equal(a.predictions, b.predictions)
@@ -113,11 +113,11 @@ def rows(template: str, *columns):
     """template % row for each row of the equal-length columns, one string per row: the
     byte reference of the package's row writer.
 
-    A numpy column goes through tolist(), so a float64 formats as a Python float, and
-    the codes of Picks select its texts.
+    A numpy column goes through tolist(), so a float64 formats as a Python float, as
+    does Strings, which gives its str; the codes of Picks select its texts.
     """
     columns = [[c.texts[i] for i in c.codes.tolist()] if isinstance(c, Picks)
-               else c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+               else c.tolist() if isinstance(c, (np.ndarray, Strings)) else c for c in columns]
     return map(template.__mod__, zip(*columns))
 
 
@@ -129,7 +129,7 @@ def to_csv(ps) -> str:
     # tolist() gives Python floats, whose repr is the shortest exact form;
     # converting whole columns avoids a list object per row.
     columns = [ps.y_true.tolist()] + ps.predictions.T.tolist()
-    writer.writerows(zip(ps.instance_ids, *(map(repr, c) for c in columns)))
+    writer.writerows(zip(ps.instance_ids.tolist(), *(map(repr, c) for c in columns)))
     return buf.getvalue()
 
 

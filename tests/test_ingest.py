@@ -20,14 +20,14 @@ from errscope.exceptions import (
     NonNumeric,
     UnknownModel,
 )
-from errscope._text import ROW_CHUNK
+from errscope._text import ROW_CHUNK, Strings
 from errscope.ingest import _read_csv, _read_plain_csv
 
 
 def test_minimal_csv():
     ps = parse_predictions(b"id,y_true,M1\na,1.0,2.0\nb,3.0,3.0")
     assert ps.n == 2
-    assert ps.instance_ids == ("a", "b")
+    assert ps.instance_ids.tolist() == ["a", "b"]
     assert ps.y_true.tolist() == [1.0, 3.0]
     assert ps.model_names == ("M1",)
     assert ps.predictions.tolist() == [[2.0], [3.0]]
@@ -77,7 +77,7 @@ def test_duplicate_model_name():
 
 def test_scientific_notation_and_quotes():
     ps = parse_predictions('id,y_true,M1\n"a,b",1e3,-2.5E-2')
-    assert ps.instance_ids == ("a,b",)
+    assert ps.instance_ids.tolist() == ["a,b"]
     assert ps.y_true.tolist() == [1000.0]
     assert ps.predictions[:, ps.index("M1")].tolist() == [-0.025]
 
@@ -119,7 +119,8 @@ def test_serialize_parse_roundtrip():
     assert same_prediction_set(parse_predictions(written_csv(ps)), ps)
     instances = [
         {"id": iid, "y_true": y, "predictions": dict(zip(ps.model_names, preds))}
-        for iid, y, preds in zip(ps.instance_ids, ps.y_true.tolist(), ps.predictions.tolist())
+        for iid, y, preds in zip(ps.instance_ids.tolist(), ps.y_true.tolist(),
+                                 ps.predictions.tolist())
     ]
     assert same_prediction_set(
         parse_predictions(json.dumps({"instances": instances}), format="json"), ps)
@@ -156,7 +157,7 @@ def test_write_csv_parse_roundtrip(ids, names, floats, n, seed):
     ps = PredictionSet(tuple(ids[i % len(ids)] for i in range(n)), y, tuple(names), preds)
     text = written_csv(ps)
     back = parse_predictions(text)
-    assert back.instance_ids == ps.instance_ids
+    assert back.instance_ids.tolist() == ps.instance_ids.tolist()
     assert back.model_names == ps.model_names
     assert bits(back.y_true) == bits(ps.y_true)
     assert bits(back.predictions) == bits(ps.predictions)
@@ -216,12 +217,12 @@ def outcome(parse, text):
         ps = parse(text)
     except ErrscopeError as exc:
         return type(exc), str(exc)
-    return ps.instance_ids, ps.model_names, bits(ps.y_true), bits(ps.predictions)
+    return ps.instance_ids.tolist(), ps.model_names, bits(ps.y_true), bits(ps.predictions)
 
 
 def csv_module_only(text):
     ids, header, values = _read_csv(text)
-    return PredictionSet(tuple(ids), values[:, 0], tuple(header[2:]), values[:, 1:])
+    return PredictionSet(ids, values[:, 0], tuple(header[2:]), values[:, 1:])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -249,7 +250,9 @@ def test_plain_path_reads_what_the_csv_module_reads(text):
     plain = _read_plain_csv(text)
     if plain is not None:
         ids, header, values = _read_csv(text)
-        assert plain[:2] == (ids, header)
+        assert plain[0].blob.tobytes() == ids.blob.tobytes()
+        assert plain[0].offsets.tolist() == ids.offsets.tolist()
+        assert plain[1] == header
         assert bits(plain[2]) == bits(values)
     assert outcome(parse_predictions, text) == outcome(csv_module_only, text)
 
@@ -274,7 +277,7 @@ def test_canonical_csv_takes_the_plain_path(monkeypatch):
 def test_parse_traced_peak_at_2e5():
     """The lines go to loadtxt as a list, not as a StringIO copy of the text. With numpy
     2.4.6 on Python 3.11 the peak read 51.1 MB that way, 93.7 MB through a StringIO and
-    94.8 MB through the csv module."""
+    94.8 MB through the csv module; 48.0 MB once the ids were cut from the encoded text."""
     data = canonical_csv(200_000)
     tracemalloc.start()
     try:
@@ -299,6 +302,50 @@ def test_duplicate_ids_allowed_but_reported():
     elapsed = time.perf_counter() - t0
     assert dups == [str(i) for i in range(n // 2)]
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def with_ids(ids) -> PredictionSet:
+    n = len(ids)
+    return PredictionSet(ids, np.zeros(n), ("M1",), np.zeros((n, 1)))
+
+
+@pytest.mark.parametrize("ids, dups", [
+    (["", "a", "", "b", ""], [""]),
+    (["", "a", "b"], []),
+    # The same first 8 bytes and the same length: only a later byte tells them apart.
+    (["abcdefgh-1", "abcdefgh-2", "abcdefgh-1", "abcdefgh-3", "abcdefgh-2"],
+     ["abcdefgh-1", "abcdefgh-2"]),
+    (["abcdefgh", "abcdefgh\x00", "abcdefgh"], ["abcdefgh"]),
+    (["\u00e9t\u00e9", "\u2028", "\u00e9t\u00e9", "\U0001f600", "\u2028", "\U0001f600",
+      "\ud800", "\ud800"], ["\u00e9t\u00e9", "\u2028", "\U0001f600", "\ud800"]),
+])
+def test_duplicate_ids_exact(ids, dups):
+    assert with_ids(ids).duplicate_ids() == dups
+
+
+def test_duplicate_ids_survive_a_constant_hash(monkeypatch):
+    """Every hash colliding leaves the bytes to decide, in first-repeat order."""
+    ids = ["b", "a", "\u00e9", "c", "a", "\u00e9", "b", "a", "dd", "d"]
+    monkeypatch.setattr(errscope.ingest, "_hash64", lambda s: np.zeros(len(s), np.uint64))
+    assert with_ids(ids).duplicate_ids() == ["a", "\u00e9", "b"]
+    assert with_ids(["x", "y", "xy"]).duplicate_ids() == []
+
+
+@pytest.mark.parametrize("source", ["synth", "plain_csv", "csv_module", "json"])
+def test_ids_are_one_byte_column(source):
+    ps = generate("under_vs_over", 20)
+    text = written_csv(ps)
+    if source == "plain_csv":
+        ps = parse_predictions(text)
+    elif source == "csv_module":
+        ps = parse_predictions(text.replace("\nc7,", '\n"c7",'))
+    elif source == "json":
+        ps = parse_predictions(json.dumps({"instances": [
+            {"id": f"c{i}", "y_true": y, "predictions": {"C1": a, "C2": b}}
+            for i, (y, (a, b)) in enumerate(zip(ps.y_true.tolist(), ps.predictions.tolist()))
+        ]}), format="json")
+    assert isinstance(ps.instance_ids, Strings)
+    assert ps.instance_ids.tolist() == [f"c{i}" for i in range(20)]
 
 
 def errors_of(y_true, y_pred):

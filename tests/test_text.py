@@ -1,10 +1,11 @@
-"""The row writer's float64 text against repr, byte for byte."""
+"""The row writer's float64 text against repr, byte for byte, and the Strings column."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracles import rows
 
-from errscope._text import row_chunks
+from errscope._text import Strings, row_chunks
 
 
 def assert_repr(values):
@@ -51,3 +52,44 @@ def test_extreme_normals_and_subnormals():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_any_finite_floats(values):
     assert_repr(values)
+
+
+def test_one_row_of_512_g_fields():
+    """A 256-vertex polygon is one row with 512 %.6g fields, filled from one % pass."""
+    template = 'points="%s"\n' % " ".join(["%.6g,%.6g"] * 256)
+    edges = [0.0, 1.0, -1.5, 123456.5, 1234567.0, 1e-5, -2.5e-07, 0.0001, 1e16, -1e300, 5e-324]
+    x = np.concatenate([edges, np.random.default_rng(16).normal(0.0, 1e3, 512 - len(edges))])
+    columns = x.reshape(1, 512).T
+    assert "".join(row_chunks(template, *columns)) == "".join(rows(template, *columns))
+
+
+# Any code point, lone surrogates too (st.characters leaves them out): Strings encodes them
+# as surrogatepass does.
+ANY_TEXT = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(ANY_TEXT | st.sampled_from(["", "\u2028", "\ud800", "\udfff\ud800", "\u00e9"])))
+@example(["a" * 200_000, "", "b"])
+@example([])
+def test_strings_round_trip(texts):
+    strings = Strings.of(texts)
+    assert len(strings) == len(texts)
+    assert strings.tolist() == texts
+    assert strings.blob.tobytes() == "".join(texts).encode("utf-8", "surrogatepass")
+    assert strings[1:3].tolist() == texts[1:3]
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 11, 100, 10_001, 100_001])
+@pytest.mark.parametrize("prefix", ["", "c", "\u00e9-"])
+def test_numbered_strings(prefix, n):
+    """Across each change of digit count and each four-digit group."""
+    strings = Strings.numbered(prefix, n)
+    assert strings.tolist() == [f"{prefix}{i}" for i in range(n)]
+    assert strings.offsets.tolist() == Strings.of(strings.tolist()).offsets.tolist()
+
+
+def test_strings_fill_a_s_field():
+    strings = Strings.of(["", "a,b", "\u00e9\u2028", "\ud800", "x" * 70] * 5000)
+    template = "<%s>\n"
+    assert "".join(row_chunks(template, strings)) == "".join(rows(template, strings))
