@@ -50,15 +50,17 @@ def _print_warnings(report: dict) -> None:
 
 
 def _write_all(outputs) -> None:
-    """Call write(path) for each (path, write) in turn. If one fails, remove the
-    files already written, so that a failed command leaves no output."""
-    written = []
+    """For each (path, write) in turn, open path as UTF-8 text with LF line ends and call
+    write(fh). If one fails, remove every file opened so far, the one being written
+    included, so that a failed command leaves no output."""
+    opened = []
     try:
         for path, write in outputs:
-            write(path)
-            written.append(path)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
+                write(fh)
     except BaseException:
-        for path in written:
+        for path in opened:
             Path(path).unlink(missing_ok=True)
         raise
 
@@ -73,8 +75,8 @@ def cmd_metrics(args) -> int:
         grid = render_model_grid(ps, order, global_scale=args.global_scale)
         outdir = Path(args.plots)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_all([(outdir / "boxplots.svg", boxplots.save),
-                    (outdir / "pred_vs_actual_grid.svg", grid.save)])
+        _write_all([(outdir / "boxplots.svg", boxplots.write),
+                    (outdir / "pred_vs_actual_grid.svg", grid.write)])
     if args.json:
         sys.stdout.write(to_json(report))
     else:
@@ -96,9 +98,9 @@ def cmd_compare(args) -> int:
     figure = render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid)
     # The report checks every model's metrics: build it first, so a failure leaves no SVG.
     report = build_pair_report(ps, analysis)
-    outputs = [(args.output, figure.save)]
+    outputs = [(args.output, figure.write)]
     if args.json:
-        outputs.append((args.json, lambda path: write_pair_json(path, report, analysis)))
+        outputs.append((args.json, lambda fh: write_pair_json(fh, report, analysis)))
     _write_all(outputs)
 
     pair = report["pair"]
@@ -138,8 +140,7 @@ def cmd_synth(args) -> int:
                                      "parameters") from None
     # Checked before the CSV is written, so a failure leaves no file.
     metrics = model_metrics(ps)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        ps.write_csv(fh)
+    _write_all([(args.output, ps.write_csv)])
 
     print(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}")
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")

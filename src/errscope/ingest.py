@@ -138,8 +138,9 @@ class PredictionSet:
     def write_csv(self, fh) -> None:
         """Write the canonical wide CSV to an open text file (parse is its left inverse).
 
-        Open the file with newline="". Rows are written from the arrays one chunk at a
-        time, so no copy of the table or the text is built.
+        Open it as every output is opened, with encoding="utf-8" and newline="\\n", so LF
+        is written untranslated. Rows are written from the arrays one chunk at a time, so
+        no copy of the table or the text is built.
         """
         fh.write(",".join(map(_csv_field, ("id", "y_true") + self.model_names)) + "\n")
         ids = self.instance_ids  # written as bytes; plain ids pass through untouched

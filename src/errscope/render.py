@@ -122,21 +122,20 @@ def _attrs(**attrs) -> str:
 
 
 class Figure:
-    """Ordered list of SVG fragments plus the data-to-canvas transform."""
+    """Ordered list of LF-terminated SVG fragments plus the data-to-canvas transform."""
 
     def __init__(self, width: float, height: float, transform: Transform | None = None):
         self.width = width
         self.height = height
         self.transform = transform
-        self.elements = [f'<rect{_attrs(x=0, y=0, width=width, height=height, fill="#ffffff")}/>']
+        self.elements = [f'<rect{_attrs(x=0, y=0, width=width, height=height, fill="#ffffff")}/>\n']
 
     def _rows(self, head: str, columns, fills, **attrs) -> None:
-        """One element per row of the columns, which fill the %.6g fields of head. fills is
-        one colour or packed 0xrrggbb ints, one per row. No colour or attribute holds %."""
+        """One line per row of the columns, which fill the %.6g fields of head, kept in
+        row_chunks' chunks. fills is one colour or packed 0xrrggbb ints, one per row."""
         if not isinstance(fills, str):
             fills, columns = "#%06x", (*columns, fills)
-        for chunk in row_chunks(f'<{head} fill="{fills}"{_attrs(**attrs)}/>\n', *columns):
-            self.elements += chunk[:-1].split("\n")
+        self.elements += row_chunks(f'<{head} fill="{fills}"{_attrs(**attrs)}/>\n', *columns)
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:
         """One circle per entry of the cx, cy columns."""
@@ -160,24 +159,22 @@ class Figure:
              width: float = 1.0, dash: str | None = None) -> None:
         attrs = _attrs(x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=width,
                        stroke_dasharray=dash)
-        self.elements.append(f"<line{attrs}/>")
+        self.elements.append(f"<line{attrs}/>\n")
 
     def text(self, x: float, y: float, content: str, size: float = 14.0,
              anchor: str = "middle") -> None:
         attrs = _attrs(x=x, y=y, text_anchor=anchor, font_size=size, font_family="sans-serif",
                        fill="#000000")
-        self.elements.append(f"<text{attrs}>{content.translate(_XML_ESCAPES)}</text>")
+        self.elements.append(f"<text{attrs}>{content.translate(_XML_ESCAPES)}</text>\n")
 
-    def to_svg(self) -> str:
+    def write(self, fh) -> None:
+        """Write the SVG document to an open text file, one piece of elements at a time."""
         box = " ".join(map(fmt, (0, 0, self.width, self.height)))
         svg = _attrs(xmlns="http://www.w3.org/2000/svg", version="1.1", width=self.width,
                      height=self.height, viewBox=box)
-        return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-                f"<svg{svg}>\n" + "\n".join(self.elements) + "\n</svg>\n")
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_svg())
+        fh.write(f'<?xml version="1.0" encoding="UTF-8"?>\n<svg{svg}>\n')
+        fh.writelines(self.elements)
+        fh.write("</svg>\n")
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:

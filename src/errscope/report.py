@@ -86,9 +86,9 @@ _POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        %s,\n'
 _ZONE_QUADRANT = [f'"zone": "{z}",\n        "quadrant": "{q}"' for z in ZONES for q in QUADRANTS]
 
 
-def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
-    """Write the pair report plus every instance of the analysis under "errorspace",
-    streaming the points from the arrays; the bytes are those of to_json."""
+def write_pair_json(fh, report: dict, analysis: ErrorSpaceAnalysis) -> None:
+    """Write the pair report plus every instance of the analysis under "errorspace" to an
+    open text file, streaming the points from the arrays; the bytes are those of to_json."""
     if not all(np.isfinite(a).all() for a in (analysis.e, analysis.distance, analysis.percentile)):
         raise ValueError("Out of range float values are not JSON compliant")
     errorspace = {
@@ -110,10 +110,9 @@ def write_pair_json(path, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     zone_quadrant = Picks(_ZONE_QUADRANT, analysis.zone * len(QUADRANTS) + analysis.quadrant)
     points = row_chunks(_POINT, *analysis.e.T, zone_quadrant, analysis.distance,
                         analysis.percentile)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
-        fh.writelines(points)
-        fh.write("\n    ]" + tail)
+    fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
+    fh.writelines(points)
+    fh.write("\n    ]" + tail)
 
 
 def to_json(payload: dict) -> str:

@@ -1,10 +1,18 @@
+import io
 import xml.etree.ElementTree as ET
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
+def svg_text(fig) -> str:
+    """The SVG document of a figure, as Figure.write writes it."""
+    buf = io.StringIO()
+    fig.write(buf)
+    return buf.getvalue()
+
+
 def svg_root(fig):
-    return ET.fromstring(fig.to_svg())
+    return ET.fromstring(svg_text(fig))
 
 
 def find_all(fig, tag, cls=None):

@@ -177,7 +177,7 @@ class FormatFigure(Figure):
             fills = repeat(fills)
         else:
             fills = map("#%06x".__mod__, np.asarray(fills).tolist())
-        row = f'<{head} fill="%s"{_attrs(**attrs)}/>'
+        row = f'<{head} fill="%s"{_attrs(**attrs)}/>\n'
         self.elements.extend(map(row.__mod__, zip(*columns, fills)))
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:

@@ -1,6 +1,8 @@
 import builtins
+import errno
 import inspect
 import io
+import itertools
 import json
 import tempfile
 import warnings
@@ -12,7 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import svg_text
+
 import errscope.cli
+import errscope.ingest
 import errscope.report
 from errscope import analyze_pair, parse_predictions, render_error_space
 from errscope.cli import main
@@ -189,6 +194,35 @@ def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [demo_csv.name]
 
 
+def test_compare_json_write_failure_removes_partial_file(demo_csv, tmp_path, capsys, monkeypatch):
+    # The disk fills after the report's first chunk of points: the SVG and the
+    # partly written report are both removed.
+    real_row_chunks = errscope.report.row_chunks
+
+    def disk_full_after_one_chunk(*args):
+        yield from itertools.islice(real_row_chunks(*args), 1)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(errscope.report, "row_chunks", disk_full_after_one_chunk)
+    capsys.readouterr()
+    assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", "-o", str(tmp_path / "a.svg"),
+                 "--json", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOSPC}] No space left on device\n")
+    assert [p.name for p in tmp_path.iterdir()] == [demo_csv.name]
+
+
+def test_synth_write_failure_removes_partial_csv(tmp_path, capsys, monkeypatch):
+    # Memory runs out once the header is written: the partial CSV is removed.
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(errscope.ingest, "row_chunks", out_of_memory)
+    assert main(["synth", "--kind", "under_vs_over", "--n", "50",
+                 "-o", str(tmp_path / "bad.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_duplicate_ids_warn_on_stderr(tmp_path, capsys):
     path = tmp_path / "in.csv"
     path.write_text("id,y_true,M1,M2\na,0,1,2\na,0,2,1\nb,0,-1,3\nc,0,3,-2\nd,0,1,1\n")
@@ -217,8 +251,8 @@ def test_writers_fix_line_ends(tmp_path, monkeypatch):
     assert main(["metrics", "in.csv", "--plots", "figs"]) == 0
     assert main(["compare", "in.csv", "--a", "E1", "--b", "E2", "-o", "x.svg",
                  "--json", "rep.json"]) == 0
-    assert newlines == {"in.csv": "", "boxplots.svg": "\n", "pred_vs_actual_grid.svg": "\n",
-                        "x.svg": "\n", "rep.json": "\n"}
+    assert newlines == dict.fromkeys(["in.csv", "boxplots.svg", "pred_vs_actual_grid.svg",
+                                      "x.svg", "rep.json"], "\n")
 
 
 def test_metrics_empty_file_exits_2(tmp_path, capsys):
@@ -435,7 +469,7 @@ def test_compare_default_layers(demo_csv, tmp_path):
         svgs.append(svg.read_bytes())
     ps = parse_predictions(demo_csv.read_bytes())
     analysis = analyze_pair(ps.errors[:, [ps.index("B1"), ps.index("B2")]], "B1", "B2")
-    svgs.append(render_error_space(analysis).to_svg().encode("utf-8"))
+    svgs.append(svg_text(render_error_space(analysis)).encode("utf-8"))
     assert svgs[0] == svgs[1] == svgs[2]
 
 

@@ -242,7 +242,8 @@ def test_analyze_pair_subnormal_covariance_is_degenerate(scale):
 def test_analysis_serialization_shape(tmp_path):
     rng = np.random.default_rng(8)
     an = analyze_pair(pair(rng.normal(size=10), rng.normal(size=10)), "A", "B")
-    write_pair_json(tmp_path / "report.json", {}, an)
+    with open(tmp_path / "report.json", "w", encoding="utf-8", newline="\n") as fh:
+        write_pair_json(fh, {}, an)
     d = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["errorspace"]
     assert len(d["points"]) == 10
     assert len(d["summary"]["covariance"]) == 4

@@ -1,7 +1,10 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import find_all, point_in_polygon, polygon_points
+from conftest import find_all, point_in_polygon, polygon_points, svg_text
 from oracles import FormatFigure, colormap_rgb
 
 from errscope import (
@@ -9,6 +12,7 @@ from errscope import (
     ZONES,
     analyze_pair,
     boxplot_stats,
+    default_hex_radius,
     hexbin,
     kde2d,
     parse_predictions,
@@ -18,7 +22,7 @@ from errscope import (
 )
 from errscope.exceptions import DegenerateDistribution, MissingLayerInput, UnknownModel
 from errscope._text import ROW_CHUNK
-from errscope.render import Figure, colormap, fmt
+from errscope.render import ERROR_SPACE_LAYERS, Figure, colormap, fmt
 
 
 def sample_analysis(n=101, seed=0, metric="mahalanobis", scale_b=1.0):
@@ -58,10 +62,27 @@ def test_shape_rows_past_one_chunk_match_reference(shape, fills):
             fig.rects(x[:, 0], y[:, 0], 2.5, 1e300, fills, fill_opacity=0.6)
         else:
             fig.polygons(x, y, fills, stroke="#000000", cls="hex")
-        assert len(fig.elements) == 1 + n  # the background, then one row each
-    # The first differing row, rather than a diff of two long documents.
-    assert next(((a, b) for a, b in zip(*(f.elements for f in figs)) if a != b), None) is None
-    assert figs[0].to_svg() == figs[1].to_svg()
+    got, want = (svg_text(fig).encode("utf-8") for fig in figs)
+    lines = got.split(b"\n"), want.split(b"\n")
+    assert len(lines[0]) == len(lines[1]) == n + 5  # header, svg, background, rows, end, ""
+    # The first differing line, rather than a diff of two long documents.
+    assert next(((a, b) for a, b in zip(*lines) if a != b), None) is None
+    assert got == want
+
+
+def test_write_traced_peak_at_1e5():
+    # Figure.write hands the file one piece at a time: no whole document is built.
+    an = sample_analysis(n=100_000, seed=9)
+    fig = render_error_space(an, layers=ERROR_SPACE_LAYERS, kde=kde2d(an.e),
+                             hexgrid=hexbin(an.e, default_hex_radius(an.e)))
+    with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
+        tracemalloc.start()
+        try:
+            fig.write(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8 * 2**20  # two of row_chunks' 4 MB buffers
 
 
 def test_colormap_endpoints_and_interpolation():
@@ -80,8 +101,8 @@ def test_byte_determinism():
     kde = kde2d(an.e)
     hx = hexbin(an.e, 0.5)
     layers = ("zones", "proximity", "crown", "kde", "hexbin")
-    svg1 = render_error_space(an, layers=layers, kde=kde, hexgrid=hx).to_svg()
-    svg2 = render_error_space(an, layers=layers, kde=kde, hexgrid=hx).to_svg()
+    svg1 = svg_text(render_error_space(an, layers=layers, kde=kde, hexgrid=hx))
+    svg2 = svg_text(render_error_space(an, layers=layers, kde=kde, hexgrid=hx))
     assert svg1.encode() == svg2.encode()
 
 

@@ -1,6 +1,7 @@
 """The pair report writer against the dict-per-point reference, byte for byte."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ def analysis_and_report(ps, a, b, metric):
 
 def assert_matches_reference(path, ps, a, b, metric):
     an, report = analysis_and_report(ps, a, b, metric)
-    write_pair_json(path, report, an)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_pair_json(fh, report, an)
     assert path.read_bytes() == to_json(oracles.with_points(report, an)).encode("utf-8")
 
 
@@ -68,11 +70,12 @@ def test_rows_past_one_chunk_match_reference(tmp_path):
 
 
 @pytest.mark.parametrize("column", ["e", "distance", "percentile"])
-def test_non_finite_column_leaves_no_file(tmp_path, column):
+def test_non_finite_column_leaves_no_file(column):
     an, report = analysis_and_report(prediction_set(EDGE_ERRORS), "A", "B", "mahalanobis")
     bad = getattr(an, column).copy()
     bad.flat[0] = np.nan
-    path = tmp_path / "r.json"
+    # Refused before the first byte, so the CLI has no partial report to remove.
+    buf = io.StringIO()
     with pytest.raises(ValueError):
-        write_pair_json(path, report, dataclasses.replace(an, **{column: bad}))
-    assert not path.exists()
+        write_pair_json(buf, report, dataclasses.replace(an, **{column: bad}))
+    assert buf.getvalue() == ""
