@@ -2,7 +2,8 @@
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
 joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
 Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float.
-%s takes a column of texts already in bytes, Strings or Picks: no Python str per row.
+%.6g, the SVG number, fills each field on its own from one Python % over its chunk of the
+column. %s takes a column of texts already in bytes, Strings or Picks: no Python str per row.
 """
 
 from __future__ import annotations
@@ -209,6 +210,11 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
             text[a:b, 8:13] = text[a:b, 2:7]
     elif spec == "06x":
         text[:], keep[:] = _HEX.take((column[:, None] >> (16, 8, 0)) & 255).view(np.uint8), True
+    elif spec == ".6g":  # one % over the chunk, cut at its commas
+        raw = np.frombuffer(("%.6g," * len(column) % tuple(column.tolist())).encode(), np.uint8)
+        ends = np.flatnonzero(raw == ord(","))
+        np.less(np.arange(keep.shape[1]), np.diff(ends, prepend=-1)[:, None] - 1, out=keep)
+        text[keep] = np.delete(raw, ends)
     elif isinstance(column, Picks):  # its texts encoded, as (bytes, mask)
         (table, table_keep), codes = column
         text[:], keep[:] = table.take(codes, axis=0), table_keep.take(codes, axis=0)
@@ -217,25 +223,10 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
         text[keep] = column.blob[column.offsets[0]:column.offsets[-1]]
 
 
-def _put_g(columns: list, starts: list, text: np.ndarray, keep: np.ndarray) -> None:
-    """Fill every %.6g field of a chunk from one % pass over its values, row by row: the
-    field of columns[f] starts at byte column starts[f] of text and keep."""
-    values = np.stack(columns, axis=1)
-    numbers = ("%.6g," * values.size) % tuple(values.ravel().tolist())
-    ends = np.flatnonzero(np.frombuffer(numbers.encode(), dtype=np.uint8) == ord(","))
-    width = _WIDTH[".6g"]
-    fields = np.zeros((values.size, width), dtype=np.uint8)
-    fields_keep = np.less(np.arange(width), np.diff(ends, prepend=-1)[:, None] - 1)
-    fields[fields_keep] = np.frombuffer(numbers.replace(",", "").encode(), dtype=np.uint8)
-    fields, fields_keep = (a.reshape(*values.shape, width) for a in (fields, fields_keep))
-    for f, a in enumerate(starts):
-        text[:, a:a + width], keep[:, a:a + width] = fields[:, f], fields_keep[:, f]
-
-
 def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk: %r
     takes float64, %.6g floats, %06x ints in [0, 2^24), %s Strings or Picks; no literal
-    has %."""
+    has %. Every field, each %.6g one too, is filled on its own by _put."""
     parts, columns = _SPEC.split(template), list(columns)
     specs = parts[1::2]
     n = len(columns[0].codes if isinstance(columns[0], Picks) else columns[0])
@@ -261,16 +252,10 @@ def row_chunks(template: str, *columns):
     keep = np.zeros(text.shape, dtype=bool)
     for a, literal in spans[::2]:
         text[:, a:a + literal.size], keep[:, a:a + literal.size] = literal, True
-    g_fields = [i for i, spec in enumerate(specs) if spec == ".6g"]
     for start in range(0, n, step):
         m = min(step, n - start)
         rows = slice(start, start + m)
-        if g_fields:
-            _put_g([columns[i][rows] for i in g_fields],
-                   [spans[2 * i + 1][0] for i in g_fields], text[:m], keep[:m])
         for spec, column, (a, width) in zip(specs, columns, spans[1::2]):
-            if spec == ".6g":
-                continue
             part = (Picks(column.texts, column.codes[rows]) if isinstance(column, Picks)
                     else column[rows])
             _put(spec, part, text[:m, a:a + width], keep[:m, a:a + width])

@@ -49,10 +49,18 @@ def _print_warnings(report: dict) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _write_all(outputs) -> None:
+def _write_all(outputs, source=None) -> None:
     """For each (path, write) in turn, open path as UTF-8 text with LF line ends and call
-    write(fh). If one fails, remove every file opened so far, the one being written
-    included, so that a failed command leaves no output."""
+    write(fh). An output that resolves to the input file source or to another output is
+    an error, raised before any file is opened. If a write fails, remove every file
+    opened so far, the one being written included, so that a failed command leaves no
+    output."""
+    taken = {} if source is None else {Path(source).resolve(): "the input file"}
+    for path, _ in outputs:
+        real = Path(path).resolve()
+        if real in taken:
+            raise ErrscopeError(f"output {str(path)!r} would overwrite {taken[real]}")
+        taken[real] = f"output {str(path)!r}"
     opened = []
     try:
         for path, write in outputs:
@@ -76,7 +84,7 @@ def cmd_metrics(args) -> int:
         outdir = Path(args.plots)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_all([(outdir / "boxplots.svg", boxplots.write),
-                    (outdir / "pred_vs_actual_grid.svg", grid.write)])
+                    (outdir / "pred_vs_actual_grid.svg", grid.write)], args.input)
     if args.json:
         sys.stdout.write(to_json(report))
     else:
@@ -101,7 +109,7 @@ def cmd_compare(args) -> int:
     outputs = [(args.output, figure.write)]
     if args.json:
         outputs.append((args.json, lambda fh: write_pair_json(fh, report, analysis)))
-    _write_all(outputs)
+    _write_all(outputs, args.input)
 
     pair = report["pair"]
     print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")
@@ -128,9 +136,9 @@ def cmd_synth(args) -> int:
         try:
             params[key] = float(value)
         except ValueError:
-            raise ErrscopeError(f"--param {key}: {value!r} is not a number") from None
+            raise ErrscopeError(f"--param {key!r}: {value!r} is not a number") from None
         if not math.isfinite(params[key]):
-            raise ErrscopeError(f"--param {key}: {value!r} is not finite")
+            raise ErrscopeError(f"--param {key!r}: {value!r} is not finite")
     try:
         ps = generate(args.kind, args.n, seed=args.seed, params=params)
     except ValueError as exc:  # bad parameters

@@ -86,7 +86,8 @@ class PredictionSet:
             raise MalformedHeader(f"model name {name!r} is not valid Unicode")
         if len(set(names)) != len(names):
             dupes = sorted({m for m in names if names.count(m) > 1})
-            raise DuplicateModelName(f"duplicate model column(s): {', '.join(dupes)}")
+            raise DuplicateModelName(
+                f"duplicate model column(s): {', '.join(map(repr, dupes))}")
         if self.predictions.shape != (n, len(names)):
             raise LengthMismatch(
                 f"prediction matrix has shape {self.predictions.shape} for {n} "
@@ -114,7 +115,8 @@ class PredictionSet:
     def index(self, name: str) -> int:
         """Column of one model in predictions and errors, looked up by name."""
         if name not in self.model_names:
-            raise UnknownModel(name)
+            raise UnknownModel(f"unknown model {name!r}; models: "
+                               f"{', '.join(map(repr, self.model_names))}")
         return self.model_names.index(name)
 
     def duplicate_ids(self) -> list[str]:
@@ -178,7 +180,7 @@ def _read_csv(text: str) -> tuple[Strings, list[str], np.ndarray]:
             raise MalformedHeader("empty file")
         if not _header_ok(header):
             raise MalformedHeader(
-                "header must be 'id,y_true,<model>...', got " + ",".join(header)
+                f"header must be 'id,y_true,<model>...', got {','.join(header)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import row_chunks
+from ._text import Strings, row_chunks
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
@@ -131,7 +131,7 @@ class Figure:
         self.elements = [f'<rect{_attrs(x=0, y=0, width=width, height=height, fill="#ffffff")}/>\n']
 
     def _rows(self, head: str, columns, fills, **attrs) -> None:
-        """One line per row of the columns, which fill the %.6g fields of head, kept in
+        """One line per row of the columns, which fill the fields of head, kept in
         row_chunks' chunks. fills is one colour or packed 0xrrggbb ints, one per row."""
         if not isinstance(fills, str):
             fills, columns = "#%06x", (*columns, fills)
@@ -149,11 +149,14 @@ class Figure:
 
     def polygons(self, x, y, fills, **attrs) -> None:
         """One polygon per row of the (k, v) vertex arrays x, y."""
-        xy = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
-        k, v = xy.shape[:2]
-        # Column 2j of a row is the x of vertex j, column 2j + 1 its y.
-        self._rows('polygon points="%s"' % " ".join(["%.6g,%.6g"] * v),
-                   _numbers(xy).reshape(k, 2 * v).T, fills, **attrs)
+        k, v = np.shape(x)
+        xy = _numbers(np.stack([x, y], axis=-1))
+        # Every vertex as "x,y ", then each polygon's text cut at the space after its last.
+        text = "".join(row_chunks("%.6g,%.6g ", xy[0::2], xy[1::2])).encode()
+        blob = np.frombuffer(text, dtype=np.uint8)
+        ends = np.flatnonzero(blob == ord(" "))[v - 1::v]
+        points = Strings(np.delete(blob, ends), np.concatenate([[0], ends - np.arange(k)]))
+        self._rows('polygon points="%s"', (points,), fills, **attrs)
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str,
              width: float = 1.0, dash: str | None = None) -> None:

@@ -149,7 +149,8 @@ def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None =
     params = params or {}
     unknown = set(params) - (set(inspect.signature(fn).parameters) - {"n", "seed"})
     if unknown:
-        raise ValueError(f"unknown parameter(s) for {kind!r}: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown parameter(s) for {kind!r}: "
+                         f"{', '.join(map(repr, sorted(unknown)))}")
     for key, value in params.items():
         if key in SCALE_PARAMS and not value >= 0.0:
             raise ValueError(f"--param {key}: must be >= 0, got {value!r}")

@@ -79,7 +79,7 @@ def test_synth_size_as_param_exits_2(tmp_path, capsys):
     (["--kind", "equal_metrics_divergent", "--n", "5", "--seed", "1", "--param", "jitter=1e308"],
      3, "error: metrics of model 'D1' overflow float64\n"),
     (["--kind", "correlated_pair", "--n", "40", "--param", "sigma=nan"], 2,
-     "error: --param sigma: 'nan' is not finite\n"),
+     "error: --param 'sigma': 'nan' is not finite\n"),
     (["--kind", "outlier_vs_moderate", "--n", "40", "--param", "moderate_sigma=5e-324"], 3,
      "error: scenario outlier_vs_moderate leaves float64 with these parameters\n"),
 ], ids=["sigma_1e200", "jitter_1e308", "sigma_nan", "moderate_sigma_subnormal"])
@@ -104,7 +104,7 @@ def test_synth_size_beyond_memory_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("param, err", [
     ("sigma", "error: --param expects key=value, got 'sigma'\n"),
-    ("sigma=abc", "error: --param sigma: 'abc' is not a number\n"),
+    ("sigma=abc", "error: --param 'sigma': 'abc' is not a number\n"),
 ], ids=["no_equals", "not_a_number"])
 def test_synth_malformed_param_exits_2(tmp_path, capsys, param, err):
     out = tmp_path / "x.csv"
@@ -192,6 +192,28 @@ def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
                                        f"'{tmp_path / 'nodir' / 'r.json'}'\n")
     assert [p.name for p in tmp_path.iterdir()] == [demo_csv.name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "in.csv", "--a", "B1", "--b", "B2", "-o", "in.csv", "--json", "nodir/r.json"],
+    ["compare", "in.csv", "--a", "B1", "--b", "B2", "-o", "x.svg", "--json", "./x.svg"],
+    ["metrics", "figs/boxplots.svg", "--plots", "figs"],
+], ids=["compare_over_input", "compare_outputs_at_one_path", "metrics_over_input"])
+def test_output_over_the_input_or_another_output_exits_2(demo_csv, tmp_path, capsys,
+                                                         monkeypatch, argv):
+    """Output paths are checked before any file is opened: one that names the input or
+    another output exits 2 with one error line, writes nothing and leaves the input."""
+    data = demo_csv.read_bytes()
+    run = tmp_path / "run"
+    (run / "figs").mkdir(parents=True)
+    (run / argv[1]).write_bytes(data)
+    monkeypatch.chdir(run)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: output ") and err.count("\n") == 1
+    assert sorted(p.relative_to(run).as_posix() for p in run.rglob("*")) == ["figs", argv[1]]
+    assert (run / argv[1]).read_bytes() == data
 
 
 def test_compare_json_write_failure_removes_partial_file(demo_csv, tmp_path, capsys, monkeypatch):
@@ -748,6 +770,14 @@ def _synth(kind, n, *params, seed=0):
 @example(case=(_synth("equal_metrics_divergent", 5, "jitter=1e308", seed=1), ""))
 @example(case=(_synth("correlated_pair", 40, "sigma=nan"), ""))
 @example(case=(_synth("outlier_vs_moderate", 40, "moderate_sigma=5e-324"), ""))
+# User text holding an LF, in a header, a model name, --a and a --param key: quoted.
+@example(case=(["metrics", "in.csv"], '"i\nd",y_true,M1\nr0,1,1\n'))
+@example(case=(["metrics", "in.csv"], 'id,y_true,"a\nb","a\nb"\nr0,1,1,1\n'))
+@example(case=(["compare", "in.csv", "--a", "E\n1", "--b", "M1", "-o", "x.svg"],
+               "id,y_true,M1\nr0,0,1\n"))
+@example(case=(_synth("correlated_pair", 40, "a\nb=1"), ""))
+@example(case=(_synth("correlated_pair", 40, "a\nb=x"), ""))
+@example(case=(_synth("correlated_pair", 40, "a\nb=inf"), ""))
 def test_cli_exit_contract(case):
     """Exit 0, 2 or 3 on any tiny input and flag values. A failure prints one
     error line and writes nothing; a report written is strict, schema-valid JSON."""

@@ -47,12 +47,13 @@ def test_fmt_six_significant_digits():
 SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5, 1e-5, -2.5e-07, 1e16, 0.0001, -1234567.0]
 
 
-@pytest.mark.parametrize("shape", ["circles", "rects", "polygons"])
+@pytest.mark.parametrize("shape", ["circles", "rects", "polygons", "wide_polygons"])
 @pytest.mark.parametrize("fills", ["per_row", "constant"])
 def test_shape_rows_past_one_chunk_match_reference(shape, fills):
     rng = np.random.default_rng(14)
-    n = ROW_CHUNK + 1
-    x, y = rng.choice(SVG_EDGES, size=(2, n, 3))
+    # 1200 rows of 256 vertices, about 4 KB each, pass row_chunks' 4 MB bound.
+    n, v = (1200, 256) if shape == "wide_polygons" else (ROW_CHUNK + 1, 3)
+    x, y = rng.choice(SVG_EDGES, size=(2, n, v))
     fills = rng.integers(0, 1 << 24, size=n) if fills == "per_row" else "none"
     figs = Figure(10.0, 10.0), FormatFigure(10.0, 10.0)
     for fig in figs:
@@ -62,6 +63,7 @@ def test_shape_rows_past_one_chunk_match_reference(shape, fills):
             fig.rects(x[:, 0], y[:, 0], 2.5, 1e300, fills, fill_opacity=0.6)
         else:
             fig.polygons(x, y, fills, stroke="#000000", cls="hex")
+    assert len(figs[0].elements) > 2  # the background, then two or more chunks of rows
     got, want = (svg_text(fig).encode("utf-8") for fig in figs)
     lines = got.split(b"\n"), want.split(b"\n")
     assert len(lines[0]) == len(lines[1]) == n + 5  # header, svg, background, rows, end, ""

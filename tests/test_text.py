@@ -55,7 +55,8 @@ def test_any_finite_floats(values):
 
 
 def test_one_row_of_512_g_fields():
-    """A 256-vertex polygon is one row with 512 %.6g fields, filled from one % pass."""
+    """A row may hold many %.6g fields, as a 256-vertex polygon's 512 numbers would: each
+    field is filled on its own, from its own % over the chunk."""
     template = 'points="%s"\n' % " ".join(["%.6g,%.6g"] * 256)
     edges = [0.0, 1.0, -1.5, 123456.5, 1234567.0, 1e-5, -2.5e-07, 0.0001, 1e16, -1e300, 5e-324]
     x = np.concatenate([edges, np.random.default_rng(16).normal(0.0, 1e3, 512 - len(edges))])
