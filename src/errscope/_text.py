@@ -2,8 +2,8 @@
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
 joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
 Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float.
-%.6g, the SVG number, fills each field on its own from one Python % over its chunk of the
-column. %s takes a column of texts already in bytes, Strings or Picks: no Python str per row.
+%.6g, the SVG number, comes from one Python % over a chunk of the column, cut into Strings.
+%s takes a column of texts already in bytes, Strings or Picks: no Python str per row.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ ROW_CHUNK = 1 << 14
 _BLOCK = 1 << 12  # values per pass of the digit kernel: its temporaries stay small
 _M32 = 0xFFFFFFFF
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
-_HEX = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), dtype=np.uint16)
-_SPEC = re.compile(r"%(r|s|\.6g|06x)")
-_WIDTH = {"r": 60, ".6g": 13, "06x": 6}  # the bytes a field takes; %.6g as in -1.23457e-308
+_SPEC = re.compile(r"%(r|s|\.6g)")
+_WIDTH = {"r": 60, ".6g": 13}  # the bytes a field takes; %.6g as in -1.23457e-308
 
 
 @cache
@@ -201,6 +200,10 @@ class Picks(NamedTuple):
 
 def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
     """Fill one field of a chunk: text and keep are its (rows, width) views."""
+    if spec == ".6g":  # one % over the chunk, cut at its commas into Strings
+        raw = np.frombuffer(("%.6g," * len(column) % tuple(column.tolist())).encode(), np.uint8)
+        ends = np.flatnonzero(raw == ord(","))
+        column = Strings(np.delete(raw, ends), np.append(0, ends - np.arange(ends.size)))
     if spec == "r":
         text, keep = text.view(np.uint32), keep.view(np.uint32)
         text[:, :2], text[:, 7] = _R_HEAD[:2], _R_HEAD[2]
@@ -208,13 +211,6 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
             b = min(a + _BLOCK, len(column))
             text[a:b, 2:7], text[a:b, 13:], keep[a:b] = _repr_block(column[a:b])
             text[a:b, 8:13] = text[a:b, 2:7]
-    elif spec == "06x":
-        text[:], keep[:] = _HEX.take((column[:, None] >> (16, 8, 0)) & 255).view(np.uint8), True
-    elif spec == ".6g":  # one % over the chunk, cut at its commas
-        raw = np.frombuffer(("%.6g," * len(column) % tuple(column.tolist())).encode(), np.uint8)
-        ends = np.flatnonzero(raw == ord(","))
-        np.less(np.arange(keep.shape[1]), np.diff(ends, prepend=-1)[:, None] - 1, out=keep)
-        text[keep] = np.delete(raw, ends)
     elif isinstance(column, Picks):  # its texts encoded, as (bytes, mask)
         (table, table_keep), codes = column
         text[:], keep[:] = table.take(codes, axis=0), table_keep.take(codes, axis=0)
@@ -225,8 +221,8 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
 
 def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk: %r
-    takes float64, %.6g floats, %06x ints in [0, 2^24), %s Strings or Picks; no literal
-    has %. Every field, each %.6g one too, is filled on its own by _put."""
+    takes float64, %.6g floats, %s Strings or Picks; no literal has %. Every field, each
+    %.6g one too, is filled on its own by _put."""
     parts, columns = _SPEC.split(template), list(columns)
     specs = parts[1::2]
     n = len(columns[0].codes if isinstance(columns[0], Picks) else columns[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import Strings, row_chunks
+from ._text import Picks, Strings, row_chunks
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
@@ -77,18 +77,16 @@ WARM_COOL = np.array([
 
 
 def colormap(t) -> np.ndarray:
-    """WARM_COOL RGB rows (ints) for an array of t, each clamped to [0, 1]."""
+    """WARM_COOL RGB rows (uint8) for an array of t, each clamped to [0, 1]."""
     ts, cs = WARM_COOL[:, 0], WARM_COOL[:, 1:]
     t = np.clip(np.asarray(t, dtype=float).ravel(), 0.0, 1.0)
     # Segment k runs from control point k-1 to k, the first whose end >= t.
     k = np.clip(np.searchsorted(ts, t), 1, len(ts) - 1)
     w = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
-    return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(int)
+    return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(np.uint8)
 
 
-def _fills(t) -> np.ndarray:
-    """WARM_COOL fills for an array of t, packed as 0xrrggbb ints."""
-    return colormap(t) @ (65536, 256, 1)
+_HEX = ["%02x" % i for i in range(256)]  # a colour channel as fill="#rrggbb" writes it
 
 
 @dataclass(frozen=True)
@@ -132,9 +130,10 @@ class Figure:
 
     def _rows(self, head: str, columns, fills, **attrs) -> None:
         """One line per row of the columns, which fill the fields of head, kept in
-        row_chunks' chunks. fills is one colour or packed 0xrrggbb ints, one per row."""
+        row_chunks' chunks. fills is one colour, or (rows, 3) RGB ints in [0, 256) as
+        colormap gives: each row's channels picked as #rrggbb from their hex digits."""
         if not isinstance(fills, str):
-            fills, columns = "#%06x", (*columns, fills)
+            fills, columns = "#%s%s%s", (*columns, *(Picks(_HEX, c) for c in np.transpose(fills)))
         self.elements += row_chunks(f'<{head} fill="{fills}"{_attrs(**attrs)}/>\n', *columns)
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:
@@ -265,7 +264,7 @@ def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
     tr = Transform.fit(lo, hi, lo, hi, left, left + PANEL_SIZE - 2 * MARGIN,
                        top, top + PANEL_SIZE - 2 * MARGIN)
     fig.line(*tr.apply(lo, lo), *tr.apply(hi, hi), "#888888", width=1.5)
-    fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, _fills(pct), cls="pt")
+    fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, colormap(pct), cls="pt")
     fig.text((tr.apply(lo, 0)[0] + tr.apply(hi, 0)[0]) / 2,
              tr.apply(0, hi)[1] - 8, label, size=16)
 
@@ -342,12 +341,12 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
             ix, iy = np.nonzero(kde.values > 0.01 * vmax)
             x0, y0 = tr.apply(kde.xs[ix] - dx / 2, kde.ys[iy] + dy / 2)
             fig.rects(x0, y0, abs(tr.sx) * dx, abs(tr.sy) * dy,
-                      _fills(1.0 - kde.values[ix, iy] / vmax), fill_opacity=0.6)
+                      colormap(1.0 - kde.values[ix, iy] / vmax), fill_opacity=0.6)
 
     if "hexbin" in layers:
         counts = hexgrid.cells[:, 2]
         vx, vy = tr.apply(*np.moveaxis(hex_corners(hexgrid), -1, 0))  # (k, 6) each
-        fig.polygons(vx, vy, _fills(1.0 - counts / counts.max()), fill_opacity=0.7, cls="hex")
+        fig.polygons(vx, vy, colormap(1.0 - counts / counts.max()), fill_opacity=0.7, cls="hex")
 
     # Canvas x of -limit, 0, limit and canvas y of limit, 0, -limit (top to bottom).
     (x0, xmid, x1), (y1, ymid, y0) = tr.apply(limit * np.array([-1.0, 0.0, 1.0]),
@@ -384,7 +383,7 @@ def render_error_space(analysis: ErrorSpaceAnalysis,
 
     px, py = tr.apply(e[:, 0], e[:, 1])
     if "proximity" in layers:
-        fig.circles(px, py, POINT_RADIUS, _fills(analysis.percentile), cls="pt")
+        fig.circles(px, py, POINT_RADIUS, colormap(analysis.percentile), cls="pt")
     elif "scatter" in layers:
         fig.circles(px, py, POINT_RADIUS, SCATTER_COLOR, fill_opacity=0.7, cls="pt")
 

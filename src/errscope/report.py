@@ -45,7 +45,7 @@ def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     warnings = []
     dups = ps.duplicate_ids()
     if dups:
-        warnings.append(f"duplicate instance ids: {', '.join(dups[:10])}")
+        warnings.append(f"duplicate instance ids: {', '.join(map(repr, dups[:10]))}")
     return {
         "tool": {"name": "errscope", "version": __version__, "decisions": DECISIONS},
         "n": ps.n,

@@ -172,11 +172,11 @@ class FormatFigure(Figure):
 
     def _rows(self, head: str, columns, fills, **attrs) -> None:
         """One element per row of the columns, each filling a %s of head, then fill and attrs.
-        fills is one colour or packed 0xrrggbb ints, one per row."""
+        fills is one colour or (rows, 3) RGB ints, one RGB row per row."""
         if isinstance(fills, str):
             fills = repeat(fills)
         else:
-            fills = map("#%06x".__mod__, np.asarray(fills).tolist())
+            fills = map("#%02x%02x%02x".__mod__, map(tuple, np.asarray(fills).tolist()))
         row = f'<{head} fill="%s"{_attrs(**attrs)}/>\n'
         self.elements.extend(map(row.__mod__, zip(*columns, fills)))
 

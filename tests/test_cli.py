@@ -82,7 +82,10 @@ def test_synth_size_as_param_exits_2(tmp_path, capsys):
      "error: --param 'sigma': 'nan' is not finite\n"),
     (["--kind", "outlier_vs_moderate", "--n", "40", "--param", "moderate_sigma=5e-324"], 3,
      "error: scenario outlier_vs_moderate leaves float64 with these parameters\n"),
-], ids=["sigma_1e200", "jitter_1e308", "sigma_nan", "moderate_sigma_subnormal"])
+    (["--kind", "under_vs_over", "--n", "0"], 2, "error: n must be >= 1\n"),
+    (["--kind", "outlier_vs_moderate", "--n", "1"], 2, "error: outlier scenario needs n >= 2\n"),
+], ids=["sigma_1e200", "jitter_1e308", "sigma_nan", "moderate_sigma_subnormal", "n_0",
+        "outlier_n_1"])
 def test_synth_float64_edges_write_nothing(tmp_path, capsys, argv, code, err):
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
@@ -248,7 +251,19 @@ def test_synth_write_failure_removes_partial_csv(tmp_path, capsys, monkeypatch):
 def test_duplicate_ids_warn_on_stderr(tmp_path, capsys):
     path = tmp_path / "in.csv"
     path.write_text("id,y_true,M1,M2\na,0,1,2\na,0,2,1\nb,0,-1,3\nc,0,3,-2\nd,0,1,1\n")
-    warning = "warning: duplicate instance ids: a\n"
+    warning = "warning: duplicate instance ids: 'a'\n"
+    assert main(["metrics", str(path)]) == 0
+    assert capsys.readouterr().err == warning
+    assert main(["compare", str(path), "--a", "M1", "--b", "M2",
+                 "-o", str(tmp_path / "x.svg")]) == 0
+    assert capsys.readouterr().err == warning
+
+
+def test_duplicate_id_holding_an_lf_warns_on_one_line(tmp_path, capsys):
+    # The quoted id "a\nb", given twice, is shown as its repr: one stderr line.
+    path = tmp_path / "in.csv"
+    path.write_text('id,y_true,M1,M2\n"a\nb",0,1,2\n"a\nb",0,2,1\nc,0,3,-2\n')
+    warning = "warning: duplicate instance ids: 'a\\nb'\n"
     assert main(["metrics", str(path)]) == 0
     assert capsys.readouterr().err == warning
     assert main(["compare", str(path), "--a", "M1", "--b", "M2",

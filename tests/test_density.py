@@ -187,6 +187,15 @@ def test_kde_degenerate_inputs():
         kde2d(np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kde2d(np.eye(3, 2), bandwidth=(1.0, 0.0)), "bandwidth must be positive"),
+    (lambda: hexbin(np.zeros((0, 2)), 1.0), "hexbin needs at least one point"),
+], ids=["kde_bandwidth_0", "hexbin_no_points"])
+def test_degenerate_arguments_raise(call, message):
+    with pytest.raises(DegenerateDistribution, match=message):
+        call()
+
+
 @pytest.mark.parametrize("scale, bandwidth", [
     (1e-160, None), (1e-300, None), (1.0, (1e308, 1e308)), (1.0, (1e-300, 1e-300)),
 ], ids=["scott_1e-160", "scott_1e-300", "bandwidth_1e308", "bandwidth_1e-300"])

@@ -229,6 +229,16 @@ def test_analyze_pair_rejects_bad_input(e, exc):
         analyze_pair(e, "A", "B", metric="euclidean")
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: percentile_ranks([]), DegenerateDistribution, "needs at least one value"),
+    (lambda: analyze_pair(np.eye(3, 2), "A", "B", metric="cityblock"), ValueError,
+     "metric must be 'euclidean' or 'mahalanobis', got 'cityblock'"),
+], ids=["ranks_of_nothing", "unknown_metric"])
+def test_bad_arguments_raise(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()
+
+
 @pytest.mark.parametrize("scale", [1e-156, 1e-158, 1e-160])
 def test_analyze_pair_subnormal_covariance_is_degenerate(scale):
     # The covariance is subnormal and its inverse overflows; Euclidean

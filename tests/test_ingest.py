@@ -233,6 +233,7 @@ def csv_module_only(text):
 @example(text="id,y_true,M\na\u2028b,1,2\nc\x0bd,3,4\n")  # str.splitlines would split them
 @example(text="id,y_true,M\n\na,1,2\n\n\nb,3,4\n\n")
 @example(text="id,y_true,M\na,1,2,3,4\n\nb,5,6\n")  # commas add up, loadtxt skips a line
+@example(text="id,y_true,M\n\na,1,2,3,4\n")  # commas add up, loadtxt reads 1 row, not 2
 @example(text="id,y_true,M\na,1,2\n \nb,3,4\n")
 @example(text="id,y_true,M\na,1,2\n\t\n")
 @example(text="id,y_true,M\na,,2\n")
@@ -378,6 +379,19 @@ def test_index_unknown_model():
     ps = parse_predictions("id,y_true,M1,M2\na,1,2,0")
     with pytest.raises(UnknownModel, match="M3"):
         ps.index("M3")
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: PredictionSet(("a", "b"), np.zeros(1), ("M1",), np.zeros((1, 1))),
+     LengthMismatch, "2 ids for 1 target values"),
+    (lambda: PredictionSet(("a",), np.zeros(1), (), np.zeros((1, 0))),
+     MalformedHeader, "at least one model column is required"),
+    (lambda: parse_predictions("id,y_true,M1\na,1,2\n", format="xml"),
+     ValueError, "unknown format 'xml'"),
+], ids=["ids_for_fewer_targets", "no_models", "unknown_format"])
+def test_bad_arguments_raise(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()
 
 
 def test_empty_prediction_set_rejected():

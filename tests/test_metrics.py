@@ -127,3 +127,13 @@ def test_sort_models_tie_break():
     }
     assert sort_models_by_metric(reports, "rmse") == ["a", "b"]
     assert sort_models_by_metric(reports, "mae") == ["a", "b"]
+
+
+@pytest.mark.parametrize("reports, key, message", [
+    ({"a": {"mae": 1.0, "rmse": 2.0}}, "r_squared",
+     "sort key must be 'mae' or 'rmse', got 'r_squared'"),
+    ({}, "rmse", "no metric reports to sort"),
+], ids=["unknown_key", "no_reports"])
+def test_sort_models_bad_arguments_raise(reports, key, message):
+    with pytest.raises(ValueError, match=message):
+        sort_models_by_metric(reports, key)

@@ -54,7 +54,7 @@ def test_shape_rows_past_one_chunk_match_reference(shape, fills):
     # 1200 rows of 256 vertices, about 4 KB each, pass row_chunks' 4 MB bound.
     n, v = (1200, 256) if shape == "wide_polygons" else (ROW_CHUNK + 1, 3)
     x, y = rng.choice(SVG_EDGES, size=(2, n, v))
-    fills = rng.integers(0, 1 << 24, size=n) if fills == "per_row" else "none"
+    fills = rng.integers(0, 256, size=(n, 3)) if fills == "per_row" else "none"
     figs = Figure(10.0, 10.0), FormatFigure(10.0, 10.0)
     for fig in figs:
         if shape == "circles":
@@ -180,6 +180,11 @@ def test_missing_layer_input():
         render_error_space(an, layers=("hexbin",))
     with pytest.raises(ValueError):
         render_error_space(an, layers=("sparkles",))
+
+
+def test_boxplots_need_stats():
+    with pytest.raises(ValueError, match="no boxplot stats to render"):
+        render_boxplots([])
 
 
 def test_boxplot_outlier_dots():
