@@ -1,9 +1,10 @@
 """The one row writer of the CSV, the JSON points and the SVG shapes: each field of a row
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
 joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
-Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float.
-%.6g, the SVG number, comes from one Python % over a chunk of the column, cut into Strings.
-%s takes a column of texts already in bytes, Strings or Picks: no Python str per row.
+Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float,
+and one pass of that kernel over each chunk. %.6g, the SVG number, comes from one Python %
+over a chunk of the column, cut into Strings. %s takes a column of texts already in bytes,
+Strings or Picks: no Python str per row.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Rows written at a time: it bounds a writer's memory, not its bytes.
-ROW_CHUNK = 1 << 14
-_BLOCK = 1 << 12  # values per pass of the digit kernel: its temporaries stay small
+# Rows written at a time: it bounds a writer's memory, not its bytes. A chunk is also one
+# pass of the digit kernel, which keeps its temporaries small.
+ROW_CHUNK = 1 << 12
 _M32 = 0xFFFFFFFF
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _SPEC = re.compile(r"%(r|s|\.6g)")
@@ -207,10 +208,8 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
     if spec == "r":
         text, keep = text.view(np.uint32), keep.view(np.uint32)
         text[:, :2], text[:, 7] = _R_HEAD[:2], _R_HEAD[2]
-        for a in range(0, len(column), _BLOCK):
-            b = min(a + _BLOCK, len(column))
-            text[a:b, 2:7], text[a:b, 13:], keep[a:b] = _repr_block(column[a:b])
-            text[a:b, 8:13] = text[a:b, 2:7]
+        text[:, 2:7], text[:, 13:], keep[:] = _repr_block(column)
+        text[:, 8:13] = text[:, 2:7]
     elif isinstance(column, Picks):  # its texts encoded, as (bytes, mask)
         (table, table_keep), codes = column
         text[:], keep[:] = table.take(codes, axis=0), table_keep.take(codes, axis=0)

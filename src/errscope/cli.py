@@ -6,7 +6,10 @@ Exit codes: 0 success, 2 input/usage error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -52,24 +55,26 @@ def _print_warnings(report: dict) -> None:
 def _write_all(outputs, source=None) -> None:
     """For each (path, write) in turn, open path as UTF-8 text with LF line ends and call
     write(fh). An output that resolves to the input file source or to another output is
-    an error, raised before any file is opened. If a write fails, remove every file
-    opened so far, the one being written included, so that a failed command leaves no
-    output."""
+    an error, raised before any file is opened. If a write fails, remove each regular file
+    opened so far at its resolved path, the one being written included, so that a failed
+    command leaves no output; a device such as /dev/null, or a symlink, is never removed."""
     taken = {} if source is None else {Path(source).resolve(): "the input file"}
     for path, _ in outputs:
         real = Path(path).resolve()
         if real in taken:
             raise ErrscopeError(f"output {str(path)!r} would overwrite {taken[real]}")
         taken[real] = f"output {str(path)!r}"
-    opened = []
+    regular = []
     try:
         for path, write in outputs:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                opened.append(path)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    regular.append(Path(path).resolve())
                 write(fh)
     except BaseException:
-        for path in opened:
-            Path(path).unlink(missing_ok=True)
+        for real in regular:
+            with contextlib.suppress(OSError):  # the write's own error is the one reported
+                real.unlink(missing_ok=True)
         raise
 
 

@@ -9,6 +9,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._text import Strings, row_chunks
 from .exceptions import (
@@ -22,27 +23,7 @@ from .exceptions import (
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 _QUOTED_BYTES = np.frombuffer(b',"\r\n', dtype=np.uint8)
-_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)  # odd, so each power is too
-_HASH_ROWS = 1 << 16
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # not valid Unicode; a JSON escape can carry one
-
-
-def _hash64(ids: Strings) -> np.ndarray:
-    """A 64-bit polynomial hash of each id's bytes, mod 2^64: equal ids hash equal."""
-    lengths = np.diff(ids.offsets)
-    powers = np.cumprod(np.full(int(lengths.max(initial=0)), _HASH_BASE))  # wraps mod 2^64
-    hashes = np.zeros(len(ids), dtype=np.uint64)  # an empty id hashes to 0
-    for a in range(0, len(ids), _HASH_ROWS):  # bounds the per-byte temporaries
-        rows = slice(a, a + _HASH_ROWS)
-        starts, first = ids.offsets[:-1][rows], ids.offsets[a]
-        last = ids.offsets[a + starts.size]
-        # Each byte's place in its id, which picks its power.
-        at = np.arange(first, last) - np.repeat(starts, lengths[rows])
-        terms = (ids.blob[first:last] + np.uint64(1)) * powers[at]
-        full = lengths[rows] > 0
-        if full.any():
-            hashes[rows][full] = np.add.reduceat(terms, starts[full] - first)
-    return hashes
 
 
 def _csv_field(text: str) -> str:
@@ -120,22 +101,36 @@ class PredictionSet:
         return self.model_names.index(name)
 
     def duplicate_ids(self) -> list[str]:
-        """Instance ids that occur more than once, ordered by each id's first repeat."""
-        ids = self.instance_ids
-        hashes = _hash64(ids)
-        order = np.sort(hashes)
-        repeated = order[1:][order[1:] == order[:-1]]
-        if not repeated.size:
-            return []
-        # Only the ids whose hash repeats are compared, by their bytes: hashes can collide.
-        raw, bounds = ids.blob.tobytes(), ids.offsets.tolist()
-        seen, dups = set(), {}
-        for i in np.flatnonzero(np.isin(hashes, repeated)).tolist():
-            iid = raw[bounds[i]:bounds[i + 1]]
+        """Instance ids that occur more than once, ordered by each id's first repeat.
+
+        Ids are matched by their bytes. Among the ids of one byte length, only those whose
+        last 8 bytes and first 8 bytes each occur in another id are compared whole.
+        """
+        blob, offsets = self.instance_ids.blob, self.instance_ids.offsets
+        lengths = np.diff(offsets)
+        widths, counts = np.unique(lengths, return_counts=True)
+        groups = np.split(np.argsort(lengths, kind="stable"), np.cumsum(counts)[:-1])
+        kept = []
+        for width, rows in zip(widths.tolist(), groups):
+            part = min(width, 8)
+            for at in dict.fromkeys((width - part, 0)):  # its last 8 bytes, then its first
+                word = np.zeros((rows.size, 8), dtype=np.uint8)
+                word[:, :part] = sliding_window_view(blob[at:], part)[offsets[rows]]
+                word = word.view(np.uint64).ravel()
+                ordered = np.sort(word)
+                same = np.zeros(rows.size + 1, dtype=bool)  # sorted words i - 1 and i equal
+                same[1:-1] = ordered[1:] == ordered[:-1]
+                # Most often no word repeats, and no argsort is needed to find the rows.
+                rows = rows[np.argsort(word)[same[1:] | same[:-1]]] if same.any() else rows[:0]
+            kept.append(rows)
+        rows = np.sort(np.concatenate(kept))
+        seen, repeats, view = set(), {}, memoryview(blob)
+        for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
+            iid = view[a:b].tobytes()
             if iid in seen:
-                dups[iid] = None
+                repeats[iid] = None  # a dict keeps each key where it first went in
             seen.add(iid)
-        return [iid.decode("utf-8", "surrogatepass") for iid in dups]
+        return [iid.decode("utf-8", "surrogatepass") for iid in repeats]
 
     def write_csv(self, fh) -> None:
         """Write the canonical wide CSV to an open text file (parse is its left inverse).

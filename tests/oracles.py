@@ -109,6 +109,17 @@ def same_prediction_set(a, b) -> bool:
             and np.array_equal(a.errors, b.errors))
 
 
+def duplicate_ids(ids) -> list[str]:
+    """Ids that occur more than once: a dict in file order records each id at its first
+    repeat."""
+    seen, repeats = set(), {}
+    for iid in ids:
+        if iid in seen:
+            repeats.setdefault(iid, None)
+        seen.add(iid)
+    return list(repeats)
+
+
 def rows(template: str, *columns):
     """template % row for each row of the equal-length columns, one string per row: the
     byte reference of the package's row writer.

@@ -4,6 +4,8 @@ import inspect
 import io
 import itertools
 import json
+import os
+import stat
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -195,6 +197,51 @@ def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
                                        f"'{tmp_path / 'nodir' / 'r.json'}'\n")
     assert [p.name for p in tmp_path.iterdir()] == [demo_csv.name]
+
+
+def test_failure_keeps_a_device_written_through_a_symlink(demo_csv, tmp_path, capsys):
+    # The SVG goes through a link to /dev/null: neither the link nor the device is removed.
+    link = tmp_path / "link.svg"
+    link.symlink_to(os.devnull)
+    capsys.readouterr()
+    assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", "-o", str(link),
+                 "--json", str(tmp_path / "nodir" / "r.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_failure_removes_the_file_a_symlink_names(demo_csv, tmp_path, capsys):
+    # The SVG goes through a link to a regular file: the file is removed, the link kept.
+    target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+    target.write_text("old")
+    link.symlink_to(target)
+    capsys.readouterr()
+    assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", "-o", str(link),
+                 "--json", str(tmp_path / "nodir" / "r.json")]) == 2
+    assert not target.exists() and link.is_symlink()
+
+
+def test_failed_removal_keeps_the_write_error(demo_csv, tmp_path, capsys, monkeypatch):
+    # The report's write fails, then the SVG cannot be removed: the write's error is
+    # reported and the partial report is still removed.
+    real_unlink = Path.unlink
+
+    def unlink(self, missing_ok=False):
+        if self.name == "a.svg":
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        real_unlink(self, missing_ok=missing_ok)
+
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "unlink", unlink)
+    monkeypatch.setattr(errscope.report, "row_chunks", disk_full)
+    capsys.readouterr()
+    assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", "-o", str(tmp_path / "a.svg"),
+                 "--json", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOSPC}] No space left on device\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.svg", demo_csv.name]
 
 
 @pytest.mark.parametrize("argv", [

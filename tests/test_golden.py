@@ -124,7 +124,7 @@ SCATTER = {
 }
 # `metrics --plots DIR --global-scale` on asymmetric_pair
 GLOBAL_GRID = "e815bd615971068adf74fb6318f81d170ef6fd022ce1638e6db5f01c2f459954"
-# under_vs_over at n = 2^14 + 1, one row past the writers' chunk: the synth CSV,
+# under_vs_over at n = 2^14 + 1, four chunks of the writers and one row: the synth CSV,
 # then the SVG and report of `compare --layers ALL_LAYERS --json`.
 CHUNK_N = (1 << 14) + 1
 CHUNK = ("e31ff4f3701e34ca867d92b5a3cf4a4e5f90c2004858ec2cd85b4a360f0536f3",

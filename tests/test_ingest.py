@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import oracles
 from oracles import same_prediction_set, to_csv
 from test_cli import BAD_CELLS, NUMBERS
 
@@ -176,16 +178,18 @@ def test_write_csv_quotes_carriage_return(text):
     assert same_prediction_set(parse_predictions(written_csv(ps)), ps)
 
 
-def test_write_csv_traced_peak_at_2e5(tmp_path):
+def test_write_csv_traced_peak_at_2e5():
     ps = generate("under_vs_over", 200_000)
-    with open(tmp_path / "synth.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
         tracemalloc.start()
         try:
             ps.write_csv(fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    # With numpy 2.4.6 on Python 3.11 the peak read 3.7 MB with chunks of 4096 rows, and
+    # 8.2 to 14.1 MB with chunks of 16384.
+    assert peak <= 6 * 2**20
 
 
 # Spliced into the cells of the exit-contract fuzz: text float() and loadtxt may read
@@ -319,17 +323,42 @@ def with_ids(ids) -> PredictionSet:
     (["abcdefgh", "abcdefgh\x00", "abcdefgh"], ["abcdefgh"]),
     (["\u00e9t\u00e9", "\u2028", "\u00e9t\u00e9", "\U0001f600", "\u2028", "\U0001f600",
       "\ud800", "\ud800"], ["\u00e9t\u00e9", "\u2028", "\U0001f600", "\ud800"]),
+    (["b", "a", "\u00e9", "c", "a", "\u00e9", "b", "a", "dd", "d"], ["a", "\u00e9", "b"]),
+    (["x", "y", "xy"], []),
+    # The same first 8 and last 8 bytes: only a byte between them tells them apart.
+    (["abcdefgh-abcdefgh", "abcdefgh+abcdefgh", "abcdefgh-abcdefgh"], ["abcdefgh-abcdefgh"]),
+    (["abcdefgh-abcdefgh", "abcdefgh+abcdefgh"], []),
 ])
 def test_duplicate_ids_exact(ids, dups):
     assert with_ids(ids).duplicate_ids() == dups
 
 
-def test_duplicate_ids_survive_a_constant_hash(monkeypatch):
-    """Every hash colliding leaves the bytes to decide, in first-repeat order."""
-    ids = ["b", "a", "\u00e9", "c", "a", "\u00e9", "b", "a", "dd", "d"]
-    monkeypatch.setattr(errscope.ingest, "_hash64", lambda s: np.zeros(len(s), np.uint64))
-    assert with_ids(ids).duplicate_ids() == ["a", "\u00e9", "b"]
-    assert with_ids(["x", "y", "xy"]).duplicate_ids() == []
+# Pieces of ids: the empty id, a NUL suffix, a shared 8-byte prefix, non-ASCII characters
+# of 2 to 4 UTF-8 bytes and a lone surrogate.
+ID_PIECES = ["", "a", "ab", "\x00", "abcdefgh", "\u00e9", "\u2028", "\U0001f600", "\ud800"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ids=st.lists(st.lists(st.sampled_from(ID_PIECES), max_size=3).map("".join),
+                    min_size=1, max_size=40))
+@example(ids=[str(i // 2) for i in range(60_000)])
+@example(ids=["b", "a"] * 40)  # two ids of 40 rows each: "a" is repeated first
+def test_duplicate_ids_match_reference(ids):
+    assert with_ids(ids).duplicate_ids() == oracles.duplicate_ids(ids)
+
+
+def test_duplicate_ids_traced_peak_with_long_ids():
+    """Unique ids of 64 random letters: less memory than one copy of the ids' bytes."""
+    n, width = 200_000, 64
+    blob = np.random.default_rng(0).integers(97, 123, n * width, dtype=np.uint8)
+    ps = with_ids(Strings(blob, np.arange(n + 1) * width))
+    tracemalloc.start()
+    try:
+        assert ps.duplicate_ids() == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blob.nbytes
 
 
 @pytest.mark.parametrize("source", ["synth", "plain_csv", "csv_module", "json"])
