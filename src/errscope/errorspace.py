@@ -16,8 +16,10 @@ from .exceptions import DegenerateDistribution, LengthMismatch, NonFinite
 
 METRICS = ("euclidean", "mahalanobis")
 
-# Ridge kicks in when the sample covariance is singular or nearly so.
+# Ridge kicks in when the sample covariance is singular or nearly so: its eigenvalues are
+# mid +- r, and their ratio passes _COND_LIMIT where r / mid passes _R_OVER_MID.
 _COND_LIMIT = 1e12
+_R_OVER_MID = (_COND_LIMIT - 1.0) / (_COND_LIMIT + 1.0)
 _RIDGE_SCALE = 1e-9
 
 # Names of the zones and quadrants; the int8 codes of an analysis index them.
@@ -41,6 +43,7 @@ class ErrorSpaceAnalysis:
     percentile: np.ndarray
     median2d: tuple[float, float]
     covariance: np.ndarray
+    correlation: float | None  # None for one point or a zero-variance axis
     metric: str
     crown_threshold: float
 
@@ -85,6 +88,13 @@ def mahalanobis_many(points: np.ndarray, center, cov_inv: np.ndarray) -> np.ndar
     return np.sqrt(np.einsum("ij,jk,ik->i", d, np.asarray(cov_inv, dtype=float), d))
 
 
+def cholesky(cov: np.ndarray) -> tuple[float, float, float]:
+    """l00, l10 and l11 of the lower triangular L with L L^T = cov, an SPD 2x2 matrix."""
+    l00 = np.sqrt(cov[0, 0])
+    l10 = cov[1, 0] / l00
+    return l00, l10, np.sqrt(cov[1, 1] - l10 * l10)
+
+
 def percentile_ranks(distances) -> np.ndarray:
     """Midrank percentile of each distance: (#less + 0.5 * #tied) / N."""
     d = np.asarray(distances, dtype=float)
@@ -123,23 +133,29 @@ def analyze_pair(e, model_a: str, model_b: str,
         center = (float(np.median(pts[:, 0])), float(np.median(pts[:, 1])))
     if not np.isfinite(center).all():
         raise DegenerateDistribution("error median overflows float64")
-    cov = np.eye(2)
+    cov, corr = np.eye(2), None
     if n >= 2:
+        # Pairwise sums, not a BLAS product, so no bit depends on the CPU's kernels.
         with np.errstate(over="ignore", invalid="ignore"):
-            centered = pts - pts.mean(axis=0)
-            cov = centered.T @ centered / (n - 1)
-        if not np.isfinite(cov).all():
-            raise DegenerateDistribution("error covariance overflows float64")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.linalg.cond(cov)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            cov = cov + _RIDGE_SCALE * max(cov[0, 0], cov[1, 1], 1.0) * np.eye(2)
+            dx, dy = (pts - pts.mean(axis=0)).T
+            a, b, c = (np.sum(u * v) / (n - 1) for u, v in ((dx, dx), (dx, dy), (dy, dy)))
+            if not np.isfinite([a, b, c]).all():
+                raise DegenerateDistribution("error covariance overflows float64")
+            corr = float(np.clip(b / np.sqrt(a) / np.sqrt(c), -1, 1)) if a > 0 and c > 0 else None
+            if not np.hypot((a - c) / 2, b) < (a / 2 + c / 2) * _R_OVER_MID:
+                a, c = np.array([a, c]) + _RIDGE_SCALE * max(a, c, 1.0)
+        cov = np.array([[a, b], [b, c]])
 
     if metric == "euclidean":
         dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = mahalanobis_many(pts, center, np.linalg.inv(cov))
+        # cov^-1 = M^T M with M = L^-1; the adjugate's a * c would overflow first.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            l00, l10, l11 = cholesky(cov)
+            m00, m11 = 1.0 / l00, 1.0 / l11
+            m10 = -l10 * m00 * m11
+            inv = np.array([[m00 * m00 + m10 * m10, m10 * m11], [m10 * m11, m11 * m11]])
+            dist = mahalanobis_many(pts, center, inv)
         if not np.isfinite(dist).all():
             raise DegenerateDistribution("Mahalanobis distances overflow float64: the error "
                                          "covariance is too small to invert")
@@ -155,6 +171,7 @@ def analyze_pair(e, model_a: str, model_b: str,
         percentile=percentile_ranks(dist),
         median2d=center,
         covariance=cov,
+        correlation=corr,
         metric=metric,
         crown_threshold=float(np.median(dist)),
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._text import Picks, Strings, row_chunks
 from .density import HexbinLayer, KdeGrid, hex_corners
-from .errorspace import ErrorSpaceAnalysis, percentile_ranks
+from .errorspace import ErrorSpaceAnalysis, cholesky, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
 from .ingest import PredictionSet
 
@@ -301,10 +301,10 @@ def render_model_grid(ps: PredictionSet, order: list[str],
 def _crown_curve(analysis: ErrorSpaceAnalysis) -> tuple[np.ndarray, np.ndarray]:
     """Data-space x and y of the ellipse at distance = crown_threshold."""
     a = 2.0 * math.pi * np.arange(CROWN_SEGMENTS) / CROWN_SEGMENTS
-    u = np.column_stack([np.cos(a), np.sin(a)])
-    chol = np.linalg.cholesky(analysis.covariance)
+    cos, sin = np.cos(a), np.sin(a)
+    l00, l10, l11 = cholesky(analysis.covariance)
     t, (cx, cy) = analysis.crown_threshold, analysis.median2d
-    return cx + t * (u @ chol[0]), cy + t * (u @ chol[1])
+    return cx + t * (cos * l00), cy + t * (cos * l10 + sin * l11)
 
 
 def render_error_space(analysis: ErrorSpaceAnalysis,

@@ -21,6 +21,10 @@ DECISIONS = {
     "median_2d": "componentwise",
     "percentile_convention": "midrank",
     "kde_bandwidth": "scott: sigma * n^(-1/6) per axis",
+    "kde_evaluation": "per axis, linear binning onto K = ceil(dx / (h * sqrt(8 * 2.5e-4))) "
+                      "sub-steps per grid step if K <= 16, else exact; kernel cut at 9h",
+    "covariance": "mean-centered sample covariance, n - 1; ridge 1e-9 * max(var1, var2, 1) "
+                  "on the diagonal when the condition number passes 1e12",
     "colormap": "warm_cool",
     "rng": "numpy PCG64",
 }
@@ -58,11 +62,6 @@ def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
 def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
     """Metrics report, ranked by rmse, extended with the 2D pair comparison summary."""
     report = build_metrics_report(ps)
-    e = analysis.e
-    corr = math.nan
-    if analysis.n >= 2:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = float(np.corrcoef(e[:, 0], e[:, 1])[0, 1])
     report["pair"] = {
         "model_a": analysis.model_a,
         "model_b": analysis.model_b,
@@ -71,9 +70,8 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
         "crown_threshold": analysis.crown_threshold,
         "zone_counts": analysis.zone_counts,
         "quadrant_counts": analysis.quadrant_counts,
-        # undefined for a single point or a zero-variance axis
-        "error_correlation": corr if math.isfinite(corr) else None,
-        "fraction_b_above_a": float(np.mean(e[:, 1] > e[:, 0])),
+        "error_correlation": analysis.correlation,
+        "fraction_b_above_a": float(np.mean(analysis.e[:, 1] > analysis.e[:, 0])),
     }
     return report
 

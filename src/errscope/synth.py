@@ -111,9 +111,9 @@ def gen_asymmetric_pair(n: int, correlation: float = 0.9, shift: float = 5.0,
         raise ValueError("correlation must be in [0, 1)")
     rng = np.random.default_rng(seed)
     y = _ground_truth(rng, n)
-    cov = sigma ** 2 * np.array([[1.0, correlation], [correlation, 1.0]])
-    errs = rng.multivariate_normal([-shift, 0.0], cov, size=n)
-    return _build("e", y, {"E1": errs[:, 0], "E2": errs[:, 1]})
+    z0, z1 = rng.standard_normal((n, 2)).T
+    e2 = sigma * (correlation * z0 + math.sqrt(1.0 - correlation * correlation) * z1)
+    return _build("e", y, {"E1": -shift + sigma * z0, "E2": e2})
 
 
 def gen_correlated_pair(n: int, correlation: float = 0.9, sigma: float = 10.0,

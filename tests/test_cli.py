@@ -77,7 +77,7 @@ def test_synth_size_as_param_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, code, err", [
     (["--kind", "correlated_pair", "--n", "40", "--param", "sigma=1e200"], 3,
-     "error: scenario correlated_pair leaves float64 with these parameters\n"),
+     "error: metrics of model 'E1' overflow float64\n"),
     (["--kind", "equal_metrics_divergent", "--n", "5", "--seed", "1", "--param", "jitter=1e308"],
      3, "error: metrics of model 'D1' overflow float64\n"),
     (["--kind", "correlated_pair", "--n", "40", "--param", "sigma=nan"], 2,

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +13,6 @@ from oracles import (
     riemann_mass,
 )
 
-import errscope
 from errscope import SCENARIOS, generate, hex_corners, hexbin, kde2d
 from errscope.density import default_hex_radius, xy_to_axial
 from errscope.exceptions import DegenerateDistribution
@@ -144,27 +139,6 @@ def test_kde_accuracy_at_1e5(cloud):
     if cloud == "near_cutoff":
         assert all(1.3 < r for r in ratios)
     assert kde_error(pts, grid) <= 1e-3
-
-
-KDE_DIGESTS = """
-import hashlib
-from errscope import generate, kde2d
-for kind in ("correlated_pair", "outlier_vs_moderate"):
-    values = kde2d(generate(kind, 3000, seed=1).errors[:, :2]).values
-    print(kind, hashlib.sha256(values.tobytes()).hexdigest())
-"""
-
-
-def test_kde_bits_independent_of_blas_threads():
-    # OpenBLAS reads its thread count when numpy loads, so each count gets its own process.
-    src = str(Path(errscope.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = [subprocess.run([sys.executable, "-c", KDE_DIGESTS], capture_output=True,
-                              text=True, check=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": n}
-                              ).stdout for n in ("1", "2")]
-    assert digests[0].count("\n") == 2
-    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("pts", [correlated_cloud, near_cutoff_cloud],

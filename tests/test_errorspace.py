@@ -5,6 +5,7 @@ import pytest
 
 from oracles import check_spd, mahalanobis, midrank_percentiles
 
+import errscope.errorspace
 from errscope import (
     QUADRANTS,
     ZONES,
@@ -14,6 +15,7 @@ from errscope import (
     percentile_ranks,
 )
 from errscope.exceptions import DegenerateDistribution, LengthMismatch, NonFinite
+from errscope.render import _crown_curve
 from errscope.report import write_pair_json
 
 
@@ -277,3 +279,69 @@ def test_linear_distance_evaluation_count():
         return min(times)
 
     assert best(big) < 15.0 * max(best(small), 1e-6)
+
+
+def correlated(n, rho, scale=1.0, seed=12):
+    z = np.random.default_rng(seed).normal(size=(n, 2))
+    return scale * np.column_stack([z[:, 0], rho * z[:, 0] + np.sqrt(1 - rho * rho) * z[:, 1]])
+
+
+CLOUDS = {
+    "random": correlated(500, 0.3),
+    "anticorrelated": correlated(50, -0.97, seed=13),
+    "uncorrelated": np.random.default_rng(14).normal(size=(1000, 2)) * [3.0, 1e-3],
+    "wide_1e120": correlated(300, 0.8, scale=1e120, seed=15),
+    "n_2": np.array([[1.0, -2.0], [4.0, 7.5]]),
+}
+
+
+@pytest.mark.parametrize("e", CLOUDS.values(), ids=CLOUDS)
+def test_error_correlation_matches_corrcoef(e):
+    an = analyze_pair(e, "A", "B", metric="euclidean")
+    assert an.correlation == pytest.approx(np.corrcoef(e[:, 0], e[:, 1])[0, 1], rel=1e-12)
+
+
+def test_error_correlation_undefined():
+    assert euclidean([(1.0, 2.0)]).correlation is None
+    assert euclidean([(1.0, 2.0), (1.0, 3.0), (1.0, -4.0)]).correlation is None
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4, 1.2, 2.5])
+def test_ridge_exactly_past_condition_limit(theta):
+    # Four points at +-sqrt(k) u and +-v, for orthonormal u and v at angle theta: the
+    # sample covariance is (2k uu' + 2vv') / 3, of condition number k.
+    u, v = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+    ridged = []
+    for k in (1e12 * (1 - 1e-3), 1e12 * (1 + 1e-3)):
+        pts = np.array([np.sqrt(k) * u, -np.sqrt(k) * u, v, -v])
+        ref = np.cov(pts, rowvar=False)
+        cov = analyze_pair(pts, "A", "B", metric="euclidean").covariance
+        ridged.append(bool(np.abs(cov - ref).max() > 1e-11 * np.abs(ref).max()))
+        assert ridged[-1] == (np.linalg.cond(ref) > 1e12)
+    assert ridged == [False, True]
+
+
+@pytest.mark.parametrize("e", [CLOUDS[k] for k in ("random", "anticorrelated", "uncorrelated")]
+                         + [correlated(200, 0.6, scale=s) for s in (1e-100, 1e100)],
+                         ids=["random", "anticorrelated", "uncorrelated", "1e-100", "1e100"])
+def test_mahalanobis_inverse_matches_linalg(monkeypatch, e):
+    passed = []
+
+    def spy(points, center, cov_inv):
+        passed.append(cov_inv)
+        return mahalanobis_many(points, center, cov_inv)
+
+    monkeypatch.setattr(errscope.errorspace, "mahalanobis_many", spy)
+    an = analyze_pair(e, "A", "B")
+    ref = np.linalg.inv(an.covariance)
+    assert np.abs(passed[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("e", CLOUDS.values(), ids=CLOUDS)
+def test_crown_vertices_at_crown_threshold(e):
+    if e.shape[0] < 3:
+        e = np.vstack([e, [[0.5, 0.25]]])
+    an = analyze_pair(e, "A", "B")
+    vertices = np.column_stack(_crown_curve(an))
+    d = mahalanobis_many(vertices, an.median2d, np.linalg.inv(an.covariance))
+    assert np.abs(d / an.crown_threshold - 1.0).max() <= 1e-9

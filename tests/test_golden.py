@@ -5,9 +5,18 @@ with a change of output that is intended and recorded in CHANGES.md.
 """
 
 import hashlib
+import io
+import os
+import platform
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import errscope
 from errscope.cli import main
 
 N, SEED = 300, 17
@@ -22,9 +31,9 @@ PAIRS = {
 
 SYNTH_CSV = {
     "asymmetric_pair":
-        "2d0f5f3690b549f9812d92ef8a93e9c917bb5e292d90c52850a04e4c5cfb4437",
+        "644dd4dbbf84edfcf89066013c7d5cf6823eb6608ae9f7b19f19370b1db1dc65",
     "correlated_pair":
-        "67b6508adbcf882d5608fd6ca0d8aa52a0fa207dcd40d5d30e259a295325223b",
+        "d6d30bec36c7109b9d7f7faa2920f65bd470169a99ebac69c69e99f97457c916",
     "equal_metrics_divergent":
         "92a1c81000dff036fe51e1a499678fc26ad5af921d7ef5ce5a256d99a808dfc5",
     "outlier_vs_moderate":
@@ -36,123 +45,59 @@ SYNTH_CSV = {
 # (kind, metric) -> (SVG, JSON report) of `compare --layers ALL_LAYERS --json`
 COMPARE = {
     ("asymmetric_pair", "euclidean"): (
-        "4e96b64cd8d8a5f617b8c02e65e1dff7be985a0706d2df38b74d1d9474651da3",
-        "c3fee582f23e89bf43f0cef71f1873ddc5950b019c70dfa8f0464d14e25596ef"),
+        "069c165dc40bb5b67b8c34e0e402431a94f714641278d00474fdf2acdd43fd48",
+        "37ab7429184930dd871c3a06da62727ef9a8cb2bad4d26b40c0190c9f6351360"),
     ("asymmetric_pair", "mahalanobis"): (
-        "eb354f9deee56fbd41a62938f73e559dd51dff8720bf656c111bbdd8dccde6f2",
-        "3a32c90f65fd258f2ed64a4a3ca790322404eaea8875f130849b97b0effdfc56"),
+        "b987eecd63914c1f9429160cbf43a2895c756234b82ba83a37a88e35bf5ab29d",
+        "52120e6a15e491b0d2ba8756534205e9adc931de62358f9071ab88f8046a2bc6"),
     ("correlated_pair", "euclidean"): (
-        "6b3d4fc0ae2eea1658eb808502d1ab4c6a46f0e995af972bdebb8f2532c9c5eb",
-        "7a49098d66f3baa8232414037e7065b14881ec2db019dbffbb6eabdc21f98f88"),
+        "1665362c29bf9c5a73af9306370a5579e178c543d10be75e31809f3b70da4e68",
+        "db16326c44e767a2a8b787305fa7454680407452e9f45a69178a07255d282d1e"),
     ("correlated_pair", "mahalanobis"): (
-        "1ffa17a624d08e4db083be1e0c559b165567a9389ba24c179641d159e7ea138e",
-        "5ad77f29004925b12cc6e08e65c393ef9f2fdb5615b64f55efd03fec17ac941f"),
+        "23e414fde42ce2d437ee31f5bea75cc14dc3e9fe7abaaf1d7e109d9c6dafce60",
+        "e81013bf81c35081f4648181bb4fe39239bd1f059698306517d395457a256d7d"),
     ("equal_metrics_divergent", "euclidean"): (
         "fd1f7556ac86d92dd4c141acfef1568d9e28e51e32159a61e52f25986d1d9eb3",
-        "9b7d69603f895e40a644fb66fb5b69c9bbd442d9d8c991c1b359d0974b344d4c"),
+        "cac911e93f8543dd383a32e3af3118b52078d508f19594c533acfd55691811c9"),
     ("equal_metrics_divergent", "mahalanobis"): (
         "50da1649511b3c2f3b9a8a61041b63b1f9b8b1f7c1276b4271701934aa8461bd",
-        "b342438d59e147a2b7f93f0bab162bbe3a99a22e14e8ef44600ae06cec3dc14e"),
+        "5ccecc1edbf39024b9d8608bc85ab27d5dd01f44fe708dc88d2a84008307ec41"),
     ("outlier_vs_moderate", "euclidean"): (
         "6e56fd7f2fcba81fb6d77f8569737a3090a9b33a1396fe160e90195e029c75a4",
-        "7dbc4ae3253e7b51e1d7dca87390217f9e0173d74dacaf1cd67e01f1af3fa214"),
+        "7063f33e646b5e36cc59bf82064522f7454deeaf6059e30f4adfd716046c6350"),
     ("outlier_vs_moderate", "mahalanobis"): (
         "9ae313f4a7ec9829968d42a00646a3e3af10de4068e673ce8788badcf6c9c5a6",
-        "209a9d520620656e97e246d4fcb09efaa6d3c5446ed0daea526882f278ef99b0"),
+        "0ff288aa03963f529ae5375efa1fbbb2d2c652f3f95ba125a77dace823448c86"),
     ("under_vs_over", "euclidean"): (
         "d7b83c6189a1f35031b5b656cc2b9cc25f8caa2179d0d7df46a23e1aaef98c2d",
-        "d8ae9185851fb4c1ac0b760a6725d2f9415c7f36bcf62e3648d9a77bfae273e6"),
+        "af31e7628c8fa14140b610646898b4b917c6525d274992ac296c8837bf6f14a1"),
     ("under_vs_over", "mahalanobis"): (
         "21f4e7e0321839e367ad5572fe24fc436d736dc4e27635bfd62126cd6c4ce041",
-        "bd41cd768723aab30c04041ace194013b657bbae1c8ce8ace1f98592fb595880"),
+        "a96a52e2572bcdde7bcb94dbc316d723b4ed933a61748fea2f267f7d2f84fc5a"),
 }
 
 # `metrics --plots DIR --json` on asymmetric_pair
 METRICS = {
-    "boxplots.svg": "f81f6e80ae6470b58ac9727b621aa11351f3eafbb7361deb53e4b65d12feb9ec",
-    "pred_vs_actual_grid.svg": "8e29cfe8782f4fa00c0f4fe01f85702f93ff12b0dcd3b7139f1c75adcb97febe",
-    "stdout": "d733a43cca1a88525e4305699b9bf6a673e93995b2d8dc36adb306256d0a9c66",
+    "boxplots.svg": "1d03a6ed36455eb1388ea2f324cf73638b0d741e59c639370ead554d93af572a",
+    "pred_vs_actual_grid.svg": "aa9b1baef80791e5b4d0f55680303578f184528fbf2c514ec23e2f9e706da11d",
+    "stdout": "ed75bc7fd794cbe4cc3e69dc133c3f0126155ee0afd0700c94a2f49fe5162eb9",
 }
-
-
-def sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-@pytest.fixture(scope="module")
-def synth_csv(tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("golden")
-    paths = {}
-    for kind in PAIRS:
-        paths[kind] = outdir / f"{kind}.csv"
-        assert main(["synth", "--kind", kind, "--n", str(N), "--seed", str(SEED),
-                     "-o", str(paths[kind])]) == 0
-    return paths
-
-
-@pytest.mark.parametrize("kind", sorted(PAIRS))
-def test_synth_csv_digest(synth_csv, kind):
-    assert sha(synth_csv[kind].read_bytes()) == SYNTH_CSV[kind]
-
-
-@pytest.mark.parametrize("kind", sorted(PAIRS))
-@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
-def test_compare_digests(synth_csv, tmp_path, kind, metric):
-    a, b = PAIRS[kind]
-    svg, report = tmp_path / "error_space.svg", tmp_path / "report.json"
-    assert main(["compare", str(synth_csv[kind]), "--a", a, "--b", b,
-                 "--metric", metric, "--layers", ALL_LAYERS,
-                 "-o", str(svg), "--json", str(report)]) == 0
-    assert (sha(svg.read_bytes()), sha(report.read_bytes())) == COMPARE[(kind, metric)]
-
-
-def test_metrics_digests(synth_csv, tmp_path, capsys):
-    capsys.readouterr()
-    assert main(["metrics", str(synth_csv["asymmetric_pair"]),
-                 "--plots", str(tmp_path), "--json"]) == 0
-    got = {name: sha((tmp_path / name).read_bytes())
-           for name in ("boxplots.svg", "pred_vs_actual_grid.svg")}
-    got["stdout"] = sha(capsys.readouterr().out.encode("utf-8"))
-    assert got == METRICS
 
 
 # Writer paths the digests above leave out, pinned before the three text writers
 # shared one row helper. `compare --layers zones,scatter,crown` on correlated_pair:
 SCATTER = {
-    "euclidean": "23082320c921d1823767855448b1250916d197c760eadd2514bb42b6b1682b52",
-    "mahalanobis": "0174d4fc09b36f65b681cb844da99240c4684c89cfc34d0378686778a5a53545",
+    "euclidean": "f3a7b55be84c8c2d97d624dd70ba083620e9f66e10c5a965ae4ee9e2efedb495",
+    "mahalanobis": "71d0c5ae40da4690d7e38aa1305c7b43f333f8c587c967083f57bcf54d4229a9",
 }
 # `metrics --plots DIR --global-scale` on asymmetric_pair
-GLOBAL_GRID = "e815bd615971068adf74fb6318f81d170ef6fd022ce1638e6db5f01c2f459954"
+GLOBAL_GRID = "762757d23a9a555d0dd7da3cad74a4d3c459c65ef29ae63d191a5f97311e4068"
 # under_vs_over at n = 2^14 + 1, four chunks of the writers and one row: the synth CSV,
 # then the SVG and report of `compare --layers ALL_LAYERS --json`.
 CHUNK_N = (1 << 14) + 1
 CHUNK = ("e31ff4f3701e34ca867d92b5a3cf4a4e5f90c2004858ec2cd85b4a360f0536f3",
          "05b266428fa2c5582371aefecdbab095b65e2d6656791e7df5999c098e35f41a",
-         "3d29ab012ae9d6bbbee46e9c6945cc2a87244f7fddcd556201def763177b452d")
-
-
-@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
-def test_compare_scatter_digest(synth_csv, tmp_path, metric):
-    svg = tmp_path / "error_space.svg"
-    assert main(["compare", str(synth_csv["correlated_pair"]), "--a", "E1", "--b", "E2",
-                 "--metric", metric, "--layers", "zones,scatter,crown", "-o", str(svg)]) == 0
-    assert sha(svg.read_bytes()) == SCATTER[metric]
-
-
-def test_metrics_global_scale_digest(synth_csv, tmp_path):
-    assert main(["metrics", str(synth_csv["asymmetric_pair"]),
-                 "--plots", str(tmp_path), "--global-scale"]) == 0
-    assert sha((tmp_path / "pred_vs_actual_grid.svg").read_bytes()) == GLOBAL_GRID
-
-
-def test_past_one_chunk_digests(tmp_path):
-    csv, svg, report = (tmp_path / name for name in ("in.csv", "error_space.svg", "report.json"))
-    assert main(["synth", "--kind", "under_vs_over", "--n", str(CHUNK_N), "--seed", str(SEED),
-                 "-o", str(csv)]) == 0
-    assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers", ALL_LAYERS,
-                 "-o", str(svg), "--json", str(report)]) == 0
-    assert tuple(sha(p.read_bytes()) for p in (csv, svg, report)) == CHUNK
+         "75e3ab8d8ea07069e663b15fd6fa5d2fdd9709cfc4b885d5fa5b532d078fb259")
 
 
 # The covariance ridge, which no scenario above reaches; pinned before the
@@ -166,24 +111,146 @@ RIDGE_INPUTS = {
 RIDGE = {
     ("identical", "euclidean"): (
         "47ae42d2fa00330144a80d608b8b594a63604153ae322aea2974ea80b2a7023f",
-        "12bd91039e40b940be7ff292a8ecc7c0826bddbba56229b185fae9fda01183d2"),
+        "e86b388fbabad7c2f579a6317cc300007f1acfcbd232d08ac19ceadf4fdf1510"),
     ("identical", "mahalanobis"): (
         "8763d23e4d33d1cffba119cef0a1f5e324e791bc40e78f2642f10ac3ad541431",
-        "8908ce77fe303cd42839cfb7d119c87bb14a4dc07c96bb03b87f21f06eb4d6c8"),
+        "1aab4289a6a02dd9d8b1da4ca234e786e94abe55e2d1347d31165691c70d2b61"),
     ("rank1", "euclidean"): (
         "e3e0454e70f6511c00e746b382fb33bf0a9ce40904f51309df69954d752b2a91",
-        "7036b4ddddb17d79c93acc6885ff8f7d215e5c796f92eaa00f42d295c75d2976"),
+        "47bca4536b36cbd56aa57feaf889d0eca158ffd3764e5d9f674902698df87bad"),
     ("rank1", "mahalanobis"): (
         "658ae3874282be880ff8c45fcf8e29af0a2d14707694c1d72e6e6b5d832fced9",
-        "25887c44e783df00f1ecf6680ae93123cbf02f8761f7f02ed7d19786e97ba16c"),
+        "51f960a9cb98a8c84ebd4cc78ffbfb07537849c0a9bf03aea26a484e95e3a427"),
 }
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_outputs(outdir: Path) -> dict:
+    """The digests of every output pinned above, built with the CLI in outdir."""
+    def run(*argv) -> str:
+        """Run the CLI, which must exit 0; the digest of its stdout."""
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main([str(a) for a in argv]) == 0
+        return sha(stdout.getvalue().encode("utf-8"))
+
+    def digests(*paths) -> tuple[str, ...]:
+        return tuple(sha(path.read_bytes()) for path in paths)
+
+    csv, svg, report, figs = (outdir / name
+                              for name in ("in.csv", "error_space.svg", "report.json", "figs"))
+    out = {}
+    for kind in PAIRS:
+        run("synth", "--kind", kind, "--n", N, "--seed", SEED, "-o", outdir / f"{kind}.csv")
+        out["synth", kind] = sha((outdir / f"{kind}.csv").read_bytes())
+    for kind, metric in COMPARE:
+        a, b = PAIRS[kind]
+        run("compare", outdir / f"{kind}.csv", "--a", a, "--b", b, "--metric", metric,
+            "--layers", ALL_LAYERS, "-o", svg, "--json", report)
+        out["compare", kind, metric] = digests(svg, report)
+    out["metrics"] = {"stdout": run("metrics", outdir / "asymmetric_pair.csv",
+                                    "--plots", figs, "--json")}
+    for name in ("boxplots.svg", "pred_vs_actual_grid.svg"):
+        out["metrics"][name] = sha((figs / name).read_bytes())
+    for metric in SCATTER:
+        run("compare", outdir / "correlated_pair.csv", "--a", "E1", "--b", "E2",
+            "--metric", metric, "--layers", "zones,scatter,crown", "-o", svg)
+        out["scatter", metric] = sha(svg.read_bytes())
+    run("metrics", outdir / "asymmetric_pair.csv", "--plots", figs, "--global-scale")
+    out["global_grid"] = sha((figs / "pred_vs_actual_grid.svg").read_bytes())
+    run("synth", "--kind", "under_vs_over", "--n", CHUNK_N, "--seed", SEED, "-o", csv)
+    run("compare", csv, "--a", "C1", "--b", "C2", "--layers", ALL_LAYERS,
+        "-o", svg, "--json", report)
+    out["chunk"] = digests(csv, svg, report)
+    for case, metric in RIDGE:
+        csv.write_text(RIDGE_INPUTS[case], encoding="utf-8")
+        run("compare", csv, "--a", "M1", "--b", "M2", "--metric", metric,
+            "-o", svg, "--json", report)
+        out["ridge", case, metric] = digests(svg, report)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+def test_synth_csv_digest(golden, kind):
+    assert golden["synth", kind] == SYNTH_CSV[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_compare_digests(golden, kind, metric):
+    assert golden["compare", kind, metric] == COMPARE[(kind, metric)]
+
+
+def test_metrics_digests(golden):
+    assert golden["metrics"] == METRICS
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_compare_scatter_digest(golden, metric):
+    assert golden["scatter", metric] == SCATTER[metric]
+
+
+def test_metrics_global_scale_digest(golden):
+    assert golden["global_grid"] == GLOBAL_GRID
+
+
+def test_past_one_chunk_digests(golden):
+    assert golden["chunk"] == CHUNK
 
 
 @pytest.mark.parametrize("case", sorted(RIDGE_INPUTS))
 @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
-def test_ridge_path_digests(tmp_path, case, metric):
-    csv, svg, report = (tmp_path / name for name in ("in.csv", "error_space.svg", "report.json"))
-    csv.write_text(RIDGE_INPUTS[case], encoding="utf-8")
-    assert main(["compare", str(csv), "--a", "M1", "--b", "M2", "--metric", metric,
-                 "-o", str(svg), "--json", str(report)]) == 0
-    assert (sha(svg.read_bytes()), sha(report.read_bytes())) == RIDGE[(case, metric)]
+def test_ridge_path_digests(golden, case, metric):
+    assert golden["ridge", case, metric] == RIDGE[(case, metric)]
+
+
+# A child process prints the digests of the KDE values of two scenarios, then of
+# every golden output.
+DIGESTS = """
+import hashlib, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden import golden_outputs
+from errscope import generate, kde2d
+for kind in ("correlated_pair", "outlier_vs_moderate"):
+    values = kde2d(generate(kind, 3000, seed=1).errors[:, :2]).values
+    print(kind, hashlib.sha256(values.tobytes()).hexdigest())
+with tempfile.TemporaryDirectory() as outdir:
+    for key, digests in golden_outputs(Path(outdir)).items():
+        print(key, digests)
+"""
+CPU_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types and numpy's dispatch list are x86-64 names")
+def test_outputs_independent_of_blas_and_simd():
+    # OpenBLAS reads its thread count and kernel, and numpy its SIMD level, when numpy
+    # loads, so each setting gets its own process. SkylakeX is not forced: an AVX-512
+    # kernel can crash a CPU without AVX-512.
+    src = str(Path(errscope.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in CPU_VARS} | {"PYTHONPATH": path}
+    cpu = np._core._multiarray_umath
+    settings = [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                {"OPENBLAS_CORETYPE": "Prescott"},
+                {"NPY_DISABLE_CPU_FEATURES": " ".join(cpu.__cpu_dispatch__)}]
+    if cpu.__cpu_features__["AVX2"]:  # the Haswell kernels use AVX2
+        settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+    digests = [subprocess.run([sys.executable, "-c", DIGESTS, str(Path(__file__).parent)],
+                              capture_output=True, text=True, check=True, timeout=300,
+                              env=env | setting).stdout for setting in settings]
+    assert digests[0].count("\n") == 2 + 24  # the KDE digests, then the golden outputs
+    for setting, text in zip(settings, digests):
+        # numpy's exp is SIMD-dispatched, so the KDE values may move with the SIMD level;
+        # no output built from them may.
+        skip = 2 if "NPY_DISABLE_CPU_FEATURES" in setting else 0
+        assert text.splitlines()[skip:] == digests[0].splitlines()[skip:], setting
