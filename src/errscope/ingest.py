@@ -9,7 +9,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._text import Strings, row_chunks
 from .exceptions import (
@@ -29,6 +28,30 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # not valid Unicode; a JSON esc
 def _csv_field(text: str) -> str:
     """One CSV field: quoted, with each quote doubled, when it holds a comma, quote, CR or LF."""
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def _new(ordered: np.ndarray) -> np.ndarray:
+    """Whether each value of a sorted array differs from the one before it."""
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return new
+
+
+# The low k bytes of a little-endian word, for k = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _words(blob: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 8 bytes of blob from each offset at, clipped to its bytes, as a little-endian
+    uint64; the bytes past its end read as 0."""
+    if blob.size < 8:
+        blob = np.append(blob, np.zeros(8, dtype=np.uint8))
+    cut = blob.size - 8
+    out = np.ndarray((cut + 1,), "<u8", blob, 0, (1,))[np.clip(at, 0, cut)]  # one at each byte
+    late = at > cut  # only the last 8 bytes are copied, with 8 zeros after them
+    tail = np.append(blob[cut:], np.zeros(8, dtype=np.uint8))
+    out[late] = np.ndarray((9,), "<u8", tail, 0, (1,))[at[late] - cut]
+    return out.astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,37 +123,40 @@ class PredictionSet:
                                f"{', '.join(map(repr, self.model_names))}")
         return self.model_names.index(name)
 
-    def duplicate_ids(self) -> list[str]:
-        """Instance ids that occur more than once, ordered by each id's first repeat.
+    def duplicate_ids(self, limit: int | None = None) -> list[str]:
+        """Instance ids that occur more than once, ordered by each id's first repeat; only
+        the first limit of them are decoded, when a limit is given.
 
-        Ids are matched by their bytes. Among the ids of one byte length, only those whose
-        last 8 bytes and first 8 bytes each occur in another id are compared whole.
+        Ids are matched by their bytes. Rows are sorted by width, first 8 bytes and last 8
+        bytes at once. Those three are the whole of an id of at most 16 bytes; a longer id
+        is compared whole only when all three repeat.
         """
         blob, offsets = self.instance_ids.blob, self.instance_ids.offsets
-        lengths = np.diff(offsets)
-        widths, counts = np.unique(lengths, return_counts=True)
-        groups = np.split(np.argsort(lengths, kind="stable"), np.cumsum(counts)[:-1])
-        kept = []
-        for width, rows in zip(widths.tolist(), groups):
-            part = min(width, 8)
-            for at in dict.fromkeys((width - part, 0)):  # its last 8 bytes, then its first
-                word = np.zeros((rows.size, 8), dtype=np.uint8)
-                word[:, :part] = sliding_window_view(blob[at:], part)[offsets[rows]]
-                word = word.view(np.uint64).ravel()
-                ordered = np.sort(word)
-                same = np.zeros(rows.size + 1, dtype=bool)  # sorted words i - 1 and i equal
-                same[1:-1] = ordered[1:] == ordered[:-1]
-                # Most often no word repeats, and no argsort is needed to find the rows.
-                rows = rows[np.argsort(word)[same[1:] | same[:-1]]] if same.any() else rows[:0]
-            kept.append(rows)
-        rows = np.sort(np.concatenate(kept))
+        width = np.diff(offsets)
+        first = _words(blob, offsets[:-1])
+        first &= _LOW_BYTES.take(np.minimum(width, 8))
+        last = _words(blob, offsets[1:] - 8)
+        np.copyto(last, first, where=width <= 8)
+        # Equal ids have equal last words and equal first words. Most often the words of one
+        # kind never repeat, and no argsort is needed.
+        if _new(np.sort(last)).all() or _new(np.sort(first)).all():
+            return []
+        order = np.lexsort((last, first, width))  # stable: the rows of a group ascend
+        new = _new(width[order]) | _new(first[order]) | _new(last[order])
+        repeated = ~(new & np.append(new[1:], True))  # in a group of two rows or more
+        long = width[order] > 16
+        # A short id is first repeated at the second row of its group.
+        short = order[~new & np.append(False, new[:-1]) & ~long]
+        rows = np.sort(order[repeated & long])
         seen, repeats, view = set(), {}, memoryview(blob)
-        for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
+        for row, a, b in zip(rows.tolist(), offsets[rows].tolist(), offsets[rows + 1].tolist()):
             iid = view[a:b].tobytes()
             if iid in seen:
-                repeats[iid] = None  # a dict keeps each key where it first went in
+                repeats.setdefault(iid, row)
             seen.add(iid)
-        return [iid.decode("utf-8", "surrogatepass") for iid in repeats]
+        rows = np.sort(np.append(short, np.fromiter(repeats.values(), short.dtype)))[:limit]
+        return [str(view[a:b], "utf-8", "surrogatepass")
+                for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist())]
 
     def write_csv(self, fh) -> None:
         """Write the canonical wide CSV to an open text file (parse is its left inverse).

@@ -14,6 +14,11 @@ from .exceptions import DegenerateDistribution
 from .ingest import PredictionSet
 from .metrics import boxplot_stats, metric_report, sort_models_by_metric
 
+# The layout of the reports, as the shipped schema describes it. Version 2 writes each
+# errorspace point as one array of POINT_FIELDS.
+SCHEMA_VERSION = 2
+POINT_FIELDS = ("e1", "e2", "distance", "percentile", "zone", "quadrant")
+
 # Choices the method leaves open; embedded so figures are auditable.
 DECISIONS = {
     "quartile_rule": "linear interpolation at position (n-1)*p",
@@ -47,10 +52,11 @@ def build_metrics_report(ps: PredictionSet, sort_key: str = "rmse") -> dict:
     per_model = {m: {"metrics": rep, "boxplot": boxplot_stats(errors)}
                  for (m, rep), errors in zip(reports.items(), ps.errors.T)}
     warnings = []
-    dups = ps.duplicate_ids()
+    dups = ps.duplicate_ids(limit=10)
     if dups:
-        warnings.append(f"duplicate instance ids: {', '.join(map(repr, dups[:10]))}")
+        warnings.append(f"duplicate instance ids: {', '.join(map(repr, dups))}")
     return {
+        "schema_version": SCHEMA_VERSION,
         "tool": {"name": "errscope", "version": __version__, "decisions": DECISIONS},
         "n": ps.n,
         "warnings": warnings,
@@ -76,23 +82,26 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
     return report
 
 
-# One instance under errorspace.points, laid out as by json.dumps(indent=2);
-# %r of a Python float is the text json writes for it.
-_POINT = (',\n      {\n        "e1": %r,\n        "e2": %r,\n        %s,\n'
-          '        "distance": %r,\n        "percentile": %r\n      }')
-# The "zone" and "quadrant" lines of a point, at index zone * len(QUADRANTS) + quadrant.
-_ZONE_QUADRANT = [f'"zone": "{z}",\n        "quadrant": "{q}"' for z in ZONES for q in QUADRANTS]
+# One instance under errorspace.points: its POINT_FIELDS on one line, as json.dumps(row)
+# writes them; %r of a Python float is the text json writes for it.
+_POINT = ",\n      [%r, %r, %r, %r, %s]"
+# The zone and quadrant codes of a point, at index zone * len(QUADRANTS) + quadrant.
+_ZONE_QUADRANT = [f"{z}, {q}" for z in range(len(ZONES)) for q in range(len(QUADRANTS))]
 
 
 def write_pair_json(fh, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     """Write the pair report plus every instance of the analysis under "errorspace" to an
-    open text file, streaming the points from the arrays; the bytes are those of to_json."""
+    open text file, streaming the points from the arrays. The layout is to_json's, except
+    that each point is one line: [e1, e2, distance, percentile, zone code, quadrant code]."""
     if not all(np.isfinite(a).all() for a in (analysis.e, analysis.distance, analysis.percentile)):
         raise ValueError("Out of range float values are not JSON compliant")
     errorspace = {
         "model_a": analysis.model_a,
         "model_b": analysis.model_b,
         "metric": analysis.metric,
+        "point_fields": list(POINT_FIELDS),
+        "zones": list(ZONES),
+        "quadrants": list(QUADRANTS),
         "points": [],
         "summary": {
             "n": analysis.n,
@@ -105,9 +114,8 @@ def write_pair_json(fh, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     }
     # json escapes every '"' inside a string, so only the key itself matches.
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
-    zone_quadrant = Picks(_ZONE_QUADRANT, analysis.zone * len(QUADRANTS) + analysis.quadrant)
-    points = row_chunks(_POINT, *analysis.e.T, zone_quadrant, analysis.distance,
-                        analysis.percentile)
+    codes = Picks(_ZONE_QUADRANT, analysis.zone * len(QUADRANTS) + analysis.quadrant)
+    points = row_chunks(_POINT, *analysis.e.T, analysis.distance, analysis.percentile, codes)
     fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
     fh.writelines(points)
     fh.write("\n    ]" + tail)

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import json
 import math
+import re
 from collections import Counter
 from itertools import repeat
 
@@ -146,18 +148,17 @@ def to_csv(ps) -> str:
 
 def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
     """A copy of the pair report with every instance of the analysis under "errorspace"."""
-    # tolist() gives Python floats, which json writes as repr.
-    columns = zip(*analysis.e.T.tolist(), analysis.zone.tolist(), analysis.quadrant.tolist(),
-                  analysis.distance.tolist(), analysis.percentile.tolist())
+    # tolist() gives Python floats, which json writes as repr, and Python ints.
+    columns = zip(*analysis.e.T.tolist(), analysis.distance.tolist(),
+                  analysis.percentile.tolist(), analysis.zone.tolist(), analysis.quadrant.tolist())
     errorspace = {
         "model_a": analysis.model_a,
         "model_b": analysis.model_b,
         "metric": analysis.metric,
-        "points": [
-            {"e1": e1, "e2": e2, "zone": ZONES[z], "quadrant": QUADRANTS[q],
-             "distance": d, "percentile": p}
-            for e1, e2, z, q, d, p in columns
-        ],
+        "point_fields": ["e1", "e2", "distance", "percentile", "zone", "quadrant"],
+        "zones": list(ZONES),
+        "quadrants": list(QUADRANTS),
+        "points": [list(row) for row in columns],
         "summary": {
             "n": analysis.n,
             "median2d": list(analysis.median2d),
@@ -168,6 +169,17 @@ def with_points(report: dict, analysis: ErrorSpaceAnalysis) -> dict:
         },
     }
     return {**report, "errorspace": errorspace}
+
+
+# A line that opens an array at the indent of errorspace.points' rows: only a point does.
+_POINT_ROW = re.compile(r"^ {6}\[\n(?: {8}.*\n)*? {6}\]", re.M)
+
+
+def report_text(report: dict) -> str:
+    """The canonical layout of a report: json.dumps(indent=2) and a final LF, except that
+    each row of errorspace.points is json.dumps(row) on its own line."""
+    text = json.dumps(report, indent=2) + "\n"
+    return _POINT_ROW.sub(lambda m: "      " + json.dumps(json.loads(m[0])), text)
 
 
 def svg_numbers(values):

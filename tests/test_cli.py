@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import svg_text
 
 import errscope.cli
@@ -728,7 +729,7 @@ def _reject_constant(name):
 def assert_strict_report(text: str) -> None:
     """text is RFC 8259 JSON in the canonical layout, valid against the shipped schema."""
     report = json.loads(text, parse_constant=_reject_constant)
-    assert text == json.dumps(report, indent=2) + "\n"
+    assert text == oracles.report_text(report)
     if jsonschema is not None:
         jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
 

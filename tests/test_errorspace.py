@@ -259,7 +259,8 @@ def test_analysis_serialization_shape(tmp_path):
     d = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["errorspace"]
     assert len(d["points"]) == 10
     assert len(d["summary"]["covariance"]) == 4
-    assert set(d["points"][0]) == {"e1", "e2", "zone", "quadrant", "distance", "percentile"}
+    assert d["point_fields"] == ["e1", "e2", "distance", "percentile", "zone", "quadrant"]
+    assert all(len(row) == len(d["point_fields"]) for row in d["points"])
 
 
 def test_linear_distance_evaluation_count():

@@ -46,41 +46,41 @@ SYNTH_CSV = {
 COMPARE = {
     ("asymmetric_pair", "euclidean"): (
         "069c165dc40bb5b67b8c34e0e402431a94f714641278d00474fdf2acdd43fd48",
-        "37ab7429184930dd871c3a06da62727ef9a8cb2bad4d26b40c0190c9f6351360"),
+        "9debcdff3d809fb3d37bbf9cf05377579af84368609059912441e6bd49161f81"),
     ("asymmetric_pair", "mahalanobis"): (
         "b987eecd63914c1f9429160cbf43a2895c756234b82ba83a37a88e35bf5ab29d",
-        "52120e6a15e491b0d2ba8756534205e9adc931de62358f9071ab88f8046a2bc6"),
+        "3420cb1b499d629680420d91507ab5025e6b1314ca81c5383e358edfa9550eb2"),
     ("correlated_pair", "euclidean"): (
         "1665362c29bf9c5a73af9306370a5579e178c543d10be75e31809f3b70da4e68",
-        "db16326c44e767a2a8b787305fa7454680407452e9f45a69178a07255d282d1e"),
+        "2753f9696bd7811c0a4ee96d6289ba503a3bbc1d5fb911ba5cf23f3fb65f5466"),
     ("correlated_pair", "mahalanobis"): (
         "23e414fde42ce2d437ee31f5bea75cc14dc3e9fe7abaaf1d7e109d9c6dafce60",
-        "e81013bf81c35081f4648181bb4fe39239bd1f059698306517d395457a256d7d"),
+        "f15734f0aae25de189384f8c54ef40a1ea7e881b27ba8e6b696f6b5ddcf86fff"),
     ("equal_metrics_divergent", "euclidean"): (
         "fd1f7556ac86d92dd4c141acfef1568d9e28e51e32159a61e52f25986d1d9eb3",
-        "cac911e93f8543dd383a32e3af3118b52078d508f19594c533acfd55691811c9"),
+        "bbe3a2d4faf86a33b9775f22ba9dfab570c7e2dd921ad685bf56243fb73d577d"),
     ("equal_metrics_divergent", "mahalanobis"): (
         "50da1649511b3c2f3b9a8a61041b63b1f9b8b1f7c1276b4271701934aa8461bd",
-        "5ccecc1edbf39024b9d8608bc85ab27d5dd01f44fe708dc88d2a84008307ec41"),
+        "988c9791d8c27c275b71d32df0011a590f6cdb363dbe1bf402d4c58ddf871843"),
     ("outlier_vs_moderate", "euclidean"): (
         "6e56fd7f2fcba81fb6d77f8569737a3090a9b33a1396fe160e90195e029c75a4",
-        "7063f33e646b5e36cc59bf82064522f7454deeaf6059e30f4adfd716046c6350"),
+        "402e0d27750009a969017b0998e3b5466cf992cce57b668a341f4188b56370e7"),
     ("outlier_vs_moderate", "mahalanobis"): (
         "9ae313f4a7ec9829968d42a00646a3e3af10de4068e673ce8788badcf6c9c5a6",
-        "0ff288aa03963f529ae5375efa1fbbb2d2c652f3f95ba125a77dace823448c86"),
+        "4b6bc65191562e7ccb89703717ac7ec7492d865616a00266f90f2e1ad89576eb"),
     ("under_vs_over", "euclidean"): (
         "d7b83c6189a1f35031b5b656cc2b9cc25f8caa2179d0d7df46a23e1aaef98c2d",
-        "af31e7628c8fa14140b610646898b4b917c6525d274992ac296c8837bf6f14a1"),
+        "b72af6fea74972f6d326f1842024bab645368dae563411e376e308321c94990f"),
     ("under_vs_over", "mahalanobis"): (
         "21f4e7e0321839e367ad5572fe24fc436d736dc4e27635bfd62126cd6c4ce041",
-        "a96a52e2572bcdde7bcb94dbc316d723b4ed933a61748fea2f267f7d2f84fc5a"),
+        "083457844d1bdfc565b51c74699aa30b5fe3b49b8f0ea807a3b7f050fa3cbadc"),
 }
 
 # `metrics --plots DIR --json` on asymmetric_pair
 METRICS = {
     "boxplots.svg": "1d03a6ed36455eb1388ea2f324cf73638b0d741e59c639370ead554d93af572a",
     "pred_vs_actual_grid.svg": "aa9b1baef80791e5b4d0f55680303578f184528fbf2c514ec23e2f9e706da11d",
-    "stdout": "ed75bc7fd794cbe4cc3e69dc133c3f0126155ee0afd0700c94a2f49fe5162eb9",
+    "stdout": "026c501007c22e1fde7ca3fa0cf92cadff504560b885f8779513e3ad6fb53f95",
 }
 
 
@@ -97,7 +97,7 @@ GLOBAL_GRID = "762757d23a9a555d0dd7da3cad74a4d3c459c65ef29ae63d191a5f97311e4068"
 CHUNK_N = (1 << 14) + 1
 CHUNK = ("e31ff4f3701e34ca867d92b5a3cf4a4e5f90c2004858ec2cd85b4a360f0536f3",
          "05b266428fa2c5582371aefecdbab095b65e2d6656791e7df5999c098e35f41a",
-         "75e3ab8d8ea07069e663b15fd6fa5d2fdd9709cfc4b885d5fa5b532d078fb259")
+         "b0fccfe90f670f90c774103de7ed4569ed8aa0f57c39b58ef3bb49ad88b1e83a")
 
 
 # The covariance ridge, which no scenario above reaches; pinned before the
@@ -111,16 +111,16 @@ RIDGE_INPUTS = {
 RIDGE = {
     ("identical", "euclidean"): (
         "47ae42d2fa00330144a80d608b8b594a63604153ae322aea2974ea80b2a7023f",
-        "e86b388fbabad7c2f579a6317cc300007f1acfcbd232d08ac19ceadf4fdf1510"),
+        "3b1519ce98e5163000d782df7fb7b402463d854d15e7f0a46c46cd86b4db0c50"),
     ("identical", "mahalanobis"): (
         "8763d23e4d33d1cffba119cef0a1f5e324e791bc40e78f2642f10ac3ad541431",
-        "1aab4289a6a02dd9d8b1da4ca234e786e94abe55e2d1347d31165691c70d2b61"),
+        "b7cabe953080eb42c28d59eff1c1a91e14c9b441c29f939833af0b96a2403c7c"),
     ("rank1", "euclidean"): (
         "e3e0454e70f6511c00e746b382fb33bf0a9ce40904f51309df69954d752b2a91",
-        "47bca4536b36cbd56aa57feaf889d0eca158ffd3764e5d9f674902698df87bad"),
+        "5e30fde481fe4204939a1476c0b1124fe83499a055285e84f709fe06d4cee96e"),
     ("rank1", "mahalanobis"): (
         "658ae3874282be880ff8c45fcf8e29af0a2d14707694c1d72e6e6b5d832fced9",
-        "51f960a9cb98a8c84ebd4cc78ffbfb07537849c0a9bf03aea26a484e95e3a427"),
+        "cce05152d921783362d158f78671ecea4054f1a3144fd568066b5848acbfd54c"),
 }
 
 

@@ -307,6 +307,7 @@ def test_duplicate_ids_allowed_but_reported():
     elapsed = time.perf_counter() - t0
     assert dups == [str(i) for i in range(n // 2)]
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
+    assert ps.duplicate_ids(limit=3) == ["0", "1", "2"]
 
 
 def with_ids(ids) -> PredictionSet:
@@ -328,6 +329,22 @@ def with_ids(ids) -> PredictionSet:
     # The same first 8 and last 8 bytes: only a byte between them tells them apart.
     (["abcdefgh-abcdefgh", "abcdefgh+abcdefgh", "abcdefgh-abcdefgh"], ["abcdefgh-abcdefgh"]),
     (["abcdefgh-abcdefgh", "abcdefgh+abcdefgh"], []),
+    # 40 bytes that differ only in their third word of 8.
+    (["x" * 40, "x" * 19 + "y" + "x" * 20, "x" * 40, "x" * 19 + "y" + "x" * 20],
+     ["x" * 40, "x" * 19 + "y" + "x" * 20]),
+    # Ids of 130 bytes that differ in one byte in their middle.
+    (["x" * 130, "x" * 64 + "y" + "x" * 65, "x" * 130, "x" * 64 + "y" + "x" * 65, "x" * 131],
+     ["x" * 130, "x" * 64 + "y" + "x" * 65]),
+    # Ids of 143 bytes with one suffix: only their first 8 bytes tell them apart.
+    ([f"{i % 3:08d}" + "s" * 135 for i in range(5)],
+     [f"{i:08d}" + "s" * 135 for i in range(2)]),
+    # A short id whose one word is the last word of a longer one, at the end of the bytes.
+    (["xxxxxxxxa" + "\x00" * 7, "a", "xxxxxxxxa" + "\x00" * 7, "a"],
+     ["xxxxxxxxa" + "\x00" * 7, "a"]),
+    # The same first and last 8 bytes at widths 8 and 16: the width tells them apart.
+    (["abcdefgh", "abcdefghabcdefgh", "abcdefgh"], ["abcdefgh"]),
+    # Every ASCII character as an id, each repeated.
+    ([chr(i) for i in range(128)] * 2, [chr(i) for i in range(128)]),
 ])
 def test_duplicate_ids_exact(ids, dups):
     assert with_ids(ids).duplicate_ids() == dups
@@ -343,6 +360,9 @@ ID_PIECES = ["", "a", "ab", "\x00", "abcdefgh", "\u00e9", "\u2028", "\U0001f600"
                     min_size=1, max_size=40))
 @example(ids=[str(i // 2) for i in range(60_000)])
 @example(ids=["b", "a"] * 40)  # two ids of 40 rows each: "a" is repeated first
+# Ids of 17 to 24 bytes that share their first and last 8 bytes and differ in the middle.
+@example(ids=[f"abcdefgh{m}stuvwxyz" for m in ["", "0", "1", "", "01", "0", "0123456", "01",
+                                             "0123457", "0123456"]])
 def test_duplicate_ids_match_reference(ids):
     assert with_ids(ids).duplicate_ids() == oracles.duplicate_ids(ids)
 

@@ -1,7 +1,9 @@
-"""The pair report writer against the dict-per-point reference, byte for byte."""
+"""The pair report writer against the reference layout of json.dumps, byte for byte, and
+its points read back to the analysis bit for bit."""
 
 import dataclasses
 import io
+import json
 import os
 import tracemalloc
 
@@ -12,8 +14,9 @@ import oracles
 
 from errscope import analyze_pair, generate
 from errscope._text import ROW_CHUNK
+from errscope.errorspace import QUADRANTS, ZONES
 from errscope.ingest import PredictionSet
-from errscope.report import build_pair_report, to_json, write_pair_json
+from errscope.report import build_pair_report, write_pair_json
 
 # Signed zeros, the smallest subnormal, integral values, a wide spread of
 # magnitudes, points on both diagonals and repeated rows (tied distances).
@@ -38,7 +41,9 @@ def assert_matches_reference(path, ps, a, b, metric):
     an, report = analysis_and_report(ps, a, b, metric)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_pair_json(fh, report, an)
-    assert path.read_bytes() == to_json(oracles.with_points(report, an)).encode("utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert text == oracles.report_text(oracles.with_points(report, an))
+    return an, json.loads(text)
 
 
 def test_single_point_has_no_separator(tmp_path):
@@ -46,10 +51,27 @@ def test_single_point_has_no_separator(tmp_path):
                              "A", "B", "euclidean")
 
 
+def assert_points_read_back(an, report):
+    """The float columns of the points hold the analysis' bits; the codes index the names."""
+    errorspace = report["errorspace"]
+    points = np.array(errorspace["points"])
+    assert points.shape == (an.n, 6)
+    columns = dict(zip(errorspace["point_fields"], points.T))
+    want = {"e1": an.e[:, 0], "e2": an.e[:, 1], "distance": an.distance,
+            "percentile": an.percentile}
+    for name, values in want.items():
+        assert np.array_equal(columns[name].view(np.uint64), values.view(np.uint64)), name
+    assert ([errorspace["zones"][int(c)] for c in columns["zone"]]
+            == [ZONES[c] for c in an.zone.tolist()])
+    assert ([errorspace["quadrants"][int(c)] for c in columns["quadrant"]]
+            == [QUADRANTS[c] for c in an.quadrant.tolist()])
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
 def test_edge_values_match_reference(tmp_path, metric):
-    assert_matches_reference(tmp_path / "r.json", prediction_set(EDGE_ERRORS),
-                             "A", "B", metric)
+    an, report = assert_matches_reference(tmp_path / "r.json", prediction_set(EDGE_ERRORS),
+                                          "A", "B", metric)
+    assert_points_read_back(an, report)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
@@ -68,7 +90,8 @@ def test_rows_past_one_chunk_match_reference(tmp_path):
     errors = rng.normal(size=(ROW_CHUNK + 1, 2)) * scale
     errors[:2] = [[0.0, -0.0], [-0.0, 0.0]]
     ps = prediction_set(errors)
-    assert_matches_reference(tmp_path / "r.json", ps, "A", "B", "mahalanobis")
+    assert_points_read_back(*assert_matches_reference(tmp_path / "r.json", ps, "A", "B",
+                                                      "mahalanobis"))
 
 
 def test_write_pair_json_traced_peak_at_1e5():
@@ -81,8 +104,9 @@ def test_write_pair_json_traced_peak_at_1e5():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # With numpy 2.4.6 on Python 3.11 the peak read 5.1 MB with chunks of 4096 rows, and
-    # 12.6 to 13.4 MB with chunks of 16384.
+    # With numpy 2.4.6 on Python 3.11 the peak read 4.1 MB with a one-line array per point,
+    # 5.1 MB with a dict per point (chunks of 4096 rows) and 12.6 to 13.4 MB with chunks of
+    # 16384.
     assert peak <= 8 * 2**20
 
 
