@@ -3,15 +3,14 @@ template fills a byte matrix and a mask of the bytes each row keeps, and one mas
 joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
 Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float,
 and one pass of that kernel over each chunk. %.6g, the SVG number, comes from one Python %
-over a chunk of the column, cut into Strings. %s takes a column of texts already in bytes,
-Strings or Picks: no Python str per row.
+over a chunk of the column, cut into Strings. %s takes a column of texts already in bytes:
+Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -182,21 +181,22 @@ class Strings:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, bytes of the longest text): the byte matrix the texts fill as a %s field."""
+        return len(self), int(np.diff(self.offsets).max(initial=0))
+
     def __getitem__(self, rows: slice) -> Strings:
         """The texts of a slice of rows, sharing this blob."""
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"Strings takes a slice of step 1, not {rows!r}")
         start, stop, _ = rows.indices(len(self))
         return Strings(self.blob, self.offsets[start:max(start, stop) + 1])
 
     def tolist(self) -> list[str]:
-        raw, bounds = self.blob.tobytes(), self.offsets.tolist()
+        raw = self.blob[self.offsets[0]:self.offsets[-1]].tobytes()
+        bounds = (self.offsets - self.offsets[0]).tolist()
         return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
-
-
-class Picks(NamedTuple):
-    """A %s column whose row i is texts[codes[i]]: the texts are encoded once, as Strings."""
-
-    texts: list
-    codes: np.ndarray
 
 
 def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
@@ -210,9 +210,8 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
         text[:, :2], text[:, 7] = _R_HEAD[:2], _R_HEAD[2]
         text[:, 2:7], text[:, 13:], keep[:] = _repr_block(column)
         text[:, 8:13] = text[:, 2:7]
-    elif isinstance(column, Picks):  # its texts encoded, as (bytes, mask)
-        (table, table_keep), codes = column
-        text[:], keep[:] = table.take(codes, axis=0), table_keep.take(codes, axis=0)
+    elif isinstance(column, np.ndarray):  # fixed-width texts: every byte is written
+        text[:], keep[:] = column, True
     else:  # Strings: each text's bytes at the start of its row
         np.less(np.arange(keep.shape[1]), np.diff(column.offsets)[:, None], out=keep)
         text[keep] = column.blob[column.offsets[0]:column.offsets[-1]]
@@ -220,25 +219,18 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
 
 def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk: %r
-    takes float64, %.6g floats, %s Strings or Picks; no literal has %. Every field, each
-    %.6g one too, is filled on its own by _put."""
-    parts, columns = _SPEC.split(template), list(columns)
+    takes float64, %.6g floats, %s Strings or a (rows, width) uint8 array of fixed-width
+    texts; no literal has %. Every field, each %.6g one too, is filled on its own by _put."""
+    parts, n = _SPEC.split(template), len(columns[0])
     specs = parts[1::2]
-    n = len(columns[0].codes if isinstance(columns[0], Picks) else columns[0])
     # Each literal, then its field, takes the next byte columns; a %r field starts on a word.
     spans, end = [], 0
     for i, literal in enumerate(parts[::2]):
         spans.append((end, np.frombuffer(literal.encode(), dtype=np.uint8)))
         end += spans[-1][1].size
         if i < len(columns):
-            spec, column = specs[i], columns[i]
-            strings = Strings.of(column.texts) if isinstance(column, Picks) else column
-            width = _WIDTH.get(spec) or int(np.diff(strings.offsets).max(initial=0))
-            if isinstance(column, Picks):
-                table = np.zeros((len(strings), width), dtype=np.uint8)
-                _put(spec, strings, table, table_keep := np.empty(table.shape, bool))
-                columns[i] = Picks((table, table_keep), column.codes)
-            end += -end % 4 * (spec == "r")
+            width = _WIDTH.get(specs[i]) or columns[i].shape[1]
+            end += -end % 4 * (specs[i] == "r")
             spans.append((end, width))
             end += width
     # Each buffer stays under 4 MB: wide rows, as a long string makes, come fewer to a chunk.
@@ -251,7 +243,5 @@ def row_chunks(template: str, *columns):
         m = min(step, n - start)
         rows = slice(start, start + m)
         for spec, column, (a, width) in zip(specs, columns, spans[1::2]):
-            part = (Picks(column.texts, column.codes[rows]) if isinstance(column, Picks)
-                    else column[rows])
-            _put(spec, part, text[:m, a:a + width], keep[:m, a:a + width])
+            _put(spec, column[rows], text[:m, a:a + width], keep[:m, a:a + width])
         yield str(text[:m][keep[:m]], "utf-8", "surrogatepass")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import Picks, Strings, row_chunks
+from ._text import Strings, row_chunks
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, cholesky, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
@@ -86,7 +86,7 @@ def colormap(t) -> np.ndarray:
     return np.rint(cs[k - 1] + w[:, None] * (cs[k] - cs[k - 1])).astype(np.uint8)
 
 
-_HEX = ["%02x" % i for i in range(256)]  # a colour channel as fill="#rrggbb" writes it
+_HEX = np.frombuffer(bytes(range(256)).hex().encode(), np.uint8).reshape(256, 2)  # "00".."ff"
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,9 @@ class Figure:
     def _rows(self, head: str, columns, fills, **attrs) -> None:
         """One line per row of the columns, which fill the fields of head, kept in
         row_chunks' chunks. fills is one colour, or (rows, 3) RGB ints in [0, 256) as
-        colormap gives: each row's channels picked as #rrggbb from their hex digits."""
+        colormap gives: each row's fill is its six hex digits rrggbb, picked from _HEX."""
         if not isinstance(fills, str):
-            fills, columns = "#%s%s%s", (*columns, *(Picks(_HEX, c) for c in np.transpose(fills)))
+            fills, columns = "#%s", (*columns, _HEX[fills].reshape(len(fills), 6))
         self.elements += row_chunks(f'<{head} fill="{fills}"{_attrs(**attrs)}/>\n', *columns)
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from . import __version__
-from ._text import Picks, row_chunks
+from ._text import row_chunks
 from .errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from .exceptions import DegenerateDistribution
 from .ingest import PredictionSet
@@ -84,9 +84,7 @@ def build_pair_report(ps: PredictionSet, analysis: ErrorSpaceAnalysis) -> dict:
 
 # One instance under errorspace.points: its POINT_FIELDS on one line, as json.dumps(row)
 # writes them; %r of a Python float is the text json writes for it.
-_POINT = ",\n      [%r, %r, %r, %r, %s]"
-# The zone and quadrant codes of a point, at index zone * len(QUADRANTS) + quadrant.
-_ZONE_QUADRANT = [f"{z}, {q}" for z in range(len(ZONES)) for q in range(len(QUADRANTS))]
+_POINT = ",\n      [%r, %r, %r, %r, %s, %s]"
 
 
 def write_pair_json(fh, report: dict, analysis: ErrorSpaceAnalysis) -> None:
@@ -114,8 +112,9 @@ def write_pair_json(fh, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     }
     # json escapes every '"' inside a string, so only the key itself matches.
     head, tail = to_json({**report, "errorspace": errorspace}).split('"points": []', 1)
-    codes = Picks(_ZONE_QUADRANT, analysis.zone * len(QUADRANTS) + analysis.quadrant)
-    points = row_chunks(_POINT, *analysis.e.T, analysis.distance, analysis.percentile, codes)
+    # Each code is one digit, as ZONES and QUADRANTS each have fewer than ten names.
+    codes = ((c + ord("0")).astype(np.uint8)[:, None] for c in (analysis.zone, analysis.quadrant))
+    points = row_chunks(_POINT, *analysis.e.T, analysis.distance, analysis.percentile, *codes)
     fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
     fh.writelines(points)
     fh.write("\n    ]" + tail)

@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from errscope._text import Picks, Strings
+from errscope._text import Strings
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from errscope.render import Figure, _attrs
 
@@ -126,10 +126,11 @@ def rows(template: str, *columns):
     """template % row for each row of the equal-length columns, one string per row: the
     byte reference of the package's row writer.
 
-    A numpy column goes through tolist(), so a float64 formats as a Python float, as
-    does Strings, which gives its str; the codes of Picks select its texts.
+    A 1-D numpy column goes through tolist(), so a float64 formats as a Python float, as
+    does Strings, which gives its str; a (rows, width) uint8 column gives the text of each
+    row's bytes, decoded row by row.
     """
-    columns = [[c.texts[i] for i in c.codes.tolist()] if isinstance(c, Picks)
+    columns = [[row.tobytes().decode() for row in c] if getattr(c, "ndim", 0) == 2
                else c.tolist() if isinstance(c, (np.ndarray, Strings)) else c for c in columns]
     return map(template.__mod__, zip(*columns))
 

@@ -1,11 +1,14 @@
-"""The row writer's float64 text against repr, byte for byte, and the Strings column."""
+"""The row writer's float64 text against repr, byte for byte, and its %s columns: Strings
+and fixed-width byte arrays."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import rows
 
-from errscope._text import Strings, row_chunks
+from errscope._text import ROW_CHUNK, Strings, row_chunks
 
 
 def assert_repr(values):
@@ -94,3 +97,34 @@ def test_strings_fill_a_s_field():
     strings = Strings.of(["", "a,b", "\u00e9\u2028", "\ud800", "x" * 70] * 5000)
     template = "<%s>\n"
     assert "".join(row_chunks(template, strings)) == "".join(rows(template, strings))
+
+
+@pytest.mark.parametrize("rows", [slice(None, None, 2), slice(None, None, -1), 1])
+def test_strings_take_only_a_slice_of_step_1(rows):
+    with pytest.raises(TypeError, match="slice of step 1"):
+        Strings.of(list("abcd"))[rows]
+
+
+def test_strings_slice_tolist_copies_only_its_texts():
+    ids = Strings.numbered("c", 10**6)
+    tracemalloc.start()
+    try:
+        assert ids[:1].tolist() == ["c0"]
+        assert ids[999_999:].tolist() == ["c999999"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10  # the blob holds 6.9 MB
+
+
+def test_fixed_width_bytes_fill_a_s_field():
+    """(rows, width) uint8 columns of width 1 and 6, as the point codes and the fills are,
+    across chunks and next to %r and %.6g fields: every byte is written."""
+    rng = np.random.default_rng(17)
+    n = 2 * ROW_CHUNK + 3
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    codes, hexes = digits[rng.integers(0, 10, size=(n, 1))], digits[rng.integers(0, 16, (n, 6))]
+    x, y = rng.normal(0.0, 1e3, size=(2, n))
+    template = '[%r, %s] <x="%.6g" fill="#%s"/>\n'
+    got = "".join(row_chunks(template, x, codes, y, hexes))
+    assert got == "".join(rows(template, x, codes, y, hexes))
