@@ -2,9 +2,12 @@
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
 joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
 Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float,
-and one pass of that kernel over each chunk. %.6g, the SVG number, comes from one Python %
-over a chunk of the column, cut into Strings. %s takes a column of texts already in bytes:
-Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
+and one pass of that kernel over each chunk. %.6g, the SVG number, writes the bytes of
+Python's "%.6g" % v from a fixed-precision kernel in the same arithmetic, one product per
+float (after Adams 2019), and one pass over each chunk; only a subnormal goes through %, one
+at a time. Both read one table of scales, built on first use. %s takes a column of texts
+already in bytes: Strings, or a (rows, width) uint8 array of fixed-width texts. No Python
+str per row.
 """
 
 from __future__ import annotations
@@ -20,23 +23,19 @@ ROW_CHUNK = 1 << 12
 _M32 = 0xFFFFFFFF
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _SPEC = re.compile(r"%(r|s|\.6g)")
-_WIDTH = {"r": 60, ".6g": 13}  # the bytes a field takes; %.6g as in -1.23457e-308
+_WIDTH = {"r": 60, ".6g": 24}  # the bytes a field takes
 
 
 @cache
-def _g(k: int) -> list[int]:
-    """The 32-bit limbs, low first, of g(k) = floor(10^-k 2^(125 - floor(-k log2 10))) + 1."""
-    r = 125 - ((-k * 913124641741) >> 38)
-    g = (10 ** max(-k, 0) << max(r, 0)) // (10 ** max(k, 0) << max(-r, 0)) + 1
-    return [(g >> s) & _M32 for s in (0, 32, 64, 96)]
-
-
-def _g_limbs(k: np.ndarray) -> np.ndarray:
-    """(4, n) limbs of g at each k, from Python ints for the k present."""
-    table = np.zeros((4, 617), dtype=np.uint64)
-    for j in np.flatnonzero(np.bincount(k + 324, minlength=617)).tolist():
-        table[:, j] = _g(j - 324)
-    return table.take(k + 324, axis=1)
+def _g_table() -> np.ndarray:
+    """(4, 627) uint64: the 32-bit limbs, low first, of g(k) = floor(10^-k 2^(125 -
+    floor(-k log2 10))) + 1 at column k + 324, for k from -324 to 302."""
+    table = np.zeros((4, 627), dtype=np.uint64)
+    for k in range(-324, 303):
+        r = 125 - ((-k * 913124641741) >> 38)
+        g = (10 ** max(-k, 0) << max(r, 0)) // (10 ** max(k, 0) << max(-r, 0)) + 1
+        table[:, k + 324] = [(g >> s) & _M32 for s in (0, 32, 64, 96)]
+    return table
 
 
 def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -62,8 +61,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = (q * 661971961083 - closer * 274743187321) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 3).astype(np.uint64)
     cb = c << 2
-    vbl, vb, vbr = _round_to_odd(
-        _g_limbs(k), np.stack([cb - 2 + closer.astype(np.uint64), cb, cb + 2]) << h)
+    g = _g_table().take(k + 324, axis=1)
+    vbl, vb, vbr = _round_to_odd(g, np.stack([cb - 2 + closer.astype(np.uint64), cb, cb + 2]) << h)
     lower, upper = vbl + (c & 1), vbr - (c & 1)  # the interval holds its ends when c is even
     s, sp = vb >> 2, vb // 40
     # At most one of the two one-digit-shorter neighbours lies in the interval.
@@ -120,8 +119,12 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in np.flatnonzero(tiny & (bits != 0)).tolist():
         mantissa, _, exponent = repr(abs(x[i].item())).partition("e")
         d17[i], decpt[i] = int(mantissa.replace(".", "").ljust(17, "0")), int(exponent) + 1
-    top, hi, lo = d17 // 10**16, d17 // 10**8 % 10**8, d17 % 10**8
-    quads = np.stack([top, hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4], axis=1)
+    # One uint64 division, then uint32: the low 8 digits are d17 - 10^8 upper modulo 2^32.
+    upper = (d17 // 10**8).astype(np.uint32)
+    top = upper // 10**8
+    hi, lo = upper - top * 10**8, d17.astype(np.uint32) - upper * 10**8
+    hi4, lo4 = hi // 10**4, lo // 10**4
+    quads = np.stack([top, hi4, hi - hi4 * 10**4, lo4, lo - lo4 * 10**4], axis=1)
     quad_words, quad_zeros, exponents, layouts = _repr_tables()
     zeros = quad_zeros.take(quads)  # the first group, "000d", ends in a nonzero digit
     z4, z3, z2 = zeros[:, 4] == 4, zeros[:, 3] == 4, zeros[:, 2] == 4
@@ -132,6 +135,82 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sub[bits == 0], nsig[bits == 0] = _ZERO, 1
     return (quad_words.take(quads), exponents.take(exponent + 324, axis=0),
             layouts.take((sign * 25 + sub) * 18 + nsig, axis=0))
+
+
+def _round6(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e): d 10^(e - 5), 10^5 <= d < 10^6, is each positive normal double rounded to
+    six significant digits, ties to even d, from its IEEE bits: one product, after Adams
+    2019 ("Ryu revisited: printf floating point conversion")."""
+    q = (bits >> 52).astype(np.int64) - 1075
+    c = (bits & ((1 << 52) - 1)) | (1 << 52)
+    e = ((q + 52) * 661971961083) >> 41  # 10^e <= 2^(q + 52) <= v < 2 10^(e + 1)
+    k = e - 5
+    shift = (-3 - q - ((-k * 913124641741) >> 38)).astype(np.uint64)
+    vb = _round_to_odd(_g_table().take(k + 324, axis=1), c << 2)
+    # r = floor(4 v 10^-k) in [4 10^5, 8 10^6), its low bit set when 4 v 10^-k is not whole;
+    # tests/test_text.py proves over every exponent that this one product resolves both.
+    r = (vb >> shift) | ((vb & ((1 << shift) - 1)) != 0)
+    seven = r >= 4 * 10**6  # v 10^-k has seven digits: drop the last, e is one more
+    unit = np.where(seven, np.uint64(40), np.uint64(4))  # r's step from t to t + 1
+    t = np.where(seven, r // 40, r >> 2)
+    # Up when the rest passes half a unit, or meets it with t odd: ties to even.
+    d = t + (r - unit * t + (t & 1) > unit >> 1)
+    carry = d == 10**6
+    return np.where(carry, 10**5, d), e + seven + carry
+
+
+# A %.6g field is 6 words: "-0.000" (a sign, then "0." and zeros) and two bytes of padding;
+# the six digits with a decimal point put in, in two words; the exponent, as in "e-308".
+_G6_HEAD = np.frombuffer(b"-0.000\0\0", dtype=np.uint32)
+_G6_EXP, _G6_ZERO = 10, 12  # subclasses 0..9 are fixed forms, e -4..5; 10, 11 exponents
+
+
+@cache
+def _g6_layouts() -> np.ndarray:
+    """The mask words of each %.6g layout class (sign * 13 + subclass) * 7 + digits: as
+    %g, fixed form when -4 <= e < 6, with no trailing zeros or point, else d[.ddd]e+XX[X]."""
+    keep = np.zeros((2, 13, 7, 24), dtype=bool)
+    for sign, sub, nsig in np.ndindex(2, 13, 7):
+        cols = [0] * sign
+        if sub < 4:  # 0.000ddd
+            cols += [*range(1, 6 - sub), *range(8, 8 + nsig)]
+        elif sub < _G6_EXP:  # ddd.ddd, or ddd from the digits
+            point = sub - 3
+            cols += range(8, 8 + (nsig + 1 if nsig > point else point))
+        elif sub < _G6_ZERO:
+            cols += [*range(8, 9 + nsig * (nsig > 1)), *range(16, 20 + (sub - _G6_EXP))]
+        else:
+            cols += [1]  # 0
+        keep[sign, sub, nsig, cols] = True
+    return keep.view(np.uint32).reshape(-1, 6)
+
+
+def _g6_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digit words, exponent words, mask words) of each finite float64."""
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    sign = (bits >> 63).astype(np.intp)
+    bits = bits & ((1 << 63) - 1)
+    tiny = bits < (1 << 52)  # zeros and subnormals; 1.0 stands in for them
+    d, e = _round6(np.where(tiny, np.uint64(0x3FF0000000000000), bits))
+    # A subnormal's c has fewer than 53 bits, which the product assumes: % gives its digits.
+    for i in np.flatnonzero(tiny & (bits != 0)).tolist():
+        mantissa, _, exponent = ("%.5e" % abs(x[i].item())).partition("e")
+        d[i], e[i] = int(mantissa.replace(".", "")), int(exponent)
+    quad_words, quad_zeros, exponents, _ = _repr_tables()
+    hi = d // 100
+    lo = d - 100 * hi
+    nsig = 6 - np.where(lo == 0, 2 + quad_zeros.take(hi), quad_zeros.take(lo))
+    sub = np.where((e >= -4) & (e <= 5), e + 4, _G6_EXP + (np.abs(e) >= 100))
+    sub[bits == 0] = _G6_ZERO
+    # The six digits as the low bytes of a word, then "." put in after the first e + 1 in
+    # fixed form, the first one in exponent form, and all six in 0.000ddd form: unkept there.
+    digits = (quad_words.take(hi).astype(np.uint64)
+              | (quad_words.take(lo).astype(np.uint64) >> 16 << 32))
+    point = 8 * np.where(sub < 4, 6, np.where(sub < _G6_EXP, e + 1, 1)).astype(np.uint64)
+    low = (1 << point) - 1
+    text = (digits & low) | (ord(".") << point) | ((digits & ~low) << 8)
+    return (text.view(np.uint32).reshape(-1, 2), exponents.take(e + 324, axis=0),
+            _g6_layouts().take((sign * 13 + sub) * 7 + nsig, axis=0))
 
 
 class Strings:
@@ -201,11 +280,11 @@ class Strings:
 
 def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
     """Fill one field of a chunk: text and keep are its (rows, width) views."""
-    if spec == ".6g":  # one % over the chunk, cut at its commas into Strings
-        raw = np.frombuffer(("%.6g," * len(column) % tuple(column.tolist())).encode(), np.uint8)
-        ends = np.flatnonzero(raw == ord(","))
-        column = Strings(np.delete(raw, ends), np.append(0, ends - np.arange(ends.size)))
-    if spec == "r":
+    if spec == ".6g":
+        text, keep = text.view(np.uint32), keep.view(np.uint32)
+        text[:, :2] = _G6_HEAD
+        text[:, 2:4], text[:, 4:], keep[:] = _g6_block(column)
+    elif spec == "r":
         text, keep = text.view(np.uint32), keep.view(np.uint32)
         text[:, :2], text[:, 7] = _R_HEAD[:2], _R_HEAD[2]
         text[:, 2:7], text[:, 13:], keep[:] = _repr_block(column)
@@ -219,18 +298,19 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
 
 def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk: %r
-    takes float64, %.6g floats, %s Strings or a (rows, width) uint8 array of fixed-width
-    texts; no literal has %. Every field, each %.6g one too, is filled on its own by _put."""
+    and %.6g take finite floats, %s Strings or a (rows, width) uint8 array of fixed-width
+    texts; no literal has %. Every field is filled on its own by _put, a %r or %.6g one
+    by one pass of its kernel over the chunk."""
     parts, n = _SPEC.split(template), len(columns[0])
     specs = parts[1::2]
-    # Each literal, then its field, takes the next byte columns; a %r field starts on a word.
+    # Each literal, then its field, takes the next byte columns; a number field starts on a word.
     spans, end = [], 0
     for i, literal in enumerate(parts[::2]):
         spans.append((end, np.frombuffer(literal.encode(), dtype=np.uint8)))
         end += spans[-1][1].size
         if i < len(columns):
             width = _WIDTH.get(specs[i]) or columns[i].shape[1]
-            end += -end % 4 * (specs[i] == "r")
+            end += -end % 4 * (specs[i] in _WIDTH)
             spans.append((end, width))
             end += width
     # Each buffer stays under 4 MB: wide rows, as a long string makes, come fewer to a chunk.

@@ -161,12 +161,28 @@ class _Axis:
     def smooth(self, c: np.ndarray) -> np.ndarray:
         """c with its rows, one per node of this axis, carried onto the grid nodes.
         A binned axis sums each grid node's kernel over the fine nodes in reach by
-        einsum, not by a BLAS product, whose last bits depend on its thread count."""
+        einsum, not by a BLAS product, whose last bits depend on its thread count. It sums
+        only the columns from the first to the last nonzero one of those rows: every term
+        it skips is +0.0, so each value keeps its bits."""
         if self.fine is None:
             return c
         lo, hi = self._reach(self.fine, self.grid)
-        return np.array([np.einsum("f,fj->j", _gaussian(g - self.fine[a:b], self.h), c[a:b])
-                         for g, a, b in zip(self.grid.tolist(), lo.tolist(), hi.tolist())])
+        nonzero = c != 0.0
+        filled, cols = nonzero.any(axis=1), c.shape[1]
+        # Each row's first nonzero column and one past its last (cols and 0 when it has
+        # none), a sentinel row after them, then their least and greatest over each node's
+        # rows lo:hi, never empty, as the even rows of reduceat's output.
+        first = np.append(np.where(filled, nonzero.argmax(axis=1), cols), cols)
+        last = np.append(np.where(filled, cols - nonzero[:, ::-1].argmax(axis=1), 0), 0)
+        bounds = np.column_stack([lo, hi]).ravel()
+        j0, j1 = np.minimum.reduceat(first, bounds)[::2], np.maximum.reduceat(last, bounds)[::2]
+        out = np.zeros((self.grid.size, cols))
+        nodes = zip(*(v.tolist() for v in (self.grid, lo, hi, j0, j1)))
+        for i, (g, a, b, j, k) in enumerate(nodes):
+            if j < k:
+                out[i, j:k] = np.einsum("f,fj->j", _gaussian(g - self.fine[a:b], self.h),
+                                        c[a:b, j:k])
+        return out
 
 
 def _gaussian(d: np.ndarray, h: float) -> np.ndarray:

@@ -312,7 +312,10 @@ def _parse_json(text: str) -> PredictionSet:
                 raise MalformedHeader("instances must carry a non-empty 'predictions' map")
         elif set(preds) != set(model_names):
             raise LengthMismatch(f"instance {i} lists a different model set than instance 0")
-        ids.append(str(inst.get("id", i)))
+        iid = inst.get("id", i)
+        if isinstance(iid, bool) or not isinstance(iid, (str, int)):
+            raise MalformedHeader(f"instance {i}: id is not a string or an integer")
+        ids.append(str(iid))
         rows.append([_number(inst.get("y_true"), f"instance {i}: y_true")]
                     + [_number(preds[m], f"instance {i}: prediction {m!r}") for m in model_names])
     try:

@@ -11,6 +11,7 @@ from itertools import repeat
 import numpy as np
 
 from errscope._text import Strings
+from errscope.density import _gaussian
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from errscope.render import Figure, _attrs
 
@@ -83,6 +84,15 @@ def kde_values(pts, xs, ys, bandwidth) -> np.ndarray:
     gx = np.exp(-0.5 * ((xs[:, None] - pts[None, :, 0]) / hx) ** 2) / (hx * math.sqrt(2.0 * math.pi))
     gy = np.exp(-0.5 * ((ys[:, None] - pts[None, :, 1]) / hy) ** 2) / (hy * math.sqrt(2.0 * math.pi))
     return (gx @ gy.T) / pts.shape[0]
+
+
+def smooth_full_width(axis, c: np.ndarray) -> np.ndarray:
+    """density._Axis.smooth summing every column of c at each grid node, zeros too."""
+    if axis.fine is None:
+        return c
+    lo, hi = axis._reach(axis.fine, axis.grid)
+    return np.array([np.einsum("f,fj->j", _gaussian(g - axis.fine[a:b], axis.h), c[a:b])
+                     for g, a, b in zip(axis.grid.tolist(), lo.tolist(), hi.tolist())])
 
 
 def riemann_mass(grid) -> float:

@@ -307,6 +307,20 @@ def test_duplicate_ids_warn_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == warning
 
 
+def test_json_ids_are_strings_integers_or_the_index(tmp_path, capsys):
+    # An integer id is its decimal text and a missing one the instance index, so 12 and
+    # "12" repeat, as do 2 and the third instance, which has no id.
+    ids = [12, "12", None, 2, 10**30, -7, "None"]
+    instances = [{"y_true": 0.0, "predictions": {"M1": float(k), "M2": 1.0 - k}}
+                 | ({} if iid is None else {"id": iid}) for k, iid in enumerate(ids)]
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"instances": instances}))
+    assert main(["metrics", str(path)]) == 0
+    assert capsys.readouterr().err == "warning: duplicate instance ids: '12', '2'\n"
+    assert parse_predictions(path.read_bytes(), "json").instance_ids.tolist() == [
+        "12", "12", "2", "2", str(10**30), "-7", "None"]
+
+
 def test_duplicate_id_holding_an_lf_warns_on_one_line(tmp_path, capsys):
     # The quoted id "a\nb", given twice, is shown as its repr: one stderr line.
     path = tmp_path / "in.csv"
@@ -388,6 +402,13 @@ MALFORMED_JSON = {
     "no_instances.json": (b'{"rows": []}', "JSON must contain a non-empty 'instances' array"),
     "empty_predictions.json": (b'{"instances": [{"id": "a", "y_true": 1, "predictions": {}}]}',
                                "instances must carry a non-empty 'predictions' map"),
+    # An id that is neither a string nor an integer, as null next to "None", which str()
+    # once made a false duplicate.
+    **{f"{name}_id.json": (b'{"instances": [{"id": "None", "y_true": 1, "predictions": {"M": 1}},'
+                           b' {"id": ' + value + b', "y_true": 1, "predictions": {"M": 2}}]}',
+                           "instance 1: id is not a string or an integer")
+       for name, value in [("null", b"null"), ("bool", b"false"), ("float", b"1.0"),
+                           ("object", b'{"a": [1, true]}'), ("array", b"[0]")]},
 }
 
 

@@ -11,10 +11,11 @@ from oracles import (
     hex_vertices,
     kde_values,
     riemann_mass,
+    smooth_full_width,
 )
 
 from errscope import SCENARIOS, generate, hex_corners, hexbin, kde2d
-from errscope.density import default_hex_radius, xy_to_axial
+from errscope.density import _Axis, default_hex_radius, xy_to_axial
 from errscope.exceptions import DegenerateDistribution
 
 
@@ -152,6 +153,35 @@ def test_kde_traced_peak_at_1e5(pts):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+def far_point_cloud(n, far):
+    pts = np.random.default_rng(20).normal(size=(n, 2))
+    pts[0] = [far, far]
+    return pts
+
+
+# Clouds whose bin matrix is mostly zeros, and each at least one binned axis.
+SMOOTH_CLOUDS = {
+    "correlated": lambda: correlated_cloud(20_000),
+    "two_clusters": lambda: np.concatenate([
+        np.random.default_rng(21).normal([-8.0, 3.0], 1.0, size=(10_000, 2)),
+        np.random.default_rng(22).normal([6.0, -5.0], [0.5, 2.0], size=(10_000, 2))]),
+    # x is exact and y binned, so the second pass smooths sparse columns.
+    "outlier_vs_moderate": lambda: generate("outlier_vs_moderate", 20_000, seed=9).errors[:, :2],
+    # h / dx about 1.42 to 1.45: 16 fine steps per grid step, the most before exact.
+    "near_cutoff": lambda: far_point_cloud(20_000, 22.0),
+}
+
+
+@pytest.mark.parametrize("cloud", SMOOTH_CLOUDS)
+def test_kde_occupied_columns_match_full_width_bit_for_bit(cloud, monkeypatch):
+    pts = SMOOTH_CLOUDS[cloud]()
+    grid = kde2d(pts)
+    assert max(steps_per_bandwidth(grid)) > 1.3975
+    monkeypatch.setattr(_Axis, "smooth", smooth_full_width)
+    full = kde2d(pts)
+    assert np.array_equal(grid.values.view(np.uint64), full.values.view(np.uint64))
 
 
 def test_kde_degenerate_inputs():

@@ -43,8 +43,10 @@ def test_fmt_six_significant_digits():
 
 
 # A signed zero, the smallest subnormal, magnitudes %.6g writes in exponent form
-# (two- and three-digit exponents, both signs), fixed form, and a tie that rounds to even.
-SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5, 1e-5, -2.5e-07, 1e16, 0.0001, -1234567.0]
+# (two- and three-digit exponents, both signs), fixed form, ties that round to even in the
+# sixth and in the seventh digit, and ties that carry to the next power of ten.
+SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5, 1e-5, -2.5e-07, 1e16, 0.0001, -1234567.0,
+             617283.5, -617284.5, 1234565.0, 12345650.0, 999999.5, -9999995.0]
 
 
 @pytest.mark.parametrize("shape", ["circles", "rects", "polygons", "wide_polygons"])

@@ -1,6 +1,8 @@
-"""The row writer's float64 text against repr, byte for byte, and its %s columns: Strings
-and fixed-width byte arrays."""
+"""The row writer's float64 text against repr and "%.6g" %, byte for byte, and its %s
+columns: Strings and fixed-width byte arrays."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,14 +13,23 @@ from oracles import rows
 from errscope._text import ROW_CHUNK, Strings, row_chunks
 
 
-def assert_repr(values):
-    """Each value, written by %r through the row writer, reads as repr wrote it."""
+def assert_written(spec, values):
+    """Each value, written by the spec through the row writer, reads as % wrote it."""
     x = np.asarray(values, dtype=np.float64)
-    got = "".join(row_chunks("%r\n", x)).splitlines(keepends=True)
-    want = list(rows("%r\n", x))
+    template = f"%{spec}\n"
+    got = "".join(row_chunks(template, x)).splitlines(keepends=True)
+    want = list(rows(template, x))
     # The first differing value, rather than a diff of two long lists.
-    assert next(((w, g) for w, g in zip(want, got) if w != g), None) is None
+    assert next(((v, w, g) for v, w, g in zip(x.tolist(), want, got) if w != g), None) is None
     assert len(got) == len(want)
+
+
+def assert_repr(values):
+    assert_written("r", values)
+
+
+def assert_g(values):
+    assert_written(".6g", values)
 
 
 def test_random_bit_patterns():
@@ -59,12 +70,123 @@ def test_any_finite_floats(values):
 
 def test_one_row_of_512_g_fields():
     """A row may hold many %.6g fields, as a 256-vertex polygon's 512 numbers would: each
-    field is filled on its own, from its own % over the chunk."""
+    field is filled on its own, from its own pass of the kernel over the chunk."""
     template = 'points="%s"\n' % " ".join(["%.6g,%.6g"] * 256)
     edges = [0.0, 1.0, -1.5, 123456.5, 1234567.0, 1e-5, -2.5e-07, 0.0001, 1e16, -1e300, 5e-324]
     x = np.concatenate([edges, np.random.default_rng(16).normal(0.0, 1e3, 512 - len(edges))])
     columns = x.reshape(1, 512).T
     assert "".join(row_chunks(template, *columns)) == "".join(rows(template, *columns))
+
+
+def test_g_random_bit_patterns():
+    """2^20 bit patterns, across 256 chunks: every exponent, sign and digit count,
+    subnormals and both zeros too."""
+    bits = np.random.default_rng(18).integers(0, 2**64, size=1 << 20, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = np.concatenate([x[np.isfinite(x)], [0.0, -0.0]])
+    assert x.size >= 10**6 and (np.abs(x[x != 0.0]) < np.finfo(np.float64).tiny).sum() > 100
+    assert_g(x)
+
+
+def test_g_powers_of_two_and_zeros():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert_g(np.concatenate([powers, -powers, [0.0, -0.0]]))
+
+
+def test_g_ties_and_carries():
+    """Exact ties round half to even in the sixth digit (e = 5) and in a dropped seventh
+    (e > 5), and a round up to 10^6 carries into the exponent."""
+    ties = [617283.5, 617284.5, 1234565.0, 12345650.0, 999999.5, 9999995.0, 99999950.0]
+    assert ["%.6g" % v for v in ties] == ["617284", "617284", "1.23456e+06", "1.23456e+07",
+                                          "1e+06", "1e+07", "1e+08"]
+    d = np.arange(100_000, 1_000_000, 37, dtype=np.float64)
+    # (10 d + 5) 10^j is a double exactly while (2 d + 1) 5^(j + 1) < 2^53.
+    dropped = (10.0 * d + 5.0) * 10.0 ** np.arange(13)[:, None]
+    x = np.concatenate([ties, d + 0.5, dropped.ravel(), [999999.5 * 10.0**j for j in range(13)]])
+    assert_g(np.concatenate([x, -x]))
+
+
+def test_g_layout_edges_and_their_neighbours():
+    """Where %.6g changes form (1e-4, 1e6), exponent width (1e-100, 1e100) or carries
+    (999999.5), with the next double each way."""
+    edges = np.array([1e-4, 1e-5, 999999.5, 1e6, 1e5, 99999.95, 1e100, 1e-100, 1e-99, 1.0])
+    x = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    assert_g(np.concatenate([x, -x]))
+
+
+def test_g_extreme_normals_and_subnormals():
+    info = np.finfo(np.float64)
+    x = np.array([info.max, info.tiny, np.nextafter(info.tiny, 0.0), info.smallest_subnormal,
+                  np.nextafter(info.smallest_subnormal, 1.0), np.nextafter(info.max, 0.0),
+                  4.94065645841246e-320, 9.99999e-309])
+    assert_g(np.concatenate([x, -x]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_g_any_finite_floats(values):
+    assert_g(values)
+
+
+def _floor_sum(n, m, a, b):
+    """sum over 0 <= i < n of floor((a i + b) / m), for a, b >= 0, by Euclid's steps."""
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+def _count_rests(n, m, a, b, lo, hi):
+    """The count of 0 <= i < n with lo <= (a i + b) mod m < hi, for 0 <= lo <= hi <= m."""
+    def below(t):
+        return _floor_sum(n, m, a, b) - _floor_sum(n, m, a, b + m - t) + n
+    return below(hi) - below(lo)
+
+
+def test_one_product_resolves_every_normal_double():
+    """A proof over every binary exponent, not a sample. For v = c 2^q the %.6g kernel
+    reads x = 4 v 10^-k = c P / Q as floor(g 4c / 2^(128 + s)), its low bit the OR of bits
+    64 to 127 + s. g exceeds the exact scale by less than 1, so the product exceeds x 2^(128
+    + s) by less than 4c < 2^55, below bit 64 when x is whole. Then floor and low bit are
+    those of x for every c in [2^52, 2^53) when no fraction of x, c P mod Q over Q, is
+    nonzero and below 2^-(64 + s), nor within 2^-(73 + s) of 1. The counts of such c come
+    from floor sums."""
+    n, checked = 1 << 52, 0
+    for q in range(-1074, 972):
+        k = (((q + 52) * 661971961083) >> 41) - 5
+        s = -3 - q - ((-k * 913124641741) >> 38)
+        assert 0 <= s < 64  # the shift the kernel takes
+        num = 2 ** max(q + 2 - k, 0) * 5 ** max(-k, 0)
+        den = 2 ** max(k - q - 2, 0) * 5 ** max(k, 0)
+        a, b = num % den, n * num % den
+        small, near = -(-den >> (64 + s)), den - (den >> (73 + s))
+        checked += small > 1
+        assert _count_rests(n, den, a, b, 1, small) == 0, q
+        assert _count_rests(n, den, a, b, near, den) == 0, q
+    assert checked > 1000  # most exponents need the argument: Q > 2^(64 + s)
+
+
+def test_counting_rests_against_a_loop():
+    rng = np.random.default_rng(19)
+    for m, n in rng.integers(1, 400, size=(300, 2)).tolist():
+        a, b = rng.integers(0, m, size=2).tolist()
+        lo, hi = sorted(rng.integers(0, m + 1, size=2).tolist())
+        rests = [(a * i + b) % m for i in range(n)]
+        assert _count_rests(n, m, a, b, lo, hi) == sum(lo <= r < hi for r in rests)
+
+
+def test_import_builds_no_table():
+    """The digit tables are built on first use: importing the CLI costs none of them."""
+    code = ("import errscope.cli, errscope._text as t; print([f.cache_info().currsize for f in"
+            " (t._g_table, t._repr_tables, t._g6_layouts)])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[0, 0, 0]\n"
 
 
 # Any code point, lone surrogates too (st.characters leaves them out): Strings encodes them
