@@ -1,13 +1,13 @@
 """The one row writer of the CSV, the JSON points and the SVG shapes: each field of a row
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
-joins them. %r writes repr's text, with digits from Schubfach (Giulietti 2020, "The
-Schubfach way to render doubles") in 64-bit integer arithmetic: no Python call per float,
-and one pass of that kernel over each chunk. %.6g, the SVG number, writes the bytes of
-Python's "%.6g" % v from a fixed-precision kernel in the same arithmetic, one product per
-float (after Adams 2019), and one pass over each chunk; only a subnormal goes through %, one
-at a time. Both read one table of scales, built on first use. %s takes a column of texts
-already in bytes: Strings, or a (rows, width) uint8 array of fixed-width texts. No Python
-str per row.
+joins them. %r writes repr's text, with digits from a shortest-digit kernel after Dragonbox
+(Jeon 2024) in 64-bit integer arithmetic, one 64-by-64-bit product per float: no Python
+call per float, and one pass of that kernel over each chunk; only a subnormal goes through
+repr, one at a time. %.6g, the SVG number, writes the bytes of Python's "%.6g" % v from a
+fixed-precision kernel in the same arithmetic, one product per float (after Adams 2019),
+and one pass over each chunk; only a subnormal goes through %, one at a time. Each kernel
+reads a table of scales, built on first use. %s takes a column of texts already in bytes:
+Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 # Rows written at a time: it bounds a writer's memory, not its bytes. A chunk is also one
 # pass of the digit kernel, which keeps its temporaries small.
 ROW_CHUNK = 1 << 12
-_M32 = 0xFFFFFFFF
+_M32, _M64 = 0xFFFFFFFF, (1 << 64) - 1
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _SPEC = re.compile(r"%(r|s|\.6g)")
-_WIDTH = {"r": 60, ".6g": 24}  # the bytes a field takes
 
 
 @cache
@@ -51,39 +50,130 @@ def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
     return vb | (((col2 | col3) & _M32) != 0)
 
 
+@cache
+def _dragonbox_table() -> tuple[np.ndarray, np.ndarray]:
+    """The scales of the %r kernel by biased exponent E of a double c 2^q, q = E - 1075, for
+    E from 0 to 2047 (E 0 as E 1). uint64 rows: the high word H of phi = ceil(10^k 2^(127 -
+    floor(k log2 10))) for k = 2 - floor(q log10 2), H's two 32-bit halves, the high half of
+    phi's low word, beta = q + floor(k log2 10), the interval width delta = 2^q 10^k
+    rounded down (H >> (63 - beta)), phi's low word, and the d of 2^(q + 52); int64 rows: 3
+    - k, and the k of 2^(q + 52), from Dragonbox's shift-only branch for the interval of a
+    power of two, whose gap below is half the gap above."""
+    phi = {}
+    for k in range(-292, 327):
+        b = (k * 913124641741) >> 38
+        phi[k] = -(-(10 ** max(k, 0) << max(127 - b, 0)) // (10 ** max(-k, 0) << max(b - 127, 0)))
+
+    def columns():
+        for e in range(2048):
+            q = max(e, 1) - 1075
+            k = 2 - ((q * 661971961083) >> 41)
+            beta = q + ((k * 913124641741) >> 38)
+            h, low = phi[k] >> 64, phi[k] & _M64
+            # 2^(q + 52) 10^k' for k' = -floor(q log10 2 - log10 4/3) is H' 2^(beta' - 11).
+            k2 = -((q * 661971961083 - 274743187321) >> 41)
+            beta2, h2 = q + ((k2 * 913124641741) >> 38), phi[k2] >> 64
+            lower = ((h2 - (h2 >> 54)) >> (11 - beta2)) + (not 2 <= q <= 3)  # whole only there
+            upper = (h2 + (h2 >> 53)) >> (11 - beta2)
+            d = ((h2 >> (10 - beta2)) + 1) >> 1  # v 10^k', rounded half up
+            d = d - d % 2 if q == -77 else d + (d < lower)  # q = -77 gives the one exact tie
+            if upper // 10 * 10 >= lower:
+                d, k2 = upper // 10, k2 - 1
+            # The int64 rows as their two's complement.
+            yield (h, h & _M32, h >> 32, low >> 32, beta, h >> (63 - beta), low, d,
+                   (3 - k) & _M64, -k2 & _M64)
+
+    # Filled a column at a time: no list of 20,000 Python ints outlives the build.
+    table = np.ascontiguousarray(np.fromiter(columns(), dtype=(np.uint64, 10), count=2048).T)
+    return table[:8], table[8:].view(np.int64)
+
+
+def _low_words(f: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two low words of the 192-bit f phi, phi = hi 2^64 + lo: its fraction below 2^128."""
+    f0, f1, l0, l1 = f & _M32, f >> 32, lo & _M32, lo >> 32
+    p01, p10 = f0 * l1, f1 * l0
+    mid = ((f0 * l0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return f * hi + f1 * l1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), f * lo
+
+
+def _parity(f: np.ndarray, exponent: np.ndarray,
+            beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each f and biased exponent E: the low bit of f 2^(q - 1) 10^k rounded down, read
+    as floor(f phi 2^beta / 2^128), and whether f 2^(q - 1) 10^k is whole."""
+    words = _dragonbox_table()[0]
+    w1, w0 = _low_words(f, words[0].take(exponent), words[6].take(exponent))
+    return (w1 >> (64 - beta)) & 1 == 1, ((w1 << beta) | (w0 >> (64 - beta))) == 0
+
+
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, k): d 10^k is the shortest decimal that rounds to each positive normal double,
-    the closest such when there are several (ties to even d), from its IEEE bits."""
-    q = (bits >> 52).astype(np.int64) - 1075
+    the closest such when there are several (ties to even d), from its IEEE bits: one
+    product of 64 by 64 bits per double, after Dragonbox (Jeon 2024, "Dragonbox: A New
+    Floating-Point Binary-to-Decimal Conversion Algorithm") with kappa = 2."""
+    exponent = bits.view(np.int64) >> 52
+    words, ints = _dragonbox_table()
+    hi, h0, h1, l1, beta, delta = (row.take(exponent) for row in words[:6])
     c = bits & ((1 << 52) - 1)
-    closer = (c == 0) & (q > -1074)  # at a power of two the gap below is half the gap above
-    c |= 1 << 52
-    k = (q * 661971961083 - closer * 274743187321) >> 41
-    h = (q + ((-k * 913124641741) >> 38) + 3).astype(np.uint64)
-    cb = c << 2
-    g = _g_table().take(k + 324, axis=1)
-    vbl, vb, vbr = _round_to_odd(g, np.stack([cb - 2 + closer.astype(np.uint64), cb, cb + 2]) << h)
-    lower, upper = vbl + (c & 1), vbr - (c & 1)  # the interval holds its ends when c is even
-    s, sp = vb >> 2, vb // 40
-    # At most one of the two one-digit-shorter neighbours lies in the interval.
-    up_in, wp_in = lower <= 40 * sp, 40 * sp + 40 <= upper
-    short = (s >= 10) & (up_in != wp_in)
-    u_in, w_in = lower <= 4 * s, 4 * s + 4 <= upper
-    up = np.where(u_in != w_in, w_in, (vb > 4 * s + 2) | ((vb == 4 * s + 2) & (s & 1 == 1)))
-    return np.where(short, sp + wp_in, s + up), k + short
+    # z = floor(u phi / 2^128), u = (2c + 1) 2^beta with c's hidden bit, is the upper end
+    # of the interval of decimals that round to v, times 10^k. Its high word comes from u H
+    # in 32-bit halves. u times phi's low word may carry into it: u's high half times that
+    # word's reads short by less than 2^33, so only a sum that close to 2^64 needs the
+    # exact low words.
+    u = ((c << 1) | ((1 << 53) + 1)) << beta
+    u0, u1 = u & _M32, u >> 32
+    p01 = u0 * h1
+    z = u1 * h1 + (p01 >> 32) + (((u0 * h0) >> 32) + u1 * h0 + (p01 & _M32) >> 32)
+    low = u * hi
+    mid = low + u1 * l1
+    z += mid < low
+    i = np.flatnonzero(mid >= 2**64 - 2**33)
+    if i.size:
+        z[i] += _low_words(u[i], hi[i], words[6].take(exponent[i]))[0] < low[i]
+    # The interval, delta wide, holds 1000 s (one digit fewer) when the rest r is below delta.
+    s = z // 1000
+    r = z - 1000 * s
+    small = r > delta
+    # With c odd the interval leaves out its upper end, which is 1000 s when z is whole.
+    i = np.flatnonzero((r == 0) & (c & 1 == 1))
+    if i.size:
+        i = i[_low_words(u[i], hi[i], words[6].take(exponent[i]))[0] == 0]
+        s[i] -= 1
+        r[i], small[i] = 1000, True
+    # At r == delta, 1000 s is the lower end rounded: that end's low bit and fraction tell
+    # whether it lies in the interval, which holds its lower end when c is even.
+    i = np.flatnonzero(r == delta)
+    odd, whole = _parity((c[i] << 1) + ((1 << 53) - 1), exponent[i], beta[i])
+    small[i] = ~odd & ~(whole & (c[i] & 1 == 0))
+    # Else d is v 10^k rounded: 10 s + t with t = dist / 100, dist = r - delta / 2 + 50.
+    # When 100 divides dist that may be one too many, as the low bit of y = v 10^k tells,
+    # and a whole y is a tie, which goes to the even d.
+    dist = r - (delta >> 1) + 50
+    t = (dist * 5243) >> 19  # dist // 100 while dist < 43699
+    d = np.where(small, 10 * s + t, s)
+    i = np.flatnonzero(small & (dist == 100 * t))
+    odd, whole = _parity((c[i] << 1) | (1 << 53), exponent[i], beta[i])
+    d[i] -= (odd != ((dist[i] ^ 50) & 1 == 1)) | (whole & (d[i] & 1 == 1))
+    k = ints[0].take(exponent) - small
+    # A power of two, but the least normal, has a gap below half the gap above: its (d, k)
+    # come from the table.
+    i = np.flatnonzero(c == 0)
+    i = i[exponent[i] > 1]
+    d[i], k[i] = words[7].take(exponent[i]), ints[1].take(exponent[i])
+    return d, k
 
 
 # A %r field is 15 words: "-0.000" (a sign, then "0." and zeros); "000" and the 17 digits,
 # trailing zeros as padding; a decimal point; the digits again; the exponent, as in "e-308".
-_R_HEAD = np.frombuffer(b"-0.000\0\0.\0\0\0", dtype=np.uint32)
+_R_HEAD = np.frombuffer(b"-0.000".ljust(28, b"\0") + b".".ljust(32, b"\0"), dtype=np.uint8)
 _FIXED, _ZERO = 20, 24  # subclasses 0..19 are fixed forms, decpt -3..16; 20..23 exponents
 
 
 @cache
-def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """"0000" to "9999" as words, their trailing zeros, "e-324" to "e+308" as word pairs,
-    and the mask words of each layout class (sign * 25 + subclass) * 18 + digits: as in
-    repr, fixed form when -4 < decpt <= 16, ".0" after an integer, else d[.ddd]e+XX[X]."""
+    the mask words of each layout class (sign * 25 + subclass) * 18 + digits, and 18 times
+    the subclass of each decpt from -323 to 309: as in repr, fixed form when -4 < decpt <=
+    16, ".0" after an integer, else d[.ddd]e+XX[X]."""
     quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype=np.uint8)
     zeros = np.cumprod(quads.reshape(-1, 4)[:, ::-1] == ord("0"), axis=1).sum(axis=1)
     keep = np.zeros((2, 25, 18, 60), dtype=bool)
@@ -101,9 +191,12 @@ def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             cols += [1, 2, 3]  # 0.0
         keep[sign, sub, nsig, cols] = True
     exponents = b"".join((b"e%+03d" % e).ljust(8) for e in range(-324, 309))
+    decpt = np.arange(-323, 310)
+    forms = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
+                     _FIXED + 2 * (decpt < 1) + (np.abs(decpt - 1) >= 100))
     return (quads.view(np.uint32), zeros.astype(np.uint8),
             np.frombuffer(exponents, dtype=np.uint32).reshape(-1, 2),
-            keep.view(np.uint32).reshape(-1, 15))
+            keep.view(np.uint32).reshape(-1, 15), 18 * forms)
 
 
 def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,7 +208,7 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d, k = _shortest(np.where(tiny, np.uint64(0x3FF0000000000000), bits))
     nd = 15 + (d >= _POW10[15]) + (d >= _POW10[16])  # a normal's d has 15 to 17 digits
     d17, decpt = d * _POW10[17 - nd], nd + k
-    # Schubfach's interval test needs 53 significant bits: repr gives a subnormal's digits.
+    # The kernel sets c's hidden bit, which a subnormal lacks: repr gives its digits.
     for i in np.flatnonzero(tiny & (bits != 0)).tolist():
         mantissa, _, exponent = repr(abs(x[i].item())).partition("e")
         d17[i], decpt[i] = int(mantissa.replace(".", "").ljust(17, "0")), int(exponent) + 1
@@ -124,17 +217,13 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     top = upper // 10**8
     hi, lo = upper - top * 10**8, d17.astype(np.uint32) - upper * 10**8
     hi4, lo4 = hi // 10**4, lo // 10**4
-    quads = np.stack([top, hi4, hi - hi4 * 10**4, lo4, lo - lo4 * 10**4], axis=1)
-    quad_words, quad_zeros, exponents, layouts = _repr_tables()
-    zeros = quad_zeros.take(quads)  # the first group, "000d", ends in a nonzero digit
-    z4, z3, z2 = zeros[:, 4] == 4, zeros[:, 3] == 4, zeros[:, 2] == 4
-    nsig = 17 - zeros[:, 4] - z4 * (zeros[:, 3] + z3 * (zeros[:, 2] + z2 * zeros[:, 1]))
-    exponent = decpt - 1
-    sub = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
-                   _FIXED + 2 * (exponent < 0) + (np.abs(exponent) >= 100))
-    sub[bits == 0], nsig[bits == 0] = _ZERO, 1
-    return (quad_words.take(quads), exponents.take(exponent + 324, axis=0),
-            layouts.take((sign * 25 + sub) * 18 + nsig, axis=0))
+    quads = np.stack([top, hi4, hi - hi4 * 10**4, lo4, lo - lo4 * 10**4])  # a row per group
+    quad_words, quad_zeros, exponents, layouts, forms = _repr_tables()
+    _, z1, z2, z3, z4 = quad_zeros.take(quads)  # the first group, "000d", ends in a nonzero digit
+    nsig = 17 - z4 - (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))
+    form = np.where(bits == 0, 18 * _ZERO, forms.take(decpt + 323)) + 450 * sign + nsig
+    return (quad_words.take(quads.T), exponents.take(decpt + 323, axis=0),
+            layouts.take(form, axis=0))
 
 
 def _round6(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +250,7 @@ def _round6(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # A %.6g field is 6 words: "-0.000" (a sign, then "0." and zeros) and two bytes of padding;
 # the six digits with a decimal point put in, in two words; the exponent, as in "e-308".
-_G6_HEAD = np.frombuffer(b"-0.000\0\0", dtype=np.uint32)
+_G6_HEAD = np.frombuffer(b"-0.000".ljust(24, b"\0"), dtype=np.uint8)
 _G6_EXP, _G6_ZERO = 10, 12  # subclasses 0..9 are fixed forms, e -4..5; 10, 11 exponents
 
 
@@ -196,7 +285,7 @@ def _g6_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in np.flatnonzero(tiny & (bits != 0)).tolist():
         mantissa, _, exponent = ("%.5e" % abs(x[i].item())).partition("e")
         d[i], e[i] = int(mantissa.replace(".", "")), int(exponent)
-    quad_words, quad_zeros, exponents, _ = _repr_tables()
+    quad_words, quad_zeros, exponents = _repr_tables()[:3]
     hi = d // 100
     lo = d - 100 * hi
     nsig = 6 - np.where(lo == 0, 2 + quad_zeros.take(hi), quad_zeros.take(lo))
@@ -278,21 +367,34 @@ class Strings:
         return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
 
 
+# Each number field's bytes, its width long, with the bytes no row changes written in: a
+# buffer takes them once, as it takes the literals.
+_HEADS = {"r": _R_HEAD, ".6g": _G6_HEAD}
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (rows, k) array, or a field's view of a buffer, as one item of its k bytes a row:
+    numpy copies these items faster than k narrow columns."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
+
+
 def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
-    """Fill one field of a chunk: text and keep are its (rows, width) views."""
+    """Fill one field of a chunk: text and keep are its (rows, width) views, whose head
+    bytes row_chunks wrote."""
     if spec == ".6g":
-        text, keep = text.view(np.uint32), keep.view(np.uint32)
-        text[:, :2] = _G6_HEAD
-        text[:, 2:4], text[:, 4:], keep[:] = _g6_block(column)
+        _rows(text[:, 8:16])[:], _rows(text[:, 16:])[:], _rows(keep)[:] = map(
+            _rows, _g6_block(column))
     elif spec == "r":
-        text, keep = text.view(np.uint32), keep.view(np.uint32)
-        text[:, :2], text[:, 7] = _R_HEAD[:2], _R_HEAD[2]
-        text[:, 2:7], text[:, 13:], keep[:] = _repr_block(column)
-        text[:, 8:13] = text[:, 2:7]
+        digits, _rows(text[:, 52:])[:], _rows(keep)[:] = map(_rows, _repr_block(column))
+        _rows(text[:, 8:28])[:] = _rows(text[:, 32:52])[:] = digits
     elif isinstance(column, np.ndarray):  # fixed-width texts: every byte is written
         text[:], keep[:] = column, True
-    else:  # Strings: each text's bytes at the start of its row
-        np.less(np.arange(keep.shape[1]), np.diff(column.offsets)[:, None], out=keep)
+    elif width := keep.shape[1]:  # Strings, not all empty: each text's bytes at a row's start
+        # The width + 1 windows, one byte apart, of width ones then width zeros: window j
+        # keeps the first width - j bytes of a row.
+        windows = np.arange(2 * width) < width
+        masks = np.ndarray((width + 1,), np.dtype((np.void, width)), windows, 0, (1,))
+        _rows(keep)[:] = masks[width - np.diff(column.offsets)]
         text[keep] = column.blob[column.offsets[0]:column.offsets[-1]]
 
 
@@ -309,8 +411,9 @@ def row_chunks(template: str, *columns):
         spans.append((end, np.frombuffer(literal.encode(), dtype=np.uint8)))
         end += spans[-1][1].size
         if i < len(columns):
-            width = _WIDTH.get(specs[i]) or columns[i].shape[1]
-            end += -end % 4 * (specs[i] in _WIDTH)
+            head = _HEADS.get(specs[i])
+            width = columns[i].shape[1] if head is None else head.size
+            end += -end % 4 * (head is not None)
             spans.append((end, width))
             end += width
     # Each buffer stays under 4 MB: wide rows, as a long string makes, come fewer to a chunk.
@@ -319,6 +422,9 @@ def row_chunks(template: str, *columns):
     keep = np.zeros(text.shape, dtype=bool)
     for a, literal in spans[::2]:
         text[:, a:a + literal.size], keep[:, a:a + literal.size] = literal, True
+    for spec, (a, width) in zip(specs, spans[1::2]):
+        if spec in _HEADS:
+            text[:, a:a + width] = _HEADS[spec]
     for start in range(0, n, step):
         m = min(step, n - start)
         rows = slice(start, start + m)

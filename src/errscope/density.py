@@ -144,9 +144,17 @@ class _Axis:
     def entries(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(len(x), width) node indices and weights of the points x."""
         if self.fine is not None:
-            # Linear binning: each point splits its unit mass between its two fine nodes.
-            fine = self.fine
-            j = np.minimum(np.searchsorted(fine, x, side="right") - 1, fine.size - 2)
+            # Linear binning: each point splits its unit mass between its two fine nodes,
+            # j and j + 1 with j = searchsorted(fine, x, "right") - 1, but the last node's
+            # j is the one below. j is read from the node spacing; a point it misses, as
+            # rounding or nodes that coincide can make, is searched for.
+            fine, last = self.fine, self.fine.size - 2
+            step = (fine[-1] - fine[0]) / (last + 1)
+            j = np.zeros(x.shape, dtype=np.intp)
+            if step > 0.0:
+                j = np.minimum(((x - fine[0]) / step).astype(np.intp), last)
+            miss = np.flatnonzero((fine[j] > x) | (np.append(fine[1:-1], np.inf)[j] <= x))
+            j[miss] = np.minimum(np.searchsorted(fine, x[miss], side="right") - 1, last)
             gap = fine[j + 1] - fine[j]
             frac = np.divide(x - fine[j], gap, out=np.zeros_like(x), where=gap > 0.0)
             return np.column_stack([j, j + 1]), np.column_stack([1.0 - frac, frac])

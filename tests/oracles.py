@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from errscope._text import Strings
+from errscope._text import Strings, _g_table, _round_to_odd
 from errscope.density import _gaussian
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from errscope.render import Figure, _attrs
@@ -130,6 +130,30 @@ def duplicate_ids(ids) -> list[str]:
             repeats.setdefault(iid, None)
         seen.add(iid)
     return list(repeats)
+
+
+def shortest_schubfach(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k) as _text._shortest gives them, from Schubfach (Giulietti 2020, "The Schubfach
+    way to render doubles"): the scaled interval ends and value, three 192-bit products of
+    each positive normal double's IEEE bits, decide between the one-digit-shorter
+    neighbours and the two closest."""
+    q = (bits >> 52).astype(np.int64) - 1075
+    c = bits & ((1 << 52) - 1)
+    closer = (c == 0) & (q > -1074)  # at a power of two the gap below is half the gap above
+    c |= 1 << 52
+    k = (q * 661971961083 - closer * 274743187321) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 3).astype(np.uint64)
+    cb = c << 2
+    g = _g_table().take(k + 324, axis=1)
+    vbl, vb, vbr = _round_to_odd(g, np.stack([cb - 2 + closer.astype(np.uint64), cb, cb + 2]) << h)
+    lower, upper = vbl + (c & 1), vbr - (c & 1)  # the interval holds its ends when c is even
+    s, sp = vb >> 2, vb // 40
+    # At most one of the two one-digit-shorter neighbours lies in the interval.
+    up_in, wp_in = lower <= 40 * sp, 40 * sp + 40 <= upper
+    short = (s >= 10) & (up_in != wp_in)
+    u_in, w_in = lower <= 4 * s, 4 * s + 4 <= upper
+    up = np.where(u_in != w_in, w_in, (vb > 4 * s + 2) | ((vb == 4 * s + 2) & (s & 1 == 1)))
+    return np.where(short, sp + wp_in, s + up), k + short
 
 
 def rows(template: str, *columns):

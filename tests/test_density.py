@@ -155,6 +155,27 @@ def test_kde_traced_peak_at_1e5(pts):
     assert peak <= 64 * 2**20
 
 
+@pytest.mark.parametrize("lo, hi, h", [
+    (-40.0, 25.0, 0.46),  # 16 fine steps per grid step, the most before exact
+    (-40.0, 25.0, 10.0),  # one: the fine grid is the grid
+    (-4.0, 1e6, 1e4),  # a far point stretches the grid over an empty stretch
+    (1e10, 1e10 + 4 * np.spacing(1e10), np.spacing(1e10) / 6.4),  # fine nodes coincide
+    (1e20, 1e20, 0.3),  # every node coincides
+])
+def test_fine_node_index_is_searchsorteds(lo, hi, h):
+    """On a binned axis, the fine node below each point, read from the node spacing, is
+    searchsorted(fine, x, "right") - 1, the last but one at the top end: on every fine
+    node, the doubles next to each, both grid ends and points over the whole grid."""
+    axis = _Axis(np.linspace(lo, hi, 200), np.empty(0), h)
+    fine = axis.fine
+    assert fine is not None
+    x = np.concatenate([fine, np.nextafter(fine, -np.inf), np.nextafter(fine, np.inf),
+                        np.random.default_rng(23).uniform(lo, hi, 10_000), [lo, hi]])
+    x = x[(fine[0] <= x) & (x <= fine[-1])]
+    want = np.minimum(np.searchsorted(fine, x, side="right") - 1, fine.size - 2)
+    assert np.array_equal(axis.entries(x)[0][:, 0], want)
+
+
 def far_point_cloud(n, far):
     pts = np.random.default_rng(20).normal(size=(n, 2))
     pts[0] = [far, far]

@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import rows
+from oracles import rows, shortest_schubfach
 
-from errscope._text import ROW_CHUNK, Strings, row_chunks
+from errscope._text import ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
 
 
 def assert_written(spec, values):
@@ -66,6 +66,52 @@ def test_extreme_normals_and_subnormals():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_any_finite_floats(values):
     assert_repr(values)
+
+
+def assert_schubfach(bits):
+    """The kernel's (d, k) for each positive normal double are Schubfach's, a chunk at a time."""
+    for a in range(0, bits.size, 1 << 16):
+        chunk = bits[a:a + 1 << 16]
+        (d, k), (want_d, want_k) = _shortest(chunk), shortest_schubfach(chunk)
+        bad = np.flatnonzero((d != want_d) | (k != want_k))[:3]
+        assert bad.size == 0, list(zip(chunk[bad].view(np.float64), want_d[bad], want_k[bad],
+                                       d[bad], k[bad]))
+
+
+def test_shortest_is_schubfachs_on_random_bit_patterns():
+    bits = np.random.default_rng(20).integers(1 << 52, 0x7FF << 52, size=1 << 20, dtype=np.uint64)
+    assert_schubfach(bits)
+
+
+def test_shortest_is_schubfachs_at_powers_of_two_and_the_least_normals():
+    """Every power of two (the shorter interval of all but the least normal) and the
+    doubles on each side, and the 2^16 normals next to the subnormals, where 2^-1022 has
+    equal gaps on each side."""
+    powers = np.arange(1, 2047, dtype=np.uint64) << 52
+    least = (1 << 52) + np.arange(1 << 16, dtype=np.uint64)
+    assert_schubfach(np.concatenate([powers, powers[1:] - 1, powers + 1, least]))
+
+
+def test_shortest_is_schubfachs_where_the_upper_end_is_whole():
+    """Doubles c 2^q over 2^60 with 2c + 1 a multiple of 5^m: the upper end of the interval,
+    (2c + 1) 2^(q - 1), scaled by 10^k, is often whole. Then the scaled product's high word
+    takes a carry that its estimate misses, and an odd c leaves that end out."""
+    rng = np.random.default_rng(22)
+    f = 5 ** rng.integers(1, 20, size=1 << 17).astype(np.uint64)
+    w = (rng.integers(1 << 53, 1 << 54, size=f.size, dtype=np.uint64) // f | 1) * f
+    w = w[w > 1 << 53]  # odd, as 2c + 1 is, and 2c + 1 < 2^54
+    exponent = rng.integers(1075 + 8, 2047, size=w.size).astype(np.uint64)
+    assert_schubfach(exponent << 52 | (w >> 1) - (1 << 52))
+
+
+def test_the_bounds_the_kernel_rests_on():
+    """beta from 6 to 9 keeps u = (2c + 1) 2^beta below 2^63, so no 32-bit half product
+    sum overflows and the carry estimate is short by less than 2^33; the interval width
+    delta is at least 100 and below 1000, as kappa = 2 needs."""
+    words = _dragonbox_table()[0]
+    beta, delta = words[4], words[5]
+    assert beta.min() == 6 and beta.max() == 9
+    assert delta.min() >= 100 and delta.max() < 1000
 
 
 def test_one_row_of_512_g_fields():
@@ -183,10 +229,10 @@ def test_counting_rests_against_a_loop():
 def test_import_builds_no_table():
     """The digit tables are built on first use: importing the CLI costs none of them."""
     code = ("import errscope.cli, errscope._text as t; print([f.cache_info().currsize for f in"
-            " (t._g_table, t._repr_tables, t._g6_layouts)])")
+            " (t._g_table, t._dragonbox_table, t._repr_tables, t._g6_layouts)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out == "[0, 0, 0]\n"
+    assert out == "[0, 0, 0, 0]\n"
 
 
 # Any code point, lone surrogates too (st.characters leaves them out): Strings encodes them
@@ -250,3 +296,20 @@ def test_fixed_width_bytes_fill_a_s_field():
     template = '[%r, %s] <x="%.6g" fill="#%s"/>\n'
     got = "".join(row_chunks(template, x, codes, y, hexes))
     assert got == "".join(rows(template, x, codes, y, hexes))
+
+
+def test_template_shapes():
+    """Fields at the start and at the end of a template, two fields with no literal between
+    them, a literal over 8 bytes and non-ASCII literals, across chunks; every column kind: %r,
+    %.6g, Strings with empty and multi-byte texts, all empty too, and fixed-width bytes."""
+    rng = np.random.default_rng(21)
+    n = 2 * ROW_CHUNK + 3
+    x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 30, n)
+    x[:6] = [0.0, -0.0, 5e-324, -1e16, 0.1, 123456.5]
+    texts = ["", "a", "\u00e9t\u00e9", "\u65e5\u672c\u8a9e", "\U0001f600", "x" * 9, "\ud800"]
+    strings = Strings.of([texts[i] for i in rng.integers(0, len(texts), n)])
+    empty = Strings.of([""] * n)
+    fixed = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[rng.integers(0, 16, (n, 3))]
+    for template, columns in [("%r%r,\n      [%.6g\u00e9%s\u2192%s", (x, -x, x, strings, fixed)),
+                              ("%s%.6g;%s\u2028%r\n", (fixed, x, empty, -x[::-1]))]:
+        assert "".join(row_chunks(template, *columns)) == "".join(rows(template, *columns))
