@@ -1,12 +1,11 @@
 """The one row writer of the CSV, the JSON points and the SVG shapes: each field of a row
 template fills a byte matrix and a mask of the bytes each row keeps, and one masked copy
 joins them. %r writes repr's text, with digits from a shortest-digit kernel after Dragonbox
-(Jeon 2024) in 64-bit integer arithmetic, one 64-by-64-bit product per float: no Python
-call per float, and one pass of that kernel over each chunk; only a subnormal goes through
-repr, one at a time. %.6g, the SVG number, writes the bytes of Python's "%.6g" % v from a
-fixed-precision kernel in the same arithmetic, one product per float (after Adams 2019),
-and one pass over each chunk; only a subnormal goes through %, one at a time. Each kernel
-reads a table of scales, built on first use. %s takes a column of texts already in bytes:
+(Jeon 2024) in 64-bit integer arithmetic, one 64-by-64-bit product per float, read from a
+table built on first use: no Python call per float, and one pass of that kernel over each
+chunk; only a subnormal goes through repr, one at a time. %m, an SVG shape coordinate,
+writes v at a fixed step of 10^-3: m = rint(v 1000) as m 10^-3, trailing zeros and then a
+bare point dropped, "-" only when m < 0. %s takes a column of texts already in bytes:
 Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
 """
 
@@ -22,32 +21,7 @@ import numpy as np
 ROW_CHUNK = 1 << 12
 _M32, _M64 = 0xFFFFFFFF, (1 << 64) - 1
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
-_SPEC = re.compile(r"%(r|s|\.6g)")
-
-
-@cache
-def _g_table() -> np.ndarray:
-    """(4, 627) uint64: the 32-bit limbs, low first, of g(k) = floor(10^-k 2^(125 -
-    floor(-k log2 10))) + 1 at column k + 324, for k from -324 to 302."""
-    table = np.zeros((4, 627), dtype=np.uint64)
-    for k in range(-324, 303):
-        r = 125 - ((-k * 913124641741) >> 38)
-        g = (10 ** max(-k, 0) << max(r, 0)) // (10 ** max(k, 0) << max(-r, 0)) + 1
-        table[:, k + 324] = [(g >> s) & _M32 for s in (0, 32, 64, 96)]
-    return table
-
-
-def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """floor(g cp / 2^128), its low bit set when the 64 bits below are not all 0; the
-    192-bit product of g's (4, n) limbs and cp's uint64 rows is summed in 32-bit columns."""
-    c0, c1 = cp & _M32, cp >> 32
-    g0, g1, g2, g3 = g
-    p01, p10, p11, p20, p21, p30 = g0 * c1, g1 * c0, g1 * c1, g2 * c0, g2 * c1, g3 * c0
-    col1 = ((g0 * c0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    col2 = (col1 >> 32) + (p01 >> 32) + (p10 >> 32) + (p11 & _M32) + (p20 & _M32)
-    col3 = (col2 >> 32) + (p11 >> 32) + (p20 >> 32) + (p21 & _M32) + (p30 & _M32)
-    vb = g3 * c1 + (col3 >> 32) + (p21 >> 32) + (p30 >> 32)
-    return vb | (((col2 | col3) & _M32) != 0)
+_SPEC = re.compile(r"%(r|s|m)")
 
 
 @cache
@@ -226,80 +200,33 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             layouts.take(form, axis=0))
 
 
-def _round6(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e): d 10^(e - 5), 10^5 <= d < 10^6, is each positive normal double rounded to
-    six significant digits, ties to even d, from its IEEE bits: one product, after Adams
-    2019 ("Ryu revisited: printf floating point conversion")."""
-    q = (bits >> 52).astype(np.int64) - 1075
-    c = (bits & ((1 << 52) - 1)) | (1 << 52)
-    e = ((q + 52) * 661971961083) >> 41  # 10^e <= 2^(q + 52) <= v < 2 10^(e + 1)
-    k = e - 5
-    shift = (-3 - q - ((-k * 913124641741) >> 38)).astype(np.uint64)
-    vb = _round_to_odd(_g_table().take(k + 324, axis=1), c << 2)
-    # r = floor(4 v 10^-k) in [4 10^5, 8 10^6), its low bit set when 4 v 10^-k is not whole;
-    # tests/test_text.py proves over every exponent that this one product resolves both.
-    r = (vb >> shift) | ((vb & ((1 << shift) - 1)) != 0)
-    seven = r >= 4 * 10**6  # v 10^-k has seven digits: drop the last, e is one more
-    unit = np.where(seven, np.uint64(40), np.uint64(4))  # r's step from t to t + 1
-    t = np.where(seven, r // 40, r >> 2)
-    # Up when the rest passes half a unit, or meets it with t odd: ties to even.
-    d = t + (r - unit * t + (t & 1) > unit >> 1)
-    carry = d == 10**6
-    return np.where(carry, 10**5, d), e + seven + carry
-
-
-# A %.6g field is 6 words: "-0.000" (a sign, then "0." and zeros) and two bytes of padding;
-# the six digits with a decimal point put in, in two words; the exponent, as in "e-308".
-_G6_HEAD = np.frombuffer(b"-0.000".ljust(24, b"\0"), dtype=np.uint8)
-_G6_EXP, _G6_ZERO = 10, 12  # subclasses 0..9 are fixed forms, e -4..5; 10, 11 exponents
+# A %m field is 6 words: a sign and three bytes of padding, the integer part as four "%04d"
+# groups, and the fraction as one, its leading 0 overwritten with ".". Below M_BOUND, v 1000
+# is below 2^53, where doubles are at most 1 apart: m is v to the step, in 13 digits or fewer.
+_M_HEAD = np.frombuffer(b"-".ljust(24, b"\0"), dtype=np.uint8)
+M_BOUND = 2.0**53 / 1000
 
 
 @cache
-def _g6_layouts() -> np.ndarray:
-    """The mask words of each %.6g layout class (sign * 13 + subclass) * 7 + digits: as
-    %g, fixed form when -4 <= e < 6, with no trailing zeros or point, else d[.ddd]e+XX[X]."""
-    keep = np.zeros((2, 13, 7, 24), dtype=bool)
-    for sign, sub, nsig in np.ndindex(2, 13, 7):
-        cols = [0] * sign
-        if sub < 4:  # 0.000ddd
-            cols += [*range(1, 6 - sub), *range(8, 8 + nsig)]
-        elif sub < _G6_EXP:  # ddd.ddd, or ddd from the digits
-            point = sub - 3
-            cols += range(8, 8 + (nsig + 1 if nsig > point else point))
-        elif sub < _G6_ZERO:
-            cols += [*range(8, 9 + nsig * (nsig > 1)), *range(16, 20 + (sub - _G6_EXP))]
-        else:
-            cols += [1]  # 0
-        keep[sign, sub, nsig, cols] = True
+def _fixed_layouts() -> np.ndarray:
+    """The mask words of each %m layout class (sign * 16 + digits - 1) * 5 + z: the sign,
+    the integer part's last digits, then "." and 3 - z fraction digits (nothing for z = 4)."""
+    sign, digits, z, col = np.ix_(range(2), range(1, 17), range(5), range(24))
+    keep = (col == 0) & (sign == 1) | (20 - digits <= col) & (col < 24 - z)
     return keep.view(np.uint32).reshape(-1, 6)
 
 
-def _g6_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digit words, exponent words, mask words) of each finite float64."""
-    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-    sign = (bits >> 63).astype(np.intp)
-    bits = bits & ((1 << 63) - 1)
-    tiny = bits < (1 << 52)  # zeros and subnormals; 1.0 stands in for them
-    d, e = _round6(np.where(tiny, np.uint64(0x3FF0000000000000), bits))
-    # A subnormal's c has fewer than 53 bits, which the product assumes: % gives its digits.
-    for i in np.flatnonzero(tiny & (bits != 0)).tolist():
-        mantissa, _, exponent = ("%.5e" % abs(x[i].item())).partition("e")
-        d[i], e[i] = int(mantissa.replace(".", "")), int(exponent)
-    quad_words, quad_zeros, exponents = _repr_tables()[:3]
-    hi = d // 100
-    lo = d - 100 * hi
-    nsig = 6 - np.where(lo == 0, 2 + quad_zeros.take(hi), quad_zeros.take(lo))
-    sub = np.where((e >= -4) & (e <= 5), e + 4, _G6_EXP + (np.abs(e) >= 100))
-    sub[bits == 0] = _G6_ZERO
-    # The six digits as the low bytes of a word, then "." put in after the first e + 1 in
-    # fixed form, the first one in exponent form, and all six in 0.000ddd form: unkept there.
-    digits = (quad_words.take(hi).astype(np.uint64)
-              | (quad_words.take(lo).astype(np.uint64) >> 16 << 32))
-    point = 8 * np.where(sub < 4, 6, np.where(sub < _G6_EXP, e + 1, 1)).astype(np.uint64)
-    low = (1 << point) - 1
-    text = (digits & low) | (ord(".") << point) | ((digits & ~low) << 8)
-    return (text.view(np.uint32).reshape(-1, 2), exponents.take(e + 324, axis=0),
-            _g6_layouts().take((sign * 13 + sub) * 7 + nsig, axis=0))
+def _fixed_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digit words, mask words) of each float64 below M_BOUND in magnitude."""
+    m = np.rint(x * 1000.0)
+    whole, fraction = np.divmod(np.abs(m).astype(np.uint64), 1000)
+    upper, lower = np.divmod(whole, 10**8)
+    quads = np.stack([*np.divmod(upper, 10**4), *np.divmod(lower, 10**4), fraction])
+    quad_words, quad_zeros = _repr_tables()[:2]
+    digits = np.searchsorted(_POW10[1:], whole, side="right")  # of the integer part, less 1
+    z = quad_zeros.take(fraction)  # trailing zeros of "0fff": 4 only for a fraction of 0
+    return (quad_words.take(quads.T),
+            _fixed_layouts().take(((m < 0) * 16 + digits) * 5 + z, axis=0))
 
 
 class Strings:
@@ -369,7 +296,7 @@ class Strings:
 
 # Each number field's bytes, its width long, with the bytes no row changes written in: a
 # buffer takes them once, as it takes the literals.
-_HEADS = {"r": _R_HEAD, ".6g": _G6_HEAD}
+_HEADS = {"r": _R_HEAD, "m": _M_HEAD}
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -381,9 +308,9 @@ def _rows(a: np.ndarray) -> np.ndarray:
 def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
     """Fill one field of a chunk: text and keep are its (rows, width) views, whose head
     bytes row_chunks wrote."""
-    if spec == ".6g":
-        _rows(text[:, 8:16])[:], _rows(text[:, 16:])[:], _rows(keep)[:] = map(
-            _rows, _g6_block(column))
+    if spec == "m":
+        _rows(text[:, 4:])[:], _rows(keep)[:] = map(_rows, _fixed_block(column))
+        text[:, 20] = ord(".")
     elif spec == "r":
         digits, _rows(text[:, 52:])[:], _rows(keep)[:] = map(_rows, _repr_block(column))
         _rows(text[:, 8:28])[:] = _rows(text[:, 32:52])[:] = digits
@@ -400,9 +327,9 @@ def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
 
 def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk: %r
-    and %.6g take finite floats, %s Strings or a (rows, width) uint8 array of fixed-width
-    texts; no literal has %. Every field is filled on its own by _put, a %r or %.6g one
-    by one pass of its kernel over the chunk."""
+    takes finite floats, %m floats below M_BOUND in magnitude, %s Strings or a (rows,
+    width) uint8 array of fixed-width texts; no literal has %. Every field is filled on its
+    own by _put, a %r or %m one by one pass of its kernel over the chunk."""
     parts, n = _SPEC.split(template), len(columns[0])
     specs = parts[1::2]
     # Each literal, then its field, takes the next byte columns; a number field starts on a word.

@@ -1,8 +1,8 @@
 """Deterministic SVG rendering of the comparison figures.
 
-Every figure is a standalone SVG 1.1 document with no external resources,
-timestamps or random ids. Numbers are written with %.6g and fills as #rrggbb,
-so identical inputs always serialize to identical bytes.
+Every figure is a standalone SVG 1.1 document with no external resources, timestamps
+or random ids. Shape coordinates are written at a fixed step of 10^-3, other numbers
+with %.6g and fills as #rrggbb, so identical inputs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import Strings, row_chunks
+from ._text import M_BOUND, Strings, row_chunks
 from .density import HexbinLayer, KdeGrid, hex_corners
 from .errorspace import ErrorSpaceAnalysis, cholesky, percentile_ranks
 from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
@@ -34,18 +34,21 @@ DEFAULT_LAYERS = ("zones", "proximity", "crown")
 
 
 def _numbers(values) -> np.ndarray:
-    """A float column, flattened, ready for %.6g; a non-finite entry is an error."""
+    """Shape coordinates, flattened, for %m; one not below M_BOUND in magnitude is an error."""
     v = np.asarray(values, dtype=float).ravel()
-    bad = ~np.isfinite(v)
+    bad = ~(np.abs(v) < M_BOUND)  # NaN too
     if bad.any():
-        raise DegenerateDistribution(f"figure coordinate {v[bad][0].item()!r} is not finite")
-    # Adding 0.0 turns -0.0, the one value %.6g writes as "-0", into 0.0.
-    return v + 0.0
+        raise DegenerateDistribution(f"figure coordinate {v[bad][0].item()!r} is not below "
+                                     f"{M_BOUND!r} in magnitude")
+    return v
 
 
 def fmt(v: float) -> str:
-    """One number as the figures write it."""
-    return "%.6g" % _numbers(v)[0]
+    """One attribute or tick label as the figures write it: %.6g, never "-0"."""
+    v = float(v) + 0.0  # turns -0.0, the one value %.6g writes as "-0", into 0.0
+    if not math.isfinite(v):
+        raise DegenerateDistribution(f"figure coordinate {v!r} is not finite")
+    return "%.6g" % v
 
 
 def check_layers(layers) -> tuple[str, ...]:
@@ -138,12 +141,12 @@ class Figure:
 
     def circles(self, cx, cy, r: float, fills, **attrs) -> None:
         """One circle per entry of the cx, cy columns."""
-        self._rows(f'circle cx="%.6g" cy="%.6g"{_attrs(r=r)}', (_numbers(cx), _numbers(cy)),
+        self._rows(f'circle cx="%m" cy="%m"{_attrs(r=r)}', (_numbers(cx), _numbers(cy)),
                    fills, **attrs)
 
     def rects(self, x, y, w: float, h: float, fills, **attrs) -> None:
         """One w-by-h rect per entry of the x, y columns."""
-        self._rows(f'rect x="%.6g" y="%.6g"{_attrs(width=w, height=h)}',
+        self._rows(f'rect x="%m" y="%m"{_attrs(width=w, height=h)}',
                    (_numbers(x), _numbers(y)), fills, **attrs)
 
     def polygons(self, x, y, fills, **attrs) -> None:
@@ -151,7 +154,7 @@ class Figure:
         k, v = np.shape(x)
         xy = _numbers(np.stack([x, y], axis=-1))
         # Every vertex as "x,y ", then each polygon's text cut at the space after its last.
-        text = "".join(row_chunks("%.6g,%.6g ", xy[0::2], xy[1::2])).encode()
+        text = "".join(row_chunks("%m,%m ", xy[0::2], xy[1::2])).encode()
         blob = np.frombuffer(text, dtype=np.uint8)
         ends = np.flatnonzero(blob == ord(" "))[v - 1::v]
         points = Strings(np.delete(blob, ends), np.concatenate([[0], ends - np.arange(k)]))

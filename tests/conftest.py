@@ -1,5 +1,16 @@
 import io
+import warnings
 import xml.etree.ElementTree as ET
+from contextlib import suppress
+
+# When a @given test fails, Hypothesis's pytest plugin imports this module to write a
+# failure patch. Its libcst import warns DeprecationWarning, which filterwarnings = error
+# raises inside the plugin's hook: pytest stops with INTERNALERROR and runs no later test.
+# Imported once here with that warning ignored, the module is cached, so the hook's import
+# warns nothing. Without libcst the import fails, and the plugin skips the patch.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

@@ -6,11 +6,12 @@ import json
 import math
 import re
 from collections import Counter
+from functools import cache
 from itertools import repeat
 
 import numpy as np
 
-from errscope._text import Strings, _g_table, _round_to_odd
+from errscope._text import Strings
 from errscope.density import _gaussian
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
 from errscope.render import Figure, _attrs
@@ -132,6 +133,34 @@ def duplicate_ids(ids) -> list[str]:
     return list(repeats)
 
 
+_M32 = 0xFFFFFFFF
+
+
+@cache
+def _g_table() -> np.ndarray:
+    """(4, 627) uint64: the 32-bit limbs, low first, of g(k) = floor(10^-k 2^(125 -
+    floor(-k log2 10))) + 1 at column k + 324, for k from -324 to 302."""
+    table = np.zeros((4, 627), dtype=np.uint64)
+    for k in range(-324, 303):
+        r = 125 - ((-k * 913124641741) >> 38)
+        g = (10 ** max(-k, 0) << max(r, 0)) // (10 ** max(k, 0) << max(-r, 0)) + 1
+        table[:, k + 324] = [(g >> s) & _M32 for s in (0, 32, 64, 96)]
+    return table
+
+
+def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """floor(g cp / 2^128), its low bit set when the 64 bits below are not all 0; the
+    192-bit product of g's (4, n) limbs and cp's uint64 rows is summed in 32-bit columns."""
+    c0, c1 = cp & _M32, cp >> 32
+    g0, g1, g2, g3 = g
+    p01, p10, p11, p20, p21, p30 = g0 * c1, g1 * c0, g1 * c1, g2 * c0, g2 * c1, g3 * c0
+    col1 = ((g0 * c0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    col2 = (col1 >> 32) + (p01 >> 32) + (p10 >> 32) + (p11 & _M32) + (p20 & _M32)
+    col3 = (col2 >> 32) + (p11 >> 32) + (p20 >> 32) + (p21 & _M32) + (p30 & _M32)
+    vb = g3 * c1 + (col3 >> 32) + (p21 >> 32) + (p30 >> 32)
+    return vb | (((col2 | col3) & _M32) != 0)
+
+
 def shortest_schubfach(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, k) as _text._shortest gives them, from Schubfach (Giulietti 2020, "The Schubfach
     way to render doubles"): the scaled interval ends and value, three 192-bit products of
@@ -156,17 +185,26 @@ def shortest_schubfach(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(short, sp + wp_in, s + up), k + short
 
 
+def fixed_step(v: float) -> str:
+    """v as the %m field writes it: m = rint(v 1000) as m 10^-3, from Python ints alone."""
+    m = int(np.rint(v * 1000.0))
+    whole, fraction = divmod(abs(m), 1000)
+    return "-" * (m < 0) + str(whole) + (f".{fraction:03d}".rstrip("0") if fraction else "")
+
+
 def rows(template: str, *columns):
     """template % row for each row of the equal-length columns, one string per row: the
     byte reference of the package's row writer.
 
     A 1-D numpy column goes through tolist(), so a float64 formats as a Python float, as
     does Strings, which gives its str; a (rows, width) uint8 column gives the text of each
-    row's bytes, decoded row by row.
+    row's bytes, decoded row by row. A %m field takes fixed_step's text of its column.
     """
+    specs = re.findall(r"%(r|s|m)", template)
     columns = [[row.tobytes().decode() for row in c] if getattr(c, "ndim", 0) == 2
                else c.tolist() if isinstance(c, (np.ndarray, Strings)) else c for c in columns]
-    return map(template.__mod__, zip(*columns))
+    columns = [list(map(fixed_step, c)) if spec == "m" else c for spec, c in zip(specs, columns)]
+    return map(template.replace("%m", "%s").__mod__, zip(*columns))
 
 
 def to_csv(ps) -> str:
@@ -218,15 +256,13 @@ def report_text(report: dict) -> str:
 
 
 def svg_numbers(values):
-    """Lazy strings of a float column: max 6 significant digits, no negative zero."""
-    v = np.asarray(values, dtype=float).ravel()
-    # Adding 0.0 turns -0.0, the one value .6g writes as "-0", into 0.0.
-    return map(format, (v + 0.0).tolist(), repeat(".6g"))
+    """Lazy strings of a float column of shape coordinates, at the fixed step of 10^-3."""
+    return map(fixed_step, np.asarray(values, dtype=float).ravel().tolist())
 
 
 class FormatFigure(Figure):
-    """A Figure whose shape rows format each number through format(v, ".6g") and fill
-    a %s row template: the byte reference of Figure's row writer."""
+    """A Figure whose shape rows format each number through fixed_step and fill a %s row
+    template: the byte reference of Figure's row writer."""
 
     def _rows(self, head: str, columns, fills, **attrs) -> None:
         """One element per row of the columns, each filling a %s of head, then fill and attrs.

@@ -719,6 +719,11 @@ EDGE_CASES = {
     "hex_radius_1e-20": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e-20"]),
     "hex_radius_1e308": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e308"]),
     "hex_radius_1.7e308": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1.7e308"]),
+    # Hexagon corners on the canvas at 2^53 / 1000 or beyond, which %m cannot write: 1e300,
+    # and the least radius that reaches the bound (test_compare_hex_corners_below_the_bound).
+    "hex_radius_1e300": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e300"]),
+    "hex_radius_1.087524660806989e12": (
+        ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1087524660806.989"]),
     # A finite axis limit whose span, twice the limit, overflows.
     "axis_span_1e308": (np.array([[1e308, 1e308]]), ["--metric", "euclidean", "--layers", "zones"]),
 }
@@ -730,6 +735,15 @@ def test_compare_float64_edges_exit_3(tmp_path, e, flags):
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
     assert not svg.exists() and not rep.exists()
+
+
+def test_compare_hex_corners_below_the_bound(tmp_path):
+    """The radius one double below the least one EDGE_CASES rejects draws a corner at the
+    largest shape coordinate %m writes."""
+    flags = ["--layers", "hexbin", "--hex-radius", "1087524660806.9889"]
+    code, err, svg, rep = run_compare(errors_csv(tmp_path / "in.csv", ASYM_ERRORS), tmp_path, flags)
+    assert (code, err) == (0, "")
+    assert "9007199254740.99" in svg.read_text()
 
 
 def test_compare_other_model_overflow_leaves_no_svg(tmp_path):

@@ -45,16 +45,16 @@ SYNTH_CSV = {
 # (kind, metric) -> (SVG, JSON report) of `compare --layers ALL_LAYERS --json`
 COMPARE = {
     ("asymmetric_pair", "euclidean"): (
-        "069c165dc40bb5b67b8c34e0e402431a94f714641278d00474fdf2acdd43fd48",
+        "b7d37d46214fdc1b189070a58b7dac3a7a220a4579af1a838e4336359b519a2c",
         "9debcdff3d809fb3d37bbf9cf05377579af84368609059912441e6bd49161f81"),
     ("asymmetric_pair", "mahalanobis"): (
-        "b987eecd63914c1f9429160cbf43a2895c756234b82ba83a37a88e35bf5ab29d",
+        "b1a90ff142a02c798c779fdebbf8baf53014d773231cc4b5ce22507da99fc0b4",
         "3420cb1b499d629680420d91507ab5025e6b1314ca81c5383e358edfa9550eb2"),
     ("correlated_pair", "euclidean"): (
-        "1665362c29bf9c5a73af9306370a5579e178c543d10be75e31809f3b70da4e68",
+        "4af3e7945090b784757c1c180f371311d88a4b3f7db4b29aa093e0ad6dea413a",
         "2753f9696bd7811c0a4ee96d6289ba503a3bbc1d5fb911ba5cf23f3fb65f5466"),
     ("correlated_pair", "mahalanobis"): (
-        "23e414fde42ce2d437ee31f5bea75cc14dc3e9fe7abaaf1d7e109d9c6dafce60",
+        "85af9730d0ff508bf84df465cfdd6be2776e354e9437f0437f32ea8b43154729",
         "f15734f0aae25de189384f8c54ef40a1ea7e881b27ba8e6b696f6b5ddcf86fff"),
     ("equal_metrics_divergent", "euclidean"): (
         "fd1f7556ac86d92dd4c141acfef1568d9e28e51e32159a61e52f25986d1d9eb3",
@@ -69,17 +69,17 @@ COMPARE = {
         "9ae313f4a7ec9829968d42a00646a3e3af10de4068e673ce8788badcf6c9c5a6",
         "4b6bc65191562e7ccb89703717ac7ec7492d865616a00266f90f2e1ad89576eb"),
     ("under_vs_over", "euclidean"): (
-        "d7b83c6189a1f35031b5b656cc2b9cc25f8caa2179d0d7df46a23e1aaef98c2d",
+        "9dbe1f1f67ad51339d7be735877d004e64788e43332048520990b78b7d613bd6",
         "b72af6fea74972f6d326f1842024bab645368dae563411e376e308321c94990f"),
     ("under_vs_over", "mahalanobis"): (
-        "21f4e7e0321839e367ad5572fe24fc436d736dc4e27635bfd62126cd6c4ce041",
+        "4cea1069187fb28da5dd99feddd793dcb6e72525a485aec186b7cf28296a1023",
         "083457844d1bdfc565b51c74699aa30b5fe3b49b8f0ea807a3b7f050fa3cbadc"),
 }
 
 # `metrics --plots DIR --json` on asymmetric_pair
 METRICS = {
-    "boxplots.svg": "1d03a6ed36455eb1388ea2f324cf73638b0d741e59c639370ead554d93af572a",
-    "pred_vs_actual_grid.svg": "aa9b1baef80791e5b4d0f55680303578f184528fbf2c514ec23e2f9e706da11d",
+    "boxplots.svg": "4bea8c781852b11d843db2a3795e03d7c1a0b839740413e5e17705c27899351a",
+    "pred_vs_actual_grid.svg": "cf944c78a910954ec4e50b2e49141751c6c10d12b93d066a20801de3ea2f1d6c",
     "stdout": "026c501007c22e1fde7ca3fa0cf92cadff504560b885f8779513e3ad6fb53f95",
 }
 
@@ -87,16 +87,16 @@ METRICS = {
 # Writer paths the digests above leave out, pinned before the three text writers
 # shared one row helper. `compare --layers zones,scatter,crown` on correlated_pair:
 SCATTER = {
-    "euclidean": "f3a7b55be84c8c2d97d624dd70ba083620e9f66e10c5a965ae4ee9e2efedb495",
-    "mahalanobis": "71d0c5ae40da4690d7e38aa1305c7b43f333f8c587c967083f57bcf54d4229a9",
+    "euclidean": "5af4b01e4329212851380fe9b5ed046433e24f210975944ca4ace9b29e5833f1",
+    "mahalanobis": "87817eeb49c4fffa85398dc8e9e49cb9e035e200802a066cb34be3aa273879cf",
 }
 # `metrics --plots DIR --global-scale` on asymmetric_pair
-GLOBAL_GRID = "762757d23a9a555d0dd7da3cad74a4d3c459c65ef29ae63d191a5f97311e4068"
+GLOBAL_GRID = "d0ad3311b4fec8dab9acf6959ecf0846679374b8d52fcb1125bedd97584ee9db"
 # under_vs_over at n = 2^14 + 1, four chunks of the writers and one row: the synth CSV,
 # then the SVG and report of `compare --layers ALL_LAYERS --json`.
 CHUNK_N = (1 << 14) + 1
 CHUNK = ("e31ff4f3701e34ca867d92b5a3cf4a4e5f90c2004858ec2cd85b4a360f0536f3",
-         "05b266428fa2c5582371aefecdbab095b65e2d6656791e7df5999c098e35f41a",
+         "8bec29176ccf3874f7269b3f31abfee04993c5ee62c525a306237a8b5371e2ba",
          "b0fccfe90f670f90c774103de7ed4569ed8aa0f57c39b58ef3bb49ad88b1e83a")
 
 
@@ -110,16 +110,16 @@ RIDGE_INPUTS = {
 }
 RIDGE = {
     ("identical", "euclidean"): (
-        "47ae42d2fa00330144a80d608b8b594a63604153ae322aea2974ea80b2a7023f",
+        "395e27a5321dcabff64606d82186ee996a8dc09dbaf6bbe7813e2aded7782c84",
         "3b1519ce98e5163000d782df7fb7b402463d854d15e7f0a46c46cd86b4db0c50"),
     ("identical", "mahalanobis"): (
-        "8763d23e4d33d1cffba119cef0a1f5e324e791bc40e78f2642f10ac3ad541431",
+        "d4a1ea730eaec20a8a80fef13a2fce33158b2461018a56027a143b760931fdbc",
         "b7cabe953080eb42c28d59eff1c1a91e14c9b441c29f939833af0b96a2403c7c"),
     ("rank1", "euclidean"): (
-        "e3e0454e70f6511c00e746b382fb33bf0a9ce40904f51309df69954d752b2a91",
+        "8172d32b1af5b4e281bec75dba31f04a7171677d0a17273a47f88449ed2cb840",
         "5e30fde481fe4204939a1476c0b1124fe83499a055285e84f709fe06d4cee96e"),
     ("rank1", "mahalanobis"): (
-        "658ae3874282be880ff8c45fcf8e29af0a2d14707694c1d72e6e6b5d832fced9",
+        "b08c0e7691a125aa988ec75b5f70fc94aeac63d9c93dc49de9141312371fc069",
         "cce05152d921783362d158f78671ecea4054f1a3144fd568066b5848acbfd54c"),
 }
 

@@ -21,7 +21,7 @@ from errscope import (
     render_model_grid,
 )
 from errscope.exceptions import DegenerateDistribution, MissingLayerInput, UnknownModel
-from errscope._text import ROW_CHUNK
+from errscope._text import M_BOUND, ROW_CHUNK
 from errscope.render import ERROR_SPACE_LAYERS, Figure, colormap, fmt
 
 
@@ -42,11 +42,12 @@ def test_fmt_six_significant_digits():
             fmt(v)
 
 
-# A signed zero, the smallest subnormal, magnitudes %.6g writes in exponent form
-# (two- and three-digit exponents, both signs), fixed form, ties that round to even in the
-# sixth and in the seventh digit, and ties that carry to the next power of ten.
-SVG_EDGES = [-0.0, 5e-324, 1e300, -1e300, 123456.5, 1e-5, -2.5e-07, 1e16, 0.0001, -1234567.0,
-             617283.5, -617284.5, 1234565.0, 12345650.0, 999999.5, -9999995.0]
+# A signed zero, the smallest subnormal, magnitudes that round to 0 (both signs), ties to
+# even at the step (down and up), fractions of 1 to 3 digits, carries into the next integer
+# digit, 13 integer digits, and the largest value below the bound.
+SVG_EDGES = [-0.0, 5e-324, 1e-5, -2.5e-07, -0.0004, 0.0005, 0.0015, -0.0625, 123456.5,
+             349.019, 2.29125, 800.0, -1234567.0, -98765.4321, 9.9996, -999999.9995,
+             1e12 + 0.0625, np.nextafter(M_BOUND, 0.0)]
 
 
 @pytest.mark.parametrize("shape", ["circles", "rects", "polygons", "wide_polygons"])
@@ -72,6 +73,28 @@ def test_shape_rows_past_one_chunk_match_reference(shape, fills):
     # The first differing line, rather than a diff of two long documents.
     assert next(((a, b) for a, b in zip(*lines) if a != b), None) is None
     assert got == want
+
+
+@pytest.mark.parametrize("shape", ["circles", "rects", "polygons"])
+def test_shape_numbers_below_the_bound(shape):
+    """Every shape writes the largest value below 2^53 / 1000, in magnitude, and rejects the
+    bound itself, any larger value and a non-finite one."""
+    def draw(v):
+        fig = Figure(10.0, 10.0)
+        if shape == "circles":
+            fig.circles([1.0, v], [v, 1.0], 3.0, "none")
+        elif shape == "rects":
+            fig.rects([1.0, v], [v, 1.0], 2.5, 1e300, "none")
+        else:
+            fig.polygons([[1.0, v, 2.0]], [[v, 1.0, 2.0]], "none")
+        return svg_text(fig)
+
+    below = np.nextafter(M_BOUND, 0.0)
+    assert draw(below).count("9007199254740.99") == 2
+    assert draw(-below).count("-9007199254740.99") == 2
+    for v in (M_BOUND, -M_BOUND, 1e16, 1e300, -1e300, np.inf, np.nan):
+        with pytest.raises(DegenerateDistribution, match="figure coordinate"):
+            draw(v)
 
 
 def test_write_traced_peak_at_1e5():

@@ -1,5 +1,5 @@
-"""The row writer's float64 text against repr and "%.6g" %, byte for byte, and its %s
-columns: Strings and fixed-width byte arrays."""
+"""The row writer's float64 text against repr and against the fixed-step rule, byte for
+byte, and its %s columns: Strings and fixed-width byte arrays."""
 
 import subprocess
 import sys
@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import rows, shortest_schubfach
+from oracles import fixed_step, rows, shortest_schubfach
 
-from errscope._text import ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
+from errscope._text import M_BOUND, ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
 
 
 def assert_written(spec, values):
@@ -28,8 +28,8 @@ def assert_repr(values):
     assert_written("r", values)
 
 
-def assert_g(values):
-    assert_written(".6g", values)
+def assert_fixed(values):
+    assert_written("m", values)
 
 
 def test_random_bit_patterns():
@@ -114,125 +114,87 @@ def test_the_bounds_the_kernel_rests_on():
     assert delta.min() >= 100 and delta.max() < 1000
 
 
-def test_one_row_of_512_g_fields():
-    """A row may hold many %.6g fields, as a 256-vertex polygon's 512 numbers would: each
+def test_one_row_of_512_fixed_fields():
+    """A row may hold many %m fields, as a 256-vertex polygon's 512 numbers would: each
     field is filled on its own, from its own pass of the kernel over the chunk."""
-    template = 'points="%s"\n' % " ".join(["%.6g,%.6g"] * 256)
-    edges = [0.0, 1.0, -1.5, 123456.5, 1234567.0, 1e-5, -2.5e-07, 0.0001, 1e16, -1e300, 5e-324]
+    template = 'points="%s"\n' % " ".join(["%m,%m"] * 256)
+    edges = [0.0, 1.0, -1.5, 123456.5, 1234567.0, 1e-5, -2.5e-07, 0.0005, 0.0015, 5e-324]
     x = np.concatenate([edges, np.random.default_rng(16).normal(0.0, 1e3, 512 - len(edges))])
     columns = x.reshape(1, 512).T
     assert "".join(row_chunks(template, *columns)) == "".join(rows(template, *columns))
 
 
-def test_g_random_bit_patterns():
-    """2^20 bit patterns, across 256 chunks: every exponent, sign and digit count,
-    subnormals and both zeros too."""
-    bits = np.random.default_rng(18).integers(0, 2**64, size=1 << 20, dtype=np.uint64)
-    x = bits.view(np.float64)
-    x = np.concatenate([x[np.isfinite(x)], [0.0, -0.0]])
-    assert x.size >= 10**6 and (np.abs(x[x != 0.0]) < np.finfo(np.float64).tiny).sum() > 100
-    assert_g(x)
+def test_fixed_random_values():
+    """2^20 values below the bound, across 256 chunks: every integer digit count from 1
+    to 13, both signs, each of the 1000 fractions."""
+    rng = np.random.default_rng(18)
+    magnitude = 10.0 ** rng.uniform(-4.0, np.log10(M_BOUND), size=1 << 19)
+    x = np.concatenate([magnitude, rng.uniform(-1000.0, 1000.0, size=1 << 19)])
+    x *= rng.choice([-1.0, 1.0], size=x.size)
+    assert np.abs(x).max() < M_BOUND
+    assert_fixed(x)
 
 
-def test_g_powers_of_two_and_zeros():
-    powers = np.ldexp(1.0, np.arange(-1074, 1024))
-    assert_g(np.concatenate([powers, -powers, [0.0, -0.0]]))
+def test_fixed_powers_of_two_and_zeros():
+    """Every power of two below the bound: binary fractions, down to far below the step,
+    and integers up to 2^43."""
+    powers = np.ldexp(1.0, np.arange(-1074, 44))
+    assert powers[-1] < M_BOUND
+    assert_fixed(np.concatenate([powers, -powers, [0.0, -0.0]]))
 
 
-def test_g_ties_and_carries():
-    """Exact ties round half to even in the sixth digit (e = 5) and in a dropped seventh
-    (e > 5), and a round up to 10^6 carries into the exponent."""
-    ties = [617283.5, 617284.5, 1234565.0, 12345650.0, 999999.5, 9999995.0, 99999950.0]
-    assert ["%.6g" % v for v in ties] == ["617284", "617284", "1.23456e+06", "1.23456e+07",
-                                          "1e+06", "1e+07", "1e+08"]
-    d = np.arange(100_000, 1_000_000, 37, dtype=np.float64)
-    # (10 d + 5) 10^j is a double exactly while (2 d + 1) 5^(j + 1) < 2^53.
-    dropped = (10.0 * d + 5.0) * 10.0 ** np.arange(13)[:, None]
-    x = np.concatenate([ties, d + 0.5, dropped.ravel(), [999999.5 * 10.0**j for j in range(13)]])
-    assert_g(np.concatenate([x, -x]))
+def test_fixed_ties_and_carries():
+    """Where v 1000 is exactly k + 0.5, m is the even neighbour, as np.rint gives it; a
+    round up to a power of ten carries into one more integer digit."""
+    ties = [0.0005, 0.0015, 0.0025, -0.0005, -0.0015, 0.0625, -0.1875, 1e12 + 0.0625,
+            -(2.0**33 + 0.0625)]
+    assert {v * 1000.0 % 1.0 for v in ties} == {0.5}
+    assert [fixed_step(v) for v in ties] == ["0", "0.002", "0.002", "0", "-0.002", "0.062",
+                                             "-0.188", "1000000000000.062", "-8589934592.062"]
+    k = np.random.default_rng(23).integers(-2**52, 2**52, size=1 << 16) + 0.5
+    x = k / 1000.0
+    x = x[x * 1000.0 == k]  # the ties that survive the division
+    assert x.size > 1000
+    carries = 10.0 ** np.arange(13) - 0.0005
+    assert [fixed_step(v) for v in carries[:3]] == ["1", "10", "100"]
+    assert_fixed(np.concatenate([ties, x, carries, -carries]))
 
 
-def test_g_layout_edges_and_their_neighbours():
-    """Where %.6g changes form (1e-4, 1e6), exponent width (1e-100, 1e100) or carries
-    (999999.5), with the next double each way."""
-    edges = np.array([1e-4, 1e-5, 999999.5, 1e6, 1e5, 99999.95, 1e100, 1e-100, 1e-99, 1.0])
+def test_fixed_layout_edges_and_their_neighbours():
+    """The rule's own examples; each change of integer digit count, with the doubles on
+    each side; and the largest value below the bound."""
+    assert [fixed_step(v) for v in [349.019, 800.0, 2.29125, -12.3456]] == [
+        "349.019", "800", "2.291", "-12.346"]
+    edges = np.concatenate([10.0 ** np.arange(13), [np.nextafter(M_BOUND, 0.0)]])
     x = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
-    assert_g(np.concatenate([x, -x]))
+    x = x[x < M_BOUND]
+    assert_fixed(np.concatenate([x, -x]))
+    assert "".join(row_chunks("%m", edges[-1:])) == "9007199254740.99"
 
 
-def test_g_extreme_normals_and_subnormals():
+def test_fixed_tiny_values():
+    """Zeros, subnormals, the least normals and negatives that round to 0 write "0"."""
     info = np.finfo(np.float64)
-    x = np.array([info.max, info.tiny, np.nextafter(info.tiny, 0.0), info.smallest_subnormal,
-                  np.nextafter(info.smallest_subnormal, 1.0), np.nextafter(info.max, 0.0),
-                  4.94065645841246e-320, 9.99999e-309])
-    assert_g(np.concatenate([x, -x]))
+    x = np.array([0.0, info.smallest_subnormal, np.nextafter(info.tiny, 0.0), info.tiny,
+                  1e-300, 0.0001, 0.0004999, 0.0005])
+    assert [fixed_step(v) for v in -x] == ["0"] * x.size
+    assert_fixed(np.concatenate([x, -x]))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-def test_g_any_finite_floats(values):
-    assert_g(values)
-
-
-def _floor_sum(n, m, a, b):
-    """sum over 0 <= i < n of floor((a i + b) / m), for a, b >= 0, by Euclid's steps."""
-    total = 0
-    while True:
-        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
-        a, b = a % m, b % m
-        y = a * n + b
-        if y < m:
-            return total
-        n, b = divmod(y, m)
-        m, a = a, m
-
-
-def _count_rests(n, m, a, b, lo, hi):
-    """The count of 0 <= i < n with lo <= (a i + b) mod m < hi, for 0 <= lo <= hi <= m."""
-    def below(t):
-        return _floor_sum(n, m, a, b) - _floor_sum(n, m, a, b + m - t) + n
-    return below(hi) - below(lo)
-
-
-def test_one_product_resolves_every_normal_double():
-    """A proof over every binary exponent, not a sample. For v = c 2^q the %.6g kernel
-    reads x = 4 v 10^-k = c P / Q as floor(g 4c / 2^(128 + s)), its low bit the OR of bits
-    64 to 127 + s. g exceeds the exact scale by less than 1, so the product exceeds x 2^(128
-    + s) by less than 4c < 2^55, below bit 64 when x is whole. Then floor and low bit are
-    those of x for every c in [2^52, 2^53) when no fraction of x, c P mod Q over Q, is
-    nonzero and below 2^-(64 + s), nor within 2^-(73 + s) of 1. The counts of such c come
-    from floor sums."""
-    n, checked = 1 << 52, 0
-    for q in range(-1074, 972):
-        k = (((q + 52) * 661971961083) >> 41) - 5
-        s = -3 - q - ((-k * 913124641741) >> 38)
-        assert 0 <= s < 64  # the shift the kernel takes
-        num = 2 ** max(q + 2 - k, 0) * 5 ** max(-k, 0)
-        den = 2 ** max(k - q - 2, 0) * 5 ** max(k, 0)
-        a, b = num % den, n * num % den
-        small, near = -(-den >> (64 + s)), den - (den >> (73 + s))
-        checked += small > 1
-        assert _count_rests(n, den, a, b, 1, small) == 0, q
-        assert _count_rests(n, den, a, b, near, den) == 0, q
-    assert checked > 1000  # most exponents need the argument: Q > 2^(64 + s)
-
-
-def test_counting_rests_against_a_loop():
-    rng = np.random.default_rng(19)
-    for m, n in rng.integers(1, 400, size=(300, 2)).tolist():
-        a, b = rng.integers(0, m, size=2).tolist()
-        lo, hi = sorted(rng.integers(0, m + 1, size=2).tolist())
-        rests = [(a * i + b) % m for i in range(n)]
-        assert _count_rests(n, m, a, b, lo, hi) == sum(lo <= r < hi for r in rests)
+@given(st.lists(st.floats(-M_BOUND, M_BOUND, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=40))
+def test_fixed_any_floats_below_the_bound(values):
+    assert_fixed(values)
 
 
 def test_import_builds_no_table():
     """The digit tables are built on first use: importing the CLI costs none of them."""
     code = ("import errscope.cli, errscope._text as t; print([f.cache_info().currsize for f in"
-            " (t._g_table, t._dragonbox_table, t._repr_tables, t._g6_layouts)])")
+            " (t._dragonbox_table, t._repr_tables, t._fixed_layouts)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out == "[0, 0, 0, 0]\n"
+    assert out == "[0, 0, 0]\n"
 
 
 # Any code point, lone surrogates too (st.characters leaves them out): Strings encodes them
@@ -287,13 +249,13 @@ def test_strings_slice_tolist_copies_only_its_texts():
 
 def test_fixed_width_bytes_fill_a_s_field():
     """(rows, width) uint8 columns of width 1 and 6, as the point codes and the fills are,
-    across chunks and next to %r and %.6g fields: every byte is written."""
+    across chunks and next to %r and %m fields: every byte is written."""
     rng = np.random.default_rng(17)
     n = 2 * ROW_CHUNK + 3
     digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
     codes, hexes = digits[rng.integers(0, 10, size=(n, 1))], digits[rng.integers(0, 16, (n, 6))]
     x, y = rng.normal(0.0, 1e3, size=(2, n))
-    template = '[%r, %s] <x="%.6g" fill="#%s"/>\n'
+    template = '[%r, %s] <x="%m" fill="#%s"/>\n'
     got = "".join(row_chunks(template, x, codes, y, hexes))
     assert got == "".join(rows(template, x, codes, y, hexes))
 
@@ -301,15 +263,16 @@ def test_fixed_width_bytes_fill_a_s_field():
 def test_template_shapes():
     """Fields at the start and at the end of a template, two fields with no literal between
     them, a literal over 8 bytes and non-ASCII literals, across chunks; every column kind: %r,
-    %.6g, Strings with empty and multi-byte texts, all empty too, and fixed-width bytes."""
+    %m, Strings with empty and multi-byte texts, all empty too, and fixed-width bytes."""
     rng = np.random.default_rng(21)
     n = 2 * ROW_CHUNK + 3
     x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 30, n)
     x[:6] = [0.0, -0.0, 5e-324, -1e16, 0.1, 123456.5]
+    y = np.clip(x, -1e12, 1e12)  # for %m, below its bound
     texts = ["", "a", "\u00e9t\u00e9", "\u65e5\u672c\u8a9e", "\U0001f600", "x" * 9, "\ud800"]
     strings = Strings.of([texts[i] for i in rng.integers(0, len(texts), n)])
     empty = Strings.of([""] * n)
     fixed = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[rng.integers(0, 16, (n, 3))]
-    for template, columns in [("%r%r,\n      [%.6g\u00e9%s\u2192%s", (x, -x, x, strings, fixed)),
-                              ("%s%.6g;%s\u2028%r\n", (fixed, x, empty, -x[::-1]))]:
+    for template, columns in [("%r%r,\n      [%m\u00e9%s\u2192%s", (x, -x, y, strings, fixed)),
+                              ("%s%m;%s\u2028%r\n", (fixed, y, empty, -x[::-1]))]:
         assert "".join(row_chunks(template, *columns)) == "".join(rows(template, *columns))
