@@ -7,12 +7,14 @@ chunk; only a subnormal goes through repr, one at a time. %m, an SVG shape coord
 writes v at a fixed step of 10^-3: m = rint(v 1000) as m 10^-3, trailing zeros and then a
 bare point dropped, "-" only when m < 0. %s takes a column of texts already in bytes:
 Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
+Threads may write at once: each table is built once, by the first thread that asks.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
+import threading
+from functools import cache, wraps
 
 import numpy as np
 
@@ -24,7 +26,21 @@ _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _SPEC = re.compile(r"%(r|s|m)")
 
 
-@cache
+def _shared(build):
+    """build's table, cached, for threads to share: the first call builds it under a lock,
+    which another thread's first call waits on rather than build the table again."""
+    table, lock = cache(build), threading.Lock()
+
+    @wraps(build)
+    def shared():
+        with lock:
+            return table()
+
+    shared.cache_info = table.cache_info
+    return shared
+
+
+@_shared
 def _dragonbox_table() -> tuple[np.ndarray, np.ndarray]:
     """The scales of the %r kernel by biased exponent E of a double c 2^q, q = E - 1075, for
     E from 0 to 2047 (E 0 as E 1). uint64 rows: the high word H of phi = ceil(10^k 2^(127 -
@@ -142,7 +158,7 @@ _R_HEAD = np.frombuffer(b"-0.000".ljust(28, b"\0") + b".".ljust(32, b"\0"), dtyp
 _FIXED, _ZERO = 20, 24  # subclasses 0..19 are fixed forms, decpt -3..16; 20..23 exponents
 
 
-@cache
+@_shared
 def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """"0000" to "9999" as words, their trailing zeros, "e-324" to "e+308" as word pairs,
     the mask words of each layout class (sign * 25 + subclass) * 18 + digits, and 18 times
@@ -207,7 +223,7 @@ _M_HEAD = np.frombuffer(b"-".ljust(24, b"\0"), dtype=np.uint8)
 M_BOUND = 2.0**53 / 1000
 
 
-@cache
+@_shared
 def _fixed_layouts() -> np.ndarray:
     """The mask words of each %m layout class (sign * 16 + digits - 1) * 5 + z: the sign,
     the integer part's last digits, then "." and 3 - z fraction digits (nothing for z = 4)."""

@@ -1,6 +1,11 @@
 """Command-line interface: metrics, compare and synth subcommands.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical degeneracy.
+
+compare makes its two products at once: a second thread builds the report and writes its
+JSON while the calling thread builds and writes the figure. No byte, exit code or message
+depends on the thread schedule (see _write_all), and the thread is joined before compare
+returns or raises.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 import os
 import stat
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -52,28 +58,74 @@ def _print_warnings(report: dict) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _write_all(outputs, source=None) -> None:
-    """For each (path, write) in turn, open path as UTF-8 text with LF line ends and call
-    write(fh). An output that resolves to the input file source or to another output is
-    an error, raised before any file is opened. If a write fails, remove each regular file
-    opened so far at its resolved path, the one being written included, so that a failed
-    command leaves no output; a device such as /dev/null, or a symlink, is never removed."""
+def _write_all(outputs, source=None, concurrent=False) -> None:
+    """Make and write outputs, a list of (path, build) pairs, as this serial order would:
+    build() of each in turn, which makes a product and returns its write; then each path
+    but None in turn opened as UTF-8 text with LF line ends, and the write(fh) its build
+    returned called on it. An output that resolves to the input file source or to another
+    output is an error, raised before any build. The first step that fails ends the run:
+    each regular file opened so far is removed at its resolved path, the one being written
+    included, so that a failed command leaves no output, and the step's error is raised. A
+    device such as /dev/null, or a symlink, is never removed.
+
+    With concurrent, each output but the first is built and written on a thread of its
+    own, while the calling thread builds the first and writes it once every build has
+    succeeded. Every thread is joined before _write_all returns or raises; a failed run
+    removes every regular file any thread opened and raises the error the serial order
+    meets first. So no byte and no error depends on the schedule, but when the first
+    build fails, a file already at a later path is removed, which the serial order would
+    not have opened."""
     taken = {} if source is None else {Path(source).resolve(): "the input file"}
     for path, _ in outputs:
+        if path is None:
+            continue
         real = Path(path).resolve()
         if real in taken:
             raise ErrscopeError(f"output {str(path)!r} would overwrite {taken[real]}")
         taken[real] = f"output {str(path)!r}"
-    regular = []
+    n = len(outputs)
+    writes, errors, regular = [None] * n, [None] * (2 * n), []
+
+    def step(i: int) -> bool:
+        """Run step i of the serial order, the build of output i or, from n on, the write
+        of output i - n; record its error and say whether it succeeded."""
+        try:
+            if i < n:
+                writes[i] = outputs[i][1]()
+            elif (path := outputs[i - n][0]) is not None:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                        regular.append(Path(path).resolve())
+                    writes[i - n](fh)
+        except BaseException as exc:
+            errors[i] = exc
+        return errors[i] is None
+
+    def lane(k: int, built: threading.Event) -> None:
+        ok = step(k)
+        built.set()
+        if ok:
+            step(n + k)
+
+    built = [threading.Event() for _ in range(1, n)] if concurrent else []
+    threads = [threading.Thread(target=lane, args=(k, b)) for k, b in enumerate(built, 1)]
     try:
-        for path, write in outputs:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    regular.append(Path(path).resolve())
-                write(fh)
+        try:
+            for t in threads:
+                t.start()
+            if not concurrent:
+                all(map(step, range(2 * n)))  # up to the first step that fails
+            elif step(0) and all(b.wait() for b in built) and not any(errors[:n]):
+                step(n)
+        finally:
+            for t in threads:
+                t.join()
+        error = next((e for e in errors if e is not None), None)
+        if error is not None:
+            raise error
     except BaseException:
         for real in regular:
-            with contextlib.suppress(OSError):  # the write's own error is the one reported
+            with contextlib.suppress(OSError):  # the step's own error is the one reported
                 real.unlink(missing_ok=True)
         raise
 
@@ -88,8 +140,8 @@ def cmd_metrics(args) -> int:
         grid = render_model_grid(ps, order, global_scale=args.global_scale)
         outdir = Path(args.plots)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_all([(outdir / "boxplots.svg", boxplots.write),
-                    (outdir / "pred_vs_actual_grid.svg", grid.write)], args.input)
+        _write_all([(outdir / "boxplots.svg", lambda: boxplots.write),
+                    (outdir / "pred_vs_actual_grid.svg", lambda: grid.write)], args.input)
     if args.json:
         sys.stdout.write(to_json(report))
     else:
@@ -102,19 +154,25 @@ def cmd_compare(args) -> int:
     analysis = analyze_pair(ps.errors[:, [ps.index(args.a), ps.index(args.b)]],
                             args.a, args.b, metric=args.metric)
 
-    kde = kde2d(analysis.e, bandwidth=args.bandwidth) if "kde" in args.layers else None
-    hexgrid = None
-    if "hexbin" in args.layers:
-        radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
-        hexgrid = hexbin(analysis.e, radius)
+    def figure():
+        kde = kde2d(analysis.e, bandwidth=args.bandwidth) if "kde" in args.layers else None
+        hexgrid = None
+        if "hexbin" in args.layers:
+            radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
+            hexgrid = hexbin(analysis.e, radius)
+        return render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid).write
 
-    figure = render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid)
-    # The report checks every model's metrics: build it first, so a failure leaves no SVG.
-    report = build_pair_report(ps, analysis)
-    outputs = [(args.output, figure.write)]
-    if args.json:
-        outputs.append((args.json, lambda fh: write_pair_json(fh, report, analysis)))
-    _write_all(outputs, args.input)
+    report = None
+
+    def report_json():
+        # Built even without --json: it checks every model's metrics, and stdout shows it.
+        nonlocal report
+        report = build_pair_report(ps, analysis)
+        return lambda fh: write_pair_json(fh, report, analysis)
+
+    # The figure stays on this thread: its KDE's large blocks, freed in a second thread's
+    # malloc arena, would be kept there and raise the peak RSS.
+    _write_all([(args.output, figure), (args.json, report_json)], args.input, concurrent=True)
 
     pair = report["pair"]
     print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")
@@ -153,7 +211,7 @@ def cmd_synth(args) -> int:
                                      "parameters") from None
     # Checked before the CSV is written, so a failure leaves no file.
     metrics = model_metrics(ps)
-    _write_all([(args.output, ps.write_csv)])
+    _write_all([(args.output, lambda: ps.write_csv)])
 
     print(f"scenario {args.kind}: n={args.n} seed={args.seed} -> {args.output}")
     print(f"{'model':<8} {'mae':>10} {'rmse':>10}")

@@ -256,7 +256,8 @@ def render_boxplots(stats: list[tuple[str, dict]]) -> Figure:
 # predicted vs actual
 
 def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
-                          pct: np.ndarray, left: float, top: float, label: str) -> None:
+                          pct: np.ndarray, label: str) -> None:
+    """One panel, in the coordinates of the grid's first: x and y from 0 to PANEL_SIZE."""
     # Both axes share one range, so the identity line is the diagonal.
     lo = float(min(y_true.min(), y_pred.min()))
     hi = float(max(y_true.max(), y_pred.max()))
@@ -264,8 +265,7 @@ def _pred_vs_actual_panel(fig: Figure, y_true: np.ndarray, y_pred: np.ndarray,
         hi = lo + max(1.0, math.ulp(lo))
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    tr = Transform.fit(lo, hi, lo, hi, left, left + PANEL_SIZE - 2 * MARGIN,
-                       top, top + PANEL_SIZE - 2 * MARGIN)
+    tr = Transform.fit(lo, hi, lo, hi, MARGIN, PANEL_SIZE - MARGIN, MARGIN, PANEL_SIZE - MARGIN)
     fig.line(*tr.apply(lo, lo), *tr.apply(hi, hi), "#888888", width=1.5)
     fig.circles(*tr.apply(y_true, y_pred), POINT_RADIUS, colormap(pct), cls="pt")
     fig.text((tr.apply(lo, 0)[0] + tr.apply(hi, 0)[0]) / 2,
@@ -292,9 +292,12 @@ def render_model_grid(ps: PredictionSet, order: list[str],
     cols = min(m, GRID_COLUMNS)
     fig = Figure(cols * PANEL_SIZE, math.ceil(m / GRID_COLUMNS) * PANEL_SIZE)
     for k, (model, j, pct) in enumerate(zip(order, columns, pcts)):
-        col, row = k % GRID_COLUMNS, k // GRID_COLUMNS
-        _pred_vs_actual_panel(fig, ps.y_true, ps.predictions[:, j], pct,
-                              col * PANEL_SIZE + MARGIN, row * PANEL_SIZE + MARGIN, model)
+        # Each panel is drawn as the first one and moved into place, so its shape
+        # coordinates stay below PANEL_SIZE whatever its row and column.
+        left, top = k % GRID_COLUMNS * PANEL_SIZE, k // GRID_COLUMNS * PANEL_SIZE
+        fig.elements.append(f'<g transform="translate({fmt(left)},{fmt(top)})">\n')
+        _pred_vs_actual_panel(fig, ps.y_true, ps.predictions[:, j], pct, model)
+        fig.elements.append("</g>\n")
     return fig
 
 

@@ -7,6 +7,8 @@ import json
 import os
 import stat
 import tempfile
+import threading
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import test_golden as golden
 from conftest import svg_text
 
 import errscope.cli
@@ -755,6 +758,97 @@ def test_compare_other_model_overflow_leaves_no_svg(tmp_path):
     assert code == 3
     assert err == "error: metrics of model 'M3' overflow float64\n"
     assert not svg.exists() and not rep.exists()
+
+
+# compare builds the report and writes its JSON on a second thread while this one builds
+# and writes the figure. Its errors and files must be those of the serial order: figure,
+# report, SVG write, JSON write.
+def late(monkeypatch, name: str, seconds: float = 0.3) -> None:
+    """Make errscope.cli's name sleep before it runs."""
+    real = getattr(errscope.cli, name)
+
+    def delayed(*args, **kwargs):
+        time.sleep(seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(errscope.cli, name, delayed)
+
+
+@pytest.mark.parametrize("delayed", [None, "build_pair_report", "render_error_space"])
+def test_compare_both_halves_fail_reports_the_figure(tmp_path, monkeypatch, delayed):
+    # The figure's axis span and the report's metrics both overflow: the figure's error,
+    # first in the serial order, is reported whichever thread fails first, and no file is left.
+    if delayed:
+        late(monkeypatch, delayed)
+    path = tmp_path / "in.csv"
+    path.write_text("id,y_true,M1,M2\na,0,1e308,1e308\n")
+    code, err, svg, rep = run_compare(path, tmp_path, ["--metric", "euclidean", "--layers", "zones"])
+    assert (code, err) == (3, "error: axis span from -1.05e+308 to 1.05e+308 overflows float64\n")
+    assert not svg.exists() and not rep.exists()
+
+
+def test_compare_figure_failure_removes_the_report(tmp_path, monkeypatch):
+    # The report is built and written while the figure fails at the shape-coordinate bound:
+    # the JSON written over a file already at its path is removed; the file at the SVG
+    # path, never opened, is kept.
+    late(monkeypatch, "render_error_space")
+    path = errors_csv(tmp_path / "in.csv", ASYM_ERRORS)
+    (tmp_path / "x.svg").write_text("old svg")
+    (tmp_path / "rep.json").write_text("old json")
+    code, err, svg, rep = run_compare(path, tmp_path, ["--layers", "hexbin", "--hex-radius", "1e300"])
+    assert code == 3 and err.startswith("error: figure coordinate ") and err.count("\n") == 1
+    assert svg.read_text() == "old svg" and not rep.exists()
+
+
+def test_compare_report_failure_opens_no_svg(tmp_path, monkeypatch):
+    # The report fails after the figure is built: the figure waits for it and is not
+    # written, so the file already at its path is kept.
+    late(monkeypatch, "build_pair_report")
+    path = tmp_path / "in.csv"
+    path.write_text("id,y_true,M1,M2,M3\na,0,1,2,1e200\nb,0,2,1,-1e200\nc,0,3,-1,1e200\n")
+    (tmp_path / "x.svg").write_text("old svg")
+    code, err, svg, rep = run_compare(path, tmp_path, [])
+    assert (code, err) == (3, "error: metrics of model 'M3' overflow float64\n")
+    assert svg.read_text() == "old svg" and not rep.exists()
+
+
+@pytest.mark.parametrize("rows, code", [
+    ("a,0,1,2\nb,0,2,1\nc,0,3,-1\nd,0,-1,2\n", 0),
+    ("a,0,1,2\nb,0,2,1\nc,0,3,-1\nd,0,-1,2\n", 2),
+    ("a,0,1e308,1e308\n", 3),
+], ids=["exit_0", "exit_2", "exit_3"])
+def test_compare_leaves_no_thread(tmp_path, monkeypatch, rows, code):
+    # The report is built 0.3 s late and its JSON written 0.3 s later still, or failed
+    # then with a full disk: compare waits for the report's thread on every exit.
+    def disk_full(*args):
+        time.sleep(0.3)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    late(monkeypatch, "build_pair_report")
+    if code == 2:
+        monkeypatch.setattr(errscope.cli, "write_pair_json", disk_full)
+    else:
+        late(monkeypatch, "write_pair_json")
+    path = tmp_path / "in.csv"
+    path.write_text("id,y_true,M1,M2\n" + rows)
+    before = threading.enumerate()
+    assert run_compare(path, tmp_path, ["--metric", "euclidean"])[0] == code
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("delayed", ["build_pair_report", "kde2d"])
+def test_compare_digests_with_either_thread_late(tmp_path, monkeypatch, delayed):
+    """The report's thread held back, and then the figure's: the golden bytes either way."""
+    late(monkeypatch, delayed)
+    for kind, metric in [("under_vs_over", "mahalanobis"), ("outlier_vs_moderate", "euclidean")]:
+        csv, svg, rep = tmp_path / "in.csv", tmp_path / "x.svg", tmp_path / "rep.json"
+        argv = ["synth", "--kind", kind, "--n", golden.N, "--seed", golden.SEED, "-o", csv]
+        assert main([str(a) for a in argv]) == 0
+        a, b = golden.PAIRS[kind]
+        assert main(["compare", str(csv), "--a", a, "--b", b, "--metric", metric,
+                     "--layers", golden.ALL_LAYERS, "-o", str(svg), "--json", str(rep)]) == 0
+        assert (golden.sha(svg.read_bytes()), golden.sha(rep.read_bytes())) == \
+            golden.COMPARE[kind, metric]
 
 
 def _reject_constant(name):

@@ -79,7 +79,7 @@ COMPARE = {
 # `metrics --plots DIR --json` on asymmetric_pair
 METRICS = {
     "boxplots.svg": "4bea8c781852b11d843db2a3795e03d7c1a0b839740413e5e17705c27899351a",
-    "pred_vs_actual_grid.svg": "cf944c78a910954ec4e50b2e49141751c6c10d12b93d066a20801de3ea2f1d6c",
+    "pred_vs_actual_grid.svg": "f7ce19a734b086735816fa06bd5323f7ea879eb03db16ca8a8a11b7247101ca4",
     "stdout": "026c501007c22e1fde7ca3fa0cf92cadff504560b885f8779513e3ad6fb53f95",
 }
 
@@ -91,7 +91,7 @@ SCATTER = {
     "mahalanobis": "87817eeb49c4fffa85398dc8e9e49cb9e035e200802a066cb34be3aa273879cf",
 }
 # `metrics --plots DIR --global-scale` on asymmetric_pair
-GLOBAL_GRID = "d0ad3311b4fec8dab9acf6959ecf0846679374b8d52fcb1125bedd97584ee9db"
+GLOBAL_GRID = "4953609f73187767e1607d9f261bdc196c2b8727f4fba2e233e926bbfc240580"
 # under_vs_over at n = 2^14 + 1, four chunks of the writers and one row: the synth CSV,
 # then the SVG and report of `compare --layers ALL_LAYERS --json`.
 CHUNK_N = (1 << 14) + 1

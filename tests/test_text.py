@@ -197,6 +197,56 @@ def test_import_builds_no_table():
     assert out == "[0, 0, 0]\n"
 
 
+# A child process counts the calls of each table's build on every thread, each call held
+# for 0.2 s so that a thread asking meanwhile would build the table again. "compare" runs
+# the CLI, whose figure thread and report thread both write numbers; "threads" has four
+# threads ask for every table at once, with a switch interval of 1 µs.
+BUILDS = """
+import sys, tempfile, threading, time
+import errscope._text as t
+from errscope.cli import main
+tables = (t._dragonbox_table, t._repr_tables, t._fixed_layouts)
+count = dict.fromkeys((f.__wrapped__.__code__ for f in tables), 0)
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in count:
+        count[frame.f_code] += 1
+        time.sleep(0.2)
+sys.setprofile(profile)
+threading.setprofile(profile)
+if sys.argv[1] == "compare":
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(tmp + "/in.csv", "w") as fh:  # written without the row writer's tables
+            fh.write("id,y_true,E1,E2\\n")
+            fh.writelines(f"r{i},0,{i % 7 - 3.5},{i % 11 * 0.25 - 1}\\n" for i in range(300))
+        assert main(["compare", tmp + "/in.csv", "--a", "E1", "--b", "E2", "--layers",
+                     "zones,proximity,crown,kde,hexbin", "-o", tmp + "/x.svg",
+                     "--json", tmp + "/x.json"]) == 0
+else:
+    sys.setswitchinterval(1e-6)
+    start = threading.Barrier(4)
+    def ask():
+        start.wait(60)
+        for f in tables:
+            f()
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(60)
+        assert not th.is_alive()
+sys.setprofile(None)
+print(list(count.values()), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("case", ["compare", "threads"])
+def test_threads_share_one_build_of_each_table(case):
+    """Threads that ask for a digit table while another builds it wait for that build."""
+    err = subprocess.run([sys.executable, "-c", BUILDS, case], capture_output=True, text=True,
+                         check=True, timeout=120).stderr
+    assert err == "[1, 1, 1]\n"
+
+
 # Any code point, lone surrogates too (st.characters leaves them out): Strings encodes them
 # as surrogatepass does.
 ANY_TEXT = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr))
