@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical degeneracy.
 
-compare makes its two products at once: a second thread builds the report and writes its
-JSON while the calling thread builds and writes the figure. No byte, exit code or message
-depends on the thread schedule (see _write_all), and the thread is joined before compare
-returns or raises.
+Every command makes and writes its outputs by one schedule (see _write_all): the first on
+the calling thread, each other one on a thread of its own. No byte, exit code or message
+depends on the thread schedule, and every thread is joined before the command returns or
+raises.
 """
 
 from __future__ import annotations
@@ -58,23 +58,42 @@ def _print_warnings(report: dict) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _write_all(outputs, source=None, concurrent=False) -> None:
-    """Make and write outputs, a list of (path, build) pairs, as this serial order would:
-    build() of each in turn, which makes a product and returns its write; then each path
-    but None in turn opened as UTF-8 text with LF line ends, and the write(fh) its build
-    returned called on it. An output that resolves to the input file source or to another
-    output is an error, raised before any build. The first step that fails ends the run:
-    each regular file opened so far is removed at its resolved path, the one being written
-    included, so that a failed command leaves no output, and the step's error is raised. A
-    device such as /dev/null, or a symlink, is never removed.
+class _Cut(Exception):
+    """A write stopped because a step before it in the serial order has failed."""
 
-    With concurrent, each output but the first is built and written on a thread of its
-    own, while the calling thread builds the first and writes it once every build has
-    succeeded. Every thread is joined before _write_all returns or raises; a failed run
-    removes every regular file any thread opened and raises the error the serial order
-    meets first. So no byte and no error depends on the schedule, but when the first
-    build fails, a file already at a later path is removed, which the serial order would
-    not have opened."""
+
+class _Checked:
+    """An open text file whose write and writelines raise _Cut at the next piece once
+    failed() is true."""
+
+    def __init__(self, fh, failed):
+        self.fh, self.failed = fh, failed
+
+    def write(self, text: str) -> None:
+        if self.failed():
+            raise _Cut
+        self.fh.write(text)
+
+    def writelines(self, pieces) -> None:
+        for text in pieces:
+            self.write(text)
+
+
+def _write_all(outputs, source=None) -> None:
+    """Make and write outputs, a list of (path, build) pairs, with the errors and files of
+    this serial order: build() of each in turn, which makes a product and returns its write;
+    then each path but None in turn opened as UTF-8 text with LF line ends, and the
+    write(fh) its build returned called on it. An output that resolves to the input file
+    source or to another output is an error, raised before any build.
+
+    The calling thread builds the first output; each other one is built and written on a
+    thread of its own. The first is written once every build has succeeded, and a write
+    stops at its next piece once a step before it in the serial order has failed. Every
+    thread is joined before _write_all returns or raises. A failed run removes each regular
+    file any thread opened, at its resolved path, and raises the error the serial order
+    meets first; a device such as /dev/null, or a symlink, is never removed. So no byte and
+    no error depends on the schedule, but when an output fails, a file already at the path
+    of a later one may have been overwritten, and is removed."""
     taken = {} if source is None else {Path(source).resolve(): "the input file"}
     for path, _ in outputs:
         if path is None:
@@ -96,7 +115,8 @@ def _write_all(outputs, source=None, concurrent=False) -> None:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                         regular.append(Path(path).resolve())
-                    writes[i - n](fh)
+                    # Read without a lock: a stale read costs one more piece.
+                    writes[i - n](_Checked(fh, lambda: any(errors[:i])))
         except BaseException as exc:
             errors[i] = exc
         return errors[i] is None
@@ -107,15 +127,13 @@ def _write_all(outputs, source=None, concurrent=False) -> None:
         if ok:
             step(n + k)
 
-    built = [threading.Event() for _ in range(1, n)] if concurrent else []
+    built = [threading.Event() for _ in range(1, n)]
     threads = [threading.Thread(target=lane, args=(k, b)) for k, b in enumerate(built, 1)]
     try:
         try:
             for t in threads:
                 t.start()
-            if not concurrent:
-                all(map(step, range(2 * n)))  # up to the first step that fails
-            elif step(0) and all(b.wait() for b in built) and not any(errors[:n]):
+            if step(0) and all(b.wait() for b in built) and not any(errors[:n]):
                 step(n)
         finally:
             for t in threads:
@@ -172,7 +190,7 @@ def cmd_compare(args) -> int:
 
     # The figure stays on this thread: its KDE's large blocks, freed in a second thread's
     # malloc arena, would be kept there and raise the peak RSS.
-    _write_all([(args.output, figure), (args.json, report_json)], args.input, concurrent=True)
+    _write_all([(args.output, figure), (args.json, report_json)], args.input)
 
     pair = report["pair"]
     print(f"error space: {args.a} (x) vs {args.b} (y), metric={args.metric}")

@@ -95,17 +95,25 @@ def kde2d(points, bandwidth: tuple[float, float] | None = None) -> KdeGrid:
 # Binned KDE after Wand (1994): an axis is linearly binned onto K sub-steps per
 # grid step, with K the least that keeps the binning error (delta / h)^2 / 8 of
 # the kernel peak within KDE_BIN_ERROR (Hall & Wand 1996). Past KDE_MAX_SUBSTEPS
-# the axis is evaluated exactly at the grid nodes. Either way a kernel is summed
+# the axis is evaluated exactly at the grid nodes, unless the other axis is too: then
+# the one with the smaller K is binned while K <= KDE_MAX_SUBSTEPS_ONE, whose fine
+# nodes times the other's grid nodes stay within 2^22. Either way a kernel is summed
 # within KDE_EXACT_REACH bandwidths; the Gaussian beyond 9h is below 2.6e-18 of its peak.
 KDE_BIN_ERROR = 2.5e-4
 KDE_MAX_SUBSTEPS = 16
+KDE_MAX_SUBSTEPS_ONE = (1 << 22) // (GRID_RESOLUTION * GRID_RESOLUTION)
 KDE_EXACT_REACH = 9.0
 KDE_CHUNK_ENTRIES = 1 << 19  # (point, x node, y node) weights accumulated at once
 
 
 def _kernel_sum(pts: np.ndarray, grids, bandwidths) -> np.ndarray:
     """(nx, ny) sum over the points of the product kernel at every grid node."""
-    ax, ay = (_Axis(grid, pts[:, k], h) for k, (grid, h) in enumerate(zip(grids, bandwidths)))
+    substeps = [_substeps(grid, h) for grid, h in zip(grids, bandwidths)]
+    limits = [KDE_MAX_SUBSTEPS] * 2
+    if min(substeps) > KDE_MAX_SUBSTEPS:
+        limits[substeps.index(min(substeps))] = KDE_MAX_SUBSTEPS_ONE
+    ax, ay = (_Axis(grid, pts[:, k], h, limits[k])
+              for k, (grid, h) in enumerate(zip(grids, bandwidths)))
     # c[i, j] sums, over the points, the weight of x node i times that of y node j.
     c = np.zeros((ax.nodes, ay.nodes))
     flat = c.reshape(-1)
@@ -121,11 +129,11 @@ def _kernel_sum(pts: np.ndarray, grids, bandwidths) -> np.ndarray:
 class _Axis:
     """One KDE grid axis, binned onto a fine grid or evaluated exactly at its nodes."""
 
-    def __init__(self, grid: np.ndarray, x: np.ndarray, h: float):
+    def __init__(self, grid: np.ndarray, x: np.ndarray, h: float,
+                 max_substeps: int = KDE_MAX_SUBSTEPS):
         self.grid, self.h = grid, h
-        step = (grid[-1] - grid[0]) / (grid.size - 1)
-        substeps = step / h / math.sqrt(8.0 * KDE_BIN_ERROR)
-        if substeps <= KDE_MAX_SUBSTEPS:
+        substeps = _substeps(grid, h)
+        if substeps <= max_substeps:
             self.fine = np.linspace(grid[0], grid[-1],
                                     (grid.size - 1) * max(1, math.ceil(substeps)) + 1)
             self.nodes, self.width = self.fine.size, 2
@@ -191,6 +199,12 @@ class _Axis:
                 out[i, j:k] = np.einsum("f,fj->j", _gaussian(g - self.fine[a:b], self.h),
                                         c[a:b, j:k])
         return out
+
+
+def _substeps(grid: np.ndarray, h: float) -> float:
+    """The sub-steps per grid step that keep the binning error within KDE_BIN_ERROR, before
+    rounding up to K."""
+    return (grid[-1] - grid[0]) / (grid.size - 1) / h / math.sqrt(8.0 * KDE_BIN_ERROR)
 
 
 def _gaussian(d: np.ndarray, h: float) -> np.ndarray:

@@ -141,6 +141,10 @@ def analyze_pair(e, model_a: str, model_b: str,
             a, b, c = (np.sum(u * v) / (n - 1) for u, v in ((dx, dx), (dx, dy), (dy, dy)))
             if not np.isfinite([a, b, c]).all():
                 raise DegenerateDistribution("error covariance overflows float64")
+            # A variance of 0 on an axis whose errors differ has underflowed. The centered
+            # errors of equal values need not be 0, as their mean can round.
+            if any(v == 0.0 and (pts[:, k] != pts[0, k]).any() for k, v in enumerate((a, c))):
+                raise DegenerateDistribution("error covariance underflows float64")
             corr = float(np.clip(b / np.sqrt(a) / np.sqrt(c), -1, 1)) if a > 0 and c > 0 else None
             if not np.hypot((a - c) / 2, b) < (a / 2 + c / 2) * _R_OVER_MID:
                 a, c = np.array([a, c]) + _RIDGE_SCALE * max(a, c, 1.0)

@@ -27,7 +27,8 @@ DECISIONS = {
     "percentile_convention": "midrank",
     "kde_bandwidth": "scott: sigma * n^(-1/6) per axis",
     "kde_evaluation": "per axis, linear binning onto K = ceil(dx / (h * sqrt(8 * 2.5e-4))) "
-                      "sub-steps per grid step if K <= 16, else exact; kernel cut at 9h",
+                      "sub-steps per grid step if K <= 16, else exact; if both axes pass 16, "
+                      "the one with the smaller K is binned if K <= 104; kernel cut at 9h",
     "covariance": "mean-centered sample covariance, n - 1; ridge 1e-9 * max(var1, var2, 1) "
                   "on the diagonal when the condition number passes 1e12",
     "colormap": "warm_cool",

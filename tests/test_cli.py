@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import stat
+import sys
 import tempfile
 import threading
 import time
@@ -26,7 +27,7 @@ import errscope.cli
 import errscope.ingest
 import errscope.report
 from errscope import analyze_pair, parse_predictions, render_error_space
-from errscope.cli import main
+from errscope.cli import _write_all, main
 from errscope.metrics import boxplot_stats
 from errscope.render import ERROR_SPACE_LAYERS
 from errscope.synth import SCENARIOS, generate
@@ -192,6 +193,36 @@ def test_metrics_plots_failure_removes_written_figure(demo_csv, tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
     assert [p.name for p in plots.iterdir()] == ["pred_vs_actual_grid.svg"]
     assert (plots / "pred_vs_actual_grid.svg").is_dir()
+
+
+def test_metrics_boxplots_failure_removes_the_grid(demo_csv, tmp_path, capsys):
+    # The boxplots path is a directory and a grid from an earlier run is in place: the grid,
+    # written on a second thread, is removed as well, and the directory kept.
+    figs = tmp_path / "figs"
+    (figs / "boxplots.svg").mkdir(parents=True)
+    (figs / "pred_vs_actual_grid.svg").write_text("old grid")
+    capsys.readouterr()
+    assert main(["metrics", str(demo_csv), "--plots", str(figs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(figs / "boxplots.svg")) in err
+    assert [p.name for p in figs.iterdir()] == ["boxplots.svg"]
+    assert (figs / "boxplots.svg").is_dir()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["metrics", "{csv}", "--plots", "{tmp}/figs"], 0),
+    (["metrics", "{csv}", "--plots", "{tmp}/grid_dir"], 2),
+    (["synth", "--kind", "under_vs_over", "--n", "50", "-o", "{tmp}/out.csv"], 0),
+    (["synth", "--kind", "under_vs_over", "--n", "50", "-o", "{tmp}/nodir/out.csv"], 2),
+], ids=["metrics_exit_0", "metrics_exit_2", "synth_exit_0", "synth_exit_2"])
+def test_metrics_and_synth_leave_no_thread(demo_csv, tmp_path, capsys, argv, code):
+    # metrics writes its grid on a second thread, and the grid's path fails in grid_dir;
+    # synth has one output and starts no thread.
+    (tmp_path / "grid_dir" / "pred_vs_actual_grid.svg").mkdir(parents=True)
+    before = threading.active_count()
+    assert main([a.format(csv=demo_csv, tmp=tmp_path) for a in argv]) == code
+    assert threading.active_count() == before
 
 
 def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):
@@ -727,6 +758,9 @@ EDGE_CASES = {
     "hex_radius_1e300": (ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1e300"]),
     "hex_radius_1.087524660806989e12": (
         ASYM_ERRORS, ["--layers", "hexbin", "--hex-radius", "1087524660806.989"]),
+    # The covariance underflows to 0 while the errors are not all 0.
+    **{f"covariance_2^{k}_{metric}": (EDGE_SAMPLE * 2.0 ** k, ["--metric", metric])
+       for k in (-540, -600, -1000) for metric in ("euclidean", "mahalanobis")},
     # A finite axis limit whose span, twice the limit, overflows.
     "axis_span_1e308": (np.array([[1e308, 1e308]]), ["--metric", "euclidean", "--layers", "zones"]),
 }
@@ -810,6 +844,63 @@ def test_compare_report_failure_opens_no_svg(tmp_path, monkeypatch):
     code, err, svg, rep = run_compare(path, tmp_path, [])
     assert (code, err) == (3, "error: metrics of model 'M3' overflow float64\n")
     assert svg.read_text() == "old svg" and not rep.exists()
+
+
+def test_compare_report_stops_once_the_figure_fails(tmp_path, monkeypatch):
+    # The figure fails at the shape-coordinate bound once the report's first chunk of points
+    # is written: the report's thread stops at its next chunk, and neither file is left.
+    written, failed, pulled = threading.Event(), threading.Event(), []
+    real_row_chunks, real_render = errscope.report.row_chunks, errscope.cli.render_error_space
+
+    def counted_row_chunks(*args):
+        for chunk in real_row_chunks(*args):
+            pulled.append(chunk)
+            yield chunk
+            written.set()  # resumed, so the chunk has been written
+            assert failed.wait(10)
+            time.sleep(0.05)  # for the figure's error to be recorded
+
+    def render_after_one_chunk(*args, **kwargs):
+        assert written.wait(10)
+        try:
+            return real_render(*args, **kwargs)
+        finally:
+            failed.set()
+
+    monkeypatch.setattr(errscope.report, "row_chunks", counted_row_chunks)
+    monkeypatch.setattr(errscope.cli, "render_error_space", render_after_one_chunk)
+    chunks = 5  # 4 of 4096 rows and 1 of one row
+    e = generate("correlated_pair", 4 * 4096 + 1, seed=1).errors[:, :2]
+    code, err, svg, rep = run_compare(errors_csv(tmp_path / "in.csv", e), tmp_path,
+                                      ["--layers", "hexbin", "--hex-radius", "1e300"])
+    assert code == 3 and err.startswith("error: figure coordinate ") and err.count("\n") == 1
+    assert not svg.exists() and not rep.exists()
+    assert 2 <= len(pulled) < chunks
+
+
+def test_write_all_under_thread_switches(tmp_path):
+    """Four outputs, three on threads of their own, with a thread switch every 10 us: two
+    writes fail, the later one in the serial order at its first piece and the earlier one
+    at its 40th; the earlier one's error is raised, no file and no thread is left."""
+    def build(k: int, fail: dict):
+        def write(fh):
+            for piece in range(50):
+                if fail.get(k) == piece:
+                    raise OSError(f"write {k}")
+                fh.write(f"{k}:{piece}\n")
+        return lambda: write
+
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for first, second in itertools.combinations(range(4), 2):
+            fail = {first: 40, second: 0}
+            with pytest.raises(OSError, match=f"^write {first}$"):
+                _write_all([(tmp_path / f"{k}.txt", build(k, fail)) for k in range(4)])
+            assert list(tmp_path.iterdir()) == []
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("rows, code", [

@@ -155,6 +155,39 @@ def test_kde_traced_peak_at_1e5(pts):
     assert peak <= 64 * 2**20
 
 
+def binned_axes(monkeypatch, pts, bandwidth=None) -> list[bool]:
+    """Whether kde2d bins each axis of pts, x first."""
+    binned, real_init = [], _Axis.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        binned.append(self.fine is not None)
+
+    monkeypatch.setattr(_Axis, "__init__", init)
+    kde2d(pts, bandwidth)
+    return binned
+
+
+@pytest.mark.parametrize("bandwidth, binned", [
+    (None, [False, True]),  # near_cutoff: K = 17 on both axes, 16.58 and 16.53 unrounded
+    ((0.033, 0.032), [True, False]),  # K = 67 and 70
+    ((0.0211, 0.0205), [True, False]),  # K = 104, 103.83 unrounded, and 108
+    ((0.021, 0.0205), [False, False]),  # K = 105, 104.32 unrounded, and 108
+])
+def test_kde_bins_the_finer_axis_when_both_pass_the_cutoff(monkeypatch, bandwidth, binned):
+    """When neither axis can be binned within KDE_MAX_SUBSTEPS, the one with the smaller
+    K is, up to K = 104."""
+    pts = CLOUDS_1E5["near_cutoff"]()
+    if bandwidth is not None:
+        pts = pts[:2_000]
+    grid = kde2d(pts, bandwidth)
+    ks = [math.ceil(1.0 / r / math.sqrt(8.0 * 2.5e-4)) for r in steps_per_bandwidth(grid)]
+    assert min(ks) > 16 and (min(ks) > 104) == (binned == [False, False])
+    assert binned_axes(monkeypatch, pts, bandwidth) == binned
+    if bandwidth is not None:
+        assert kde_error(pts, grid) <= 1e-3
+
+
 @pytest.mark.parametrize("lo, hi, h", [
     (-40.0, 25.0, 0.46),  # 16 fine steps per grid step, the most before exact
     (-40.0, 25.0, 10.0),  # one: the fine grid is the grid

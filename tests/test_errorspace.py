@@ -251,6 +251,16 @@ def test_analyze_pair_subnormal_covariance_is_degenerate(scale):
     assert np.isfinite(analyze_pair(e, "A", "B", metric="euclidean").distance).all()
 
 
+@pytest.mark.parametrize("value", [1e-160, 3e-170, 1.7e-200])
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_equal_tiny_errors_on_one_axis_are_not_an_underflow(value, metric):
+    # The centered errors of equal values are not all 0, as their mean rounds, and their
+    # squares underflow; but the variance is 0, so the ridge applies as for any equal axis.
+    e = np.column_stack([np.full(10, value), np.random.default_rng(41).normal(size=10)])
+    an = analyze_pair(e, "A", "B", metric=metric)
+    assert an.correlation is None and an.covariance[0, 0] == 1e-9
+
+
 def test_analysis_serialization_shape(tmp_path):
     rng = np.random.default_rng(8)
     an = analyze_pair(pair(rng.normal(size=10), rng.normal(size=10)), "A", "B")

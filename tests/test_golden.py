@@ -46,41 +46,41 @@ SYNTH_CSV = {
 COMPARE = {
     ("asymmetric_pair", "euclidean"): (
         "b7d37d46214fdc1b189070a58b7dac3a7a220a4579af1a838e4336359b519a2c",
-        "9debcdff3d809fb3d37bbf9cf05377579af84368609059912441e6bd49161f81"),
+        "6b778bffb957077f9b131f50e86a8d430ed5e122b1f1ab2540cf5a0c065bd82c"),
     ("asymmetric_pair", "mahalanobis"): (
         "b1a90ff142a02c798c779fdebbf8baf53014d773231cc4b5ce22507da99fc0b4",
-        "3420cb1b499d629680420d91507ab5025e6b1314ca81c5383e358edfa9550eb2"),
+        "03a6bfe279f4cef70c299819012630f79bf94933f8391eb38666dcf8787daa48"),
     ("correlated_pair", "euclidean"): (
         "4af3e7945090b784757c1c180f371311d88a4b3f7db4b29aa093e0ad6dea413a",
-        "2753f9696bd7811c0a4ee96d6289ba503a3bbc1d5fb911ba5cf23f3fb65f5466"),
+        "d0e3e740c686e2641766d6333f0cd96dc3dc70c1ce86aaf87e7143e9420b1a74"),
     ("correlated_pair", "mahalanobis"): (
         "85af9730d0ff508bf84df465cfdd6be2776e354e9437f0437f32ea8b43154729",
-        "f15734f0aae25de189384f8c54ef40a1ea7e881b27ba8e6b696f6b5ddcf86fff"),
+        "9301ce90a48053856c71cf8ee02a3fb3d8cc14a925c073c798d23b2f8c3892fa"),
     ("equal_metrics_divergent", "euclidean"): (
         "fd1f7556ac86d92dd4c141acfef1568d9e28e51e32159a61e52f25986d1d9eb3",
-        "bbe3a2d4faf86a33b9775f22ba9dfab570c7e2dd921ad685bf56243fb73d577d"),
+        "de818fe3b0f8921008450598f8b0888bf951cc7b69448128aca7cbcdce244696"),
     ("equal_metrics_divergent", "mahalanobis"): (
         "50da1649511b3c2f3b9a8a61041b63b1f9b8b1f7c1276b4271701934aa8461bd",
-        "988c9791d8c27c275b71d32df0011a590f6cdb363dbe1bf402d4c58ddf871843"),
+        "f2cfcb8e8d37a42d9b80fc2c9e21318581b5e4ef4696f0ea4877aef54d9503ae"),
     ("outlier_vs_moderate", "euclidean"): (
         "6e56fd7f2fcba81fb6d77f8569737a3090a9b33a1396fe160e90195e029c75a4",
-        "402e0d27750009a969017b0998e3b5466cf992cce57b668a341f4188b56370e7"),
+        "734e5cd5d647c78783cc44f0db57e76b260c442b94df37b49417cfe2313f11f0"),
     ("outlier_vs_moderate", "mahalanobis"): (
         "9ae313f4a7ec9829968d42a00646a3e3af10de4068e673ce8788badcf6c9c5a6",
-        "4b6bc65191562e7ccb89703717ac7ec7492d865616a00266f90f2e1ad89576eb"),
+        "d01cf6bcbedfa7a639ba980d113cf403c64cd0af81ab3900f0d510f6cc33f3f7"),
     ("under_vs_over", "euclidean"): (
         "9dbe1f1f67ad51339d7be735877d004e64788e43332048520990b78b7d613bd6",
-        "b72af6fea74972f6d326f1842024bab645368dae563411e376e308321c94990f"),
+        "40f9a62fecd91dc2e123bb17d49be24222b1024a3293cf4eddb38a79c3d6aa45"),
     ("under_vs_over", "mahalanobis"): (
         "4cea1069187fb28da5dd99feddd793dcb6e72525a485aec186b7cf28296a1023",
-        "083457844d1bdfc565b51c74699aa30b5fe3b49b8f0ea807a3b7f050fa3cbadc"),
+        "9b90c317c9459bef8492a435cfaf3b4d90ec26c099da3884f1cdbeec2256b296"),
 }
 
 # `metrics --plots DIR --json` on asymmetric_pair
 METRICS = {
     "boxplots.svg": "4bea8c781852b11d843db2a3795e03d7c1a0b839740413e5e17705c27899351a",
     "pred_vs_actual_grid.svg": "f7ce19a734b086735816fa06bd5323f7ea879eb03db16ca8a8a11b7247101ca4",
-    "stdout": "026c501007c22e1fde7ca3fa0cf92cadff504560b885f8779513e3ad6fb53f95",
+    "stdout": "d37eab2d7c39c9ccfb09a5b176db0456b229cd8fc0549b4b4afc59cc0ea73838",
 }
 
 
@@ -97,7 +97,7 @@ GLOBAL_GRID = "4953609f73187767e1607d9f261bdc196c2b8727f4fba2e233e926bbfc240580"
 CHUNK_N = (1 << 14) + 1
 CHUNK = ("e31ff4f3701e34ca867d92b5a3cf4a4e5f90c2004858ec2cd85b4a360f0536f3",
          "8bec29176ccf3874f7269b3f31abfee04993c5ee62c525a306237a8b5371e2ba",
-         "b0fccfe90f670f90c774103de7ed4569ed8aa0f57c39b58ef3bb49ad88b1e83a")
+         "16c33e3e246d69c1f9e26cd076b24bcba1a594e81ff8bf43255ec12c1f79f10c")
 
 
 # The covariance ridge, which no scenario above reaches; pinned before the
@@ -111,16 +111,16 @@ RIDGE_INPUTS = {
 RIDGE = {
     ("identical", "euclidean"): (
         "395e27a5321dcabff64606d82186ee996a8dc09dbaf6bbe7813e2aded7782c84",
-        "3b1519ce98e5163000d782df7fb7b402463d854d15e7f0a46c46cd86b4db0c50"),
+        "06077d8d0b611d9d32967d8c72a432435da686686a13516db581409b334f44d9"),
     ("identical", "mahalanobis"): (
         "d4a1ea730eaec20a8a80fef13a2fce33158b2461018a56027a143b760931fdbc",
-        "b7cabe953080eb42c28d59eff1c1a91e14c9b441c29f939833af0b96a2403c7c"),
+        "e809fc4573cf990ce08898ba7921b7aad8760fd79cbab60e4955523ee05a4861"),
     ("rank1", "euclidean"): (
         "8172d32b1af5b4e281bec75dba31f04a7171677d0a17273a47f88449ed2cb840",
-        "5e30fde481fe4204939a1476c0b1124fe83499a055285e84f709fe06d4cee96e"),
+        "4fc36786606bbebf220fabed88b53689e50f1734e043b754dbcbafd2cabf7b20"),
     ("rank1", "mahalanobis"): (
         "b08c0e7691a125aa988ec75b5f70fc94aeac63d9c93dc49de9141312371fc069",
-        "cce05152d921783362d158f78671ecea4054f1a3144fd568066b5848acbfd54c"),
+        "5f3b31c3fa4ca634d9b99725adbebca7607a234b4de8f9db5e48a255432b2962"),
 }
 
 
