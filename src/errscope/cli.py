@@ -20,7 +20,6 @@ import threading
 from pathlib import Path
 
 from . import __version__
-from .density import default_hex_radius, hexbin, kde2d
 from .errorspace import METRICS, analyze_pair
 from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import parse_predictions
@@ -173,12 +172,7 @@ def cmd_compare(args) -> int:
                             args.a, args.b, metric=args.metric)
 
     def figure():
-        kde = kde2d(analysis.e, bandwidth=args.bandwidth) if "kde" in args.layers else None
-        hexgrid = None
-        if "hexbin" in args.layers:
-            radius = default_hex_radius(analysis.e) if args.hex_radius is None else args.hex_radius
-            hexgrid = hexbin(analysis.e, radius)
-        return render_error_space(analysis, layers=args.layers, kde=kde, hexgrid=hexgrid).write
+        return render_error_space(analysis, args.layers, args.bandwidth, args.hex_radius).write
 
     report = None
 

@@ -112,7 +112,9 @@ def _kernel_sum(pts: np.ndarray, grids, bandwidths) -> np.ndarray:
     limits = [KDE_MAX_SUBSTEPS] * 2
     if min(substeps) > KDE_MAX_SUBSTEPS:
         limits[substeps.index(min(substeps))] = KDE_MAX_SUBSTEPS_ONE
-    ax, ay = (_Axis(grid, pts[:, k], h, limits[k])
+    # K of each binned axis, None for an exact one; an infinite s never reaches ceil.
+    ks = [max(1, math.ceil(s)) if s <= limit else None for s, limit in zip(substeps, limits)]
+    ax, ay = (_Axis(grid, pts[:, k], h, ks[k])
               for k, (grid, h) in enumerate(zip(grids, bandwidths)))
     # c[i, j] sums, over the points, the weight of x node i times that of y node j.
     c = np.zeros((ax.nodes, ay.nodes))
@@ -127,15 +129,13 @@ def _kernel_sum(pts: np.ndarray, grids, bandwidths) -> np.ndarray:
 
 
 class _Axis:
-    """One KDE grid axis, binned onto a fine grid or evaluated exactly at its nodes."""
+    """One KDE grid axis, binned onto k fine sub-steps per grid step, or evaluated exactly at
+    its nodes when k is None."""
 
-    def __init__(self, grid: np.ndarray, x: np.ndarray, h: float,
-                 max_substeps: int = KDE_MAX_SUBSTEPS):
+    def __init__(self, grid: np.ndarray, x: np.ndarray, h: float, k: int | None):
         self.grid, self.h = grid, h
-        substeps = _substeps(grid, h)
-        if substeps <= max_substeps:
-            self.fine = np.linspace(grid[0], grid[-1],
-                                    (grid.size - 1) * max(1, math.ceil(substeps)) + 1)
+        if k is not None:
+            self.fine = np.linspace(grid[0], grid[-1], (grid.size - 1) * k + 1)
             self.nodes, self.width = self.fine.size, 2
         else:
             self.fine = None
@@ -250,19 +250,16 @@ def hex_corners(layer: HexbinLayer) -> np.ndarray:
     return centers[:, None, :] + radius * _UNIT_CORNERS
 
 
-def default_hex_radius(points) -> float:
-    """Bounding-box diagonal / 40, the default cell size."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    span = pts.max(axis=0) - pts.min(axis=0)
-    diag = float(np.hypot(span[0], span[1]))
-    return diag / 40.0 if diag > 0.0 else 1.0
-
-
-def hexbin(points, hex_radius: float) -> HexbinLayer:
-    """Count points per hexagonal cell; empty cells are omitted."""
+def hexbin(points, hex_radius: float | None = None) -> HexbinLayer:
+    """Count points per hexagonal cell; empty cells are omitted. The default cell radius
+    is the bounding-box diagonal / 40, or 1.0 when the points all coincide."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 1:
         raise DegenerateDistribution("hexbin needs at least one point")
+    if hex_radius is None:
+        span = pts.max(axis=0) - pts.min(axis=0)
+        diag = float(np.hypot(span[0], span[1]))
+        hex_radius = diag / 40.0 if diag > 0.0 else 1.0
     # Axial coordinates must fit int64, and the cell geometry float64.
     if not (hex_radius > 0.0 and float(np.abs(pts).max()) / hex_radius < 2.0 ** 62
             and math.isfinite(math.sqrt(3.0) * hex_radius)):

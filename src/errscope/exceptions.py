@@ -31,7 +31,3 @@ class UnknownModel(ErrscopeError):
 
 class DegenerateDistribution(ErrscopeError):
     """Too few or fully coincident points for the requested estimate."""
-
-
-class MissingLayerInput(ErrscopeError):
-    """A figure layer was requested without the data it needs."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import M_BOUND, Strings, row_chunks
-from .density import HexbinLayer, KdeGrid, hex_corners
+from .density import hex_corners, hexbin, kde2d
 from .errorspace import ErrorSpaceAnalysis, cholesky, percentile_ranks
-from .exceptions import DegenerateDistribution, ErrscopeError, MissingLayerInput
+from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import PredictionSet
 
 PANEL_SIZE = 800.0
@@ -313,20 +313,22 @@ def _crown_curve(analysis: ErrorSpaceAnalysis) -> tuple[np.ndarray, np.ndarray]:
     return cx + t * (cos * l00), cy + t * (cos * l10 + sin * l11)
 
 
-def render_error_space(analysis: ErrorSpaceAnalysis,
-                       layers=DEFAULT_LAYERS,
-                       kde: KdeGrid | None = None,
-                       hexgrid: HexbinLayer | None = None) -> Figure:
-    """The 2D error space with selectable layers.
+def render_error_space(analysis: ErrorSpaceAnalysis, layers=DEFAULT_LAYERS,
+                       bandwidth: tuple[float, float] | None = None,
+                       hex_radius: float | None = None) -> Figure:
+    """The 2D error space with the named layers, by default zones, proximity and crown.
+
+    The kde layer draws kde2d(analysis.e, bandwidth), with Scott's bandwidth when
+    bandwidth is None; the hexbin layer draws hexbin(analysis.e, hex_radius), with cells
+    of the bounding-box diagonal / 40 when hex_radius is None. Both are built first, the
+    KDE before the hexbin, so their errors come before any other the figure raises.
 
     Stacking, background to foreground: density (kde/hexbin), comparison
     zones, axes and diagonals, median crown (white), points.
     """
     layers = set(check_layers(layers))
-    if "kde" in layers and kde is None:
-        raise MissingLayerInput("kde layer requested without a KdeGrid")
-    if "hexbin" in layers and hexgrid is None:
-        raise MissingLayerInput("hexbin layer requested without a HexbinLayer")
+    kde = kde2d(analysis.e, bandwidth) if "kde" in layers else None
+    hexgrid = hexbin(analysis.e, hex_radius) if "hexbin" in layers else None
 
     e, t, (cx, cy) = analysis.e, analysis.crown_threshold, analysis.median2d
     # The crown's half-extent along each axis.

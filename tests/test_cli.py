@@ -25,6 +25,7 @@ from conftest import svg_text
 
 import errscope.cli
 import errscope.ingest
+import errscope.render
 import errscope.report
 from errscope import analyze_pair, parse_predictions, render_error_space
 from errscope.cli import _write_all, main
@@ -601,16 +602,21 @@ def test_metrics_plots_huge_constant_target(tmp_path, capsys, value, flags):
 
 
 def test_compare_default_layers(demo_csv, tmp_path):
-    svgs = []
-    for tag, flags in (("default", []), ("explicit", ["--layers", "zones,proximity,crown"])):
-        svg = tmp_path / f"{tag}.svg"
-        assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", *flags,
-                     "-o", str(svg)]) == 0
-        svgs.append(svg.read_bytes())
+    # Each figure compare writes has the bytes of one render_error_space call.
     ps = parse_predictions(demo_csv.read_bytes())
     analysis = analyze_pair(ps.errors[:, [ps.index("B1"), ps.index("B2")]], "B1", "B2")
-    svgs.append(svg_text(render_error_space(analysis)).encode("utf-8"))
-    assert svgs[0] == svgs[1] == svgs[2]
+    every = ["--layers", "zones,scatter,proximity,crown,kde,hexbin"]
+    for flags, kwargs in [
+        ([], {}),
+        (["--layers", "zones,proximity,crown"], {}),
+        (every, {"layers": ERROR_SPACE_LAYERS}),  # Scott's bandwidth, diagonal / 40 cells
+        (every + ["--bandwidth", "1.5,1.5", "--hex-radius", "2"],
+         {"layers": ERROR_SPACE_LAYERS, "bandwidth": (1.5, 1.5), "hex_radius": 2.0}),
+    ]:
+        svg = tmp_path / "x.svg"
+        assert main(["compare", str(demo_csv), "--a", "B1", "--b", "B2", *flags,
+                     "-o", str(svg)]) == 0
+        assert svg.read_bytes() == svg_text(render_error_space(analysis, **kwargs)).encode("utf-8")
 
 
 def test_to_json_rejects_nan():
@@ -797,15 +803,15 @@ def test_compare_other_model_overflow_leaves_no_svg(tmp_path):
 # compare builds the report and writes its JSON on a second thread while this one builds
 # and writes the figure. Its errors and files must be those of the serial order: figure,
 # report, SVG write, JSON write.
-def late(monkeypatch, name: str, seconds: float = 0.3) -> None:
-    """Make errscope.cli's name sleep before it runs."""
-    real = getattr(errscope.cli, name)
+def late(monkeypatch, name: str, seconds: float = 0.3, module=errscope.cli) -> None:
+    """Make module's name, errscope.cli's by default, sleep before it runs."""
+    real = getattr(module, name)
 
     def delayed(*args, **kwargs):
         time.sleep(seconds)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(errscope.cli, name, delayed)
+    monkeypatch.setattr(module, name, delayed)
 
 
 @pytest.mark.parametrize("delayed", [None, "build_pair_report", "render_error_space"])
@@ -927,10 +933,12 @@ def test_compare_leaves_no_thread(tmp_path, monkeypatch, rows, code):
     assert threading.enumerate() == before
 
 
-@pytest.mark.parametrize("delayed", ["build_pair_report", "kde2d"])
-def test_compare_digests_with_either_thread_late(tmp_path, monkeypatch, delayed):
+@pytest.mark.parametrize("module, delayed", [(errscope.cli, "build_pair_report"),
+                                              (errscope.render, "kde2d")],
+                         ids=["build_pair_report", "kde2d"])
+def test_compare_digests_with_either_thread_late(tmp_path, monkeypatch, module, delayed):
     """The report's thread held back, and then the figure's: the golden bytes either way."""
-    late(monkeypatch, delayed)
+    late(monkeypatch, delayed, module=module)
     for kind, metric in [("under_vs_over", "mahalanobis"), ("outlier_vs_moderate", "euclidean")]:
         csv, svg, rep = tmp_path / "in.csv", tmp_path / "x.svg", tmp_path / "rep.json"
         argv = ["synth", "--kind", kind, "--n", golden.N, "--seed", golden.SEED, "-o", csv]

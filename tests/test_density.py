@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from errscope import SCENARIOS, generate, hex_corners, hexbin, kde2d
-from errscope.density import _Axis, default_hex_radius, xy_to_axial
+from errscope.density import _Axis, _substeps, xy_to_axial
 from errscope.exceptions import DegenerateDistribution
 
 
@@ -159,9 +159,9 @@ def binned_axes(monkeypatch, pts, bandwidth=None) -> list[bool]:
     """Whether kde2d bins each axis of pts, x first."""
     binned, real_init = [], _Axis.__init__
 
-    def init(self, *args):
-        real_init(self, *args)
-        binned.append(self.fine is not None)
+    def init(self, grid, x, h, k):
+        real_init(self, grid, x, h, k)
+        binned.append(k is not None)
 
     monkeypatch.setattr(_Axis, "__init__", init)
     kde2d(pts, bandwidth)
@@ -199,7 +199,8 @@ def test_fine_node_index_is_searchsorteds(lo, hi, h):
     """On a binned axis, the fine node below each point, read from the node spacing, is
     searchsorted(fine, x, "right") - 1, the last but one at the top end: on every fine
     node, the doubles next to each, both grid ends and points over the whole grid."""
-    axis = _Axis(np.linspace(lo, hi, 200), np.empty(0), h)
+    grid = np.linspace(lo, hi, 200)
+    axis = _Axis(grid, np.empty(0), h, max(1, math.ceil(_substeps(grid, h))))
     fine = axis.fine
     assert fine is not None
     x = np.concatenate([fine, np.nextafter(fine, -np.inf), np.nextafter(fine, np.inf),
@@ -355,6 +356,11 @@ def test_axial_roundtrip_at_centers():
             assert (int(q), int(r)) == (q0, r0)
 
 
-def test_default_hex_radius_is_diag_over_40():
-    pts = [(0.0, 0.0), (3.0, 4.0)]
-    assert default_hex_radius(pts) == pytest.approx(5.0 / 40.0)
+def test_hexbin_default_radius_is_diag_over_40():
+    assert hexbin([(0.0, 0.0), (3.0, 4.0)]).hex_radius == 5.0 / 40.0
+    # No diagonal, from one point or from coincident ones: a radius of 1.
+    assert hexbin([(2.0, -1.0)]).hex_radius == 1.0
+    assert hexbin([(2.0, -1.0)] * 3).hex_radius == 1.0
+    # A diagonal whose fortieth underflows gives a radius of 0.0, which is out of range.
+    with pytest.raises(DegenerateDistribution, match="hex radius 0.0 is out of range"):
+        hexbin([(0.0, 0.0), (5e-324, 0.0)])

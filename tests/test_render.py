@@ -12,7 +12,6 @@ from errscope import (
     ZONES,
     analyze_pair,
     boxplot_stats,
-    default_hex_radius,
     hexbin,
     kde2d,
     parse_predictions,
@@ -20,7 +19,7 @@ from errscope import (
     render_error_space,
     render_model_grid,
 )
-from errscope.exceptions import DegenerateDistribution, MissingLayerInput, UnknownModel
+from errscope.exceptions import DegenerateDistribution, ErrscopeError, UnknownModel
 from errscope._text import M_BOUND, ROW_CHUNK
 from errscope.render import ERROR_SPACE_LAYERS, Figure, colormap, fmt
 
@@ -100,8 +99,7 @@ def test_shape_numbers_below_the_bound(shape):
 def test_write_traced_peak_at_1e5():
     # Figure.write hands the file one piece at a time: no whole document is built.
     an = sample_analysis(n=100_000, seed=9)
-    fig = render_error_space(an, layers=ERROR_SPACE_LAYERS, kde=kde2d(an.e),
-                             hexgrid=hexbin(an.e, default_hex_radius(an.e)))
+    fig = render_error_space(an, layers=ERROR_SPACE_LAYERS)
     with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
         tracemalloc.start()
         try:
@@ -125,12 +123,22 @@ def test_colormap_endpoints_and_interpolation():
 
 def test_byte_determinism():
     an = sample_analysis()
-    kde = kde2d(an.e)
-    hx = hexbin(an.e, 0.5)
     layers = ("zones", "proximity", "crown", "kde", "hexbin")
-    svg1 = svg_text(render_error_space(an, layers=layers, kde=kde, hexgrid=hx))
-    svg2 = svg_text(render_error_space(an, layers=layers, kde=kde, hexgrid=hx))
+    svg1 = svg_text(render_error_space(an, layers=layers, hex_radius=0.5))
+    svg2 = svg_text(render_error_space(an, layers=layers, hex_radius=0.5))
     assert svg1.encode() == svg2.encode()
+
+
+@pytest.mark.parametrize("bandwidth, hex_radius", [(None, None), ((0.4, 0.2), 0.5)])
+def test_density_layers_follow_bandwidth_and_hex_radius(bandwidth, hex_radius):
+    # One rect per KDE cell above 1% of the peak, after the background, and one polygon
+    # per occupied hex cell, of the layers kde2d and hexbin build with the same options.
+    an = sample_analysis()
+    fig = render_error_space(an, layers=("kde", "hexbin"), bandwidth=bandwidth,
+                             hex_radius=hex_radius)
+    values = kde2d(an.e, bandwidth).values
+    assert len(find_all(fig, "rect")) == 1 + np.count_nonzero(values > 0.01 * values.max())
+    assert len(find_all(fig, "polygon", cls="hex")) == len(hexbin(an.e, hex_radius).cells)
 
 
 def test_point_positions_match_transform():
@@ -197,14 +205,9 @@ def test_mahalanobis_crown_axis_ratio():
     assert radii.max() / radii.min() == pytest.approx(2.0, rel=1e-3)
 
 
-def test_missing_layer_input():
-    an = sample_analysis()
-    with pytest.raises(MissingLayerInput):
-        render_error_space(an, layers=("kde",))
-    with pytest.raises(MissingLayerInput):
-        render_error_space(an, layers=("hexbin",))
-    with pytest.raises(ValueError):
-        render_error_space(an, layers=("sparkles",))
+def test_unknown_layer_is_an_error():
+    with pytest.raises(ErrscopeError, match="unknown layer"):
+        render_error_space(sample_analysis(), layers=("sparkles",))
 
 
 def test_boxplots_need_stats():

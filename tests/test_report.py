@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 
 import oracles
 
-from errscope import analyze_pair, generate
+from errscope import analyze_pair, density, errorspace, generate
 from errscope._text import ROW_CHUNK
 from errscope.errorspace import QUADRANTS, ZONES
 from errscope.ingest import PredictionSet
-from errscope.report import build_pair_report, write_pair_json
+from errscope.report import DECISIONS, build_pair_report, write_pair_json
 
 # Signed zeros, the smallest subnormal, integral values, a wide spread of
 # magnitudes, points on both diagonals and repeated rows (tied distances).
@@ -120,3 +121,21 @@ def test_non_finite_column_leaves_no_file(column):
     with pytest.raises(ValueError):
         write_pair_json(buf, report, dataclasses.replace(an, **{column: bad}))
     assert buf.getvalue() == ""
+
+
+def test_decisions_quote_the_live_constants():
+    """Each number the KDE and covariance DECISIONS texts quote is the constant the code
+    runs with."""
+    kde, cov = DECISIONS["kde_evaluation"], DECISIONS["covariance"]
+    quotes = [
+        (kde, r"sqrt\(8 \* ([\d.e-]+)\)", density.KDE_BIN_ERROR),
+        (kde, r"if K <= (\d+), else exact", density.KDE_MAX_SUBSTEPS),
+        (kde, r"if both axes pass (\d+),", density.KDE_MAX_SUBSTEPS),
+        (kde, r"binned if K <= (\d+);", density.KDE_MAX_SUBSTEPS_ONE),
+        (kde, r"kernel cut at ([\d.e-]+)h$", density.KDE_EXACT_REACH),
+        (cov, r"ridge ([\d.e-]+) \*", errorspace._RIDGE_SCALE),
+        (cov, r"condition number passes ([\d.e-]+)$", errorspace._COND_LIMIT),
+    ]
+    for text, pattern, value in quotes:
+        match = re.search(pattern, text)
+        assert match is not None and float(match.group(1)) == value, (pattern, value)
