@@ -7,14 +7,16 @@ chunk; only a subnormal goes through repr, one at a time. %m, an SVG shape coord
 writes v at a fixed step of 10^-3: m = rint(v 1000) as m 10^-3, trailing zeros and then a
 bare point dropped, "-" only when m < 0. %s takes a column of texts already in bytes:
 Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
-Threads may write at once: each table is built once, by the first thread that asks.
+Threads may write at once, and a writer may take a helper thread for a core no one uses
+(IDLE_CORES): each table is built once, by the first thread that asks.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import threading
-from functools import cache, wraps
+from functools import cache, partial, wraps
 
 import numpy as np
 
@@ -189,8 +191,9 @@ def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
             keep.view(np.uint32).reshape(-1, 15), 18 * forms)
 
 
-def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digit words, exponent words, mask words) of each finite float64."""
+def _repr_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (table, index) pairs whose takes give the digit words, the exponent words and the
+    mask words of each finite float64."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
     sign = (bits >> 63).astype(np.intp)
     bits = bits & ((1 << 63) - 1)
@@ -212,8 +215,7 @@ def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, z1, z2, z3, z4 = quad_zeros.take(quads)  # the first group, "000d", ends in a nonzero digit
     nsig = 17 - z4 - (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))
     form = np.where(bits == 0, 18 * _ZERO, forms.take(decpt + 323)) + 450 * sign + nsig
-    return (quad_words.take(quads.T), exponents.take(decpt + 323, axis=0),
-            layouts.take(form, axis=0))
+    return (quad_words, quads.T), (exponents, decpt + 323), (layouts, form)
 
 
 # A %m field is 6 words: a sign and three bytes of padding, the integer part as four "%04d"
@@ -232,8 +234,9 @@ def _fixed_layouts() -> np.ndarray:
     return keep.view(np.uint32).reshape(-1, 6)
 
 
-def _fixed_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(digit words, mask words) of each float64 below M_BOUND in magnitude."""
+def _fixed_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (table, index) pairs whose takes give the digit words and the mask words of each
+    float64 below M_BOUND in magnitude."""
     m = np.rint(x * 1000.0)
     whole, fraction = np.divmod(np.abs(m).astype(np.uint64), 1000)
     upper, lower = np.divmod(whole, 10**8)
@@ -241,8 +244,7 @@ def _fixed_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     quad_words, quad_zeros = _repr_tables()[:2]
     digits = np.searchsorted(_POW10[1:], whole, side="right")  # of the integer part, less 1
     z = quad_zeros.take(fraction)  # trailing zeros of "0fff": 4 only for a fraction of 0
-    return (quad_words.take(quads.T),
-            _fixed_layouts().take(((m < 0) * 16 + digits) * 5 + z, axis=0))
+    return (quad_words, quads.T), (_fixed_layouts(), ((m < 0) * 16 + digits) * 5 + z)
 
 
 class Strings:
@@ -311,8 +313,16 @@ class Strings:
 
 
 # Each number field's bytes, its width long, with the bytes no row changes written in: a
-# buffer takes them once, as it takes the literals.
+# buffer takes them once, as it takes the literals. Each number kernel gives the (table,
+# index) pairs whose takes are a field's words.
 _HEADS = {"r": _R_HEAD, "m": _M_HEAD}
+_KERNELS = {"r": _repr_block, "m": _fixed_block}
+
+
+# One token per core this process may run on: a command holds one for each output it makes,
+# and a row writer borrows one, if one is free, for the helper thread it runs beside it.
+IDLE_CORES = threading.BoundedSemaphore(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -321,31 +331,89 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
-def _put(spec: str, column, text: np.ndarray, keep: np.ndarray) -> None:
-    """Fill one field of a chunk: text and keep are its (rows, width) views, whose head
-    bytes row_chunks wrote."""
+def _put(spec: str, block, text: np.ndarray, keep: np.ndarray) -> None:
+    """Fill one field of a chunk from its block, the (table, index) pairs a number field's
+    kernel gives or a %s field's texts: text and keep are its (rows, width) views, whose
+    head bytes row_chunks wrote."""
+    if spec in _KERNELS:
+        block = [_rows(table.take(index, axis=0)) for table, index in block]
     if spec == "m":
-        _rows(text[:, 4:])[:], _rows(keep)[:] = map(_rows, _fixed_block(column))
+        _rows(text[:, 4:])[:], _rows(keep)[:] = block
         text[:, 20] = ord(".")
     elif spec == "r":
-        digits, _rows(text[:, 52:])[:], _rows(keep)[:] = map(_rows, _repr_block(column))
+        digits, _rows(text[:, 52:])[:], _rows(keep)[:] = block
         _rows(text[:, 8:28])[:] = _rows(text[:, 32:52])[:] = digits
-    elif isinstance(column, np.ndarray):  # fixed-width texts: every byte is written
-        text[:], keep[:] = column, True
+    elif isinstance(block, np.ndarray):  # fixed-width texts: every byte is written
+        text[:], keep[:] = block, True
     elif width := keep.shape[1]:  # Strings, not all empty: each text's bytes at a row's start
         # The width + 1 windows, one byte apart, of width ones then width zeros: window j
         # keeps the first width - j bytes of a row.
         windows = np.arange(2 * width) < width
         masks = np.ndarray((width + 1,), np.dtype((np.void, width)), windows, 0, (1,))
-        _rows(keep)[:] = masks[width - np.diff(column.offsets)]
-        text[keep] = column.blob[column.offsets[0]:column.offsets[-1]]
+        _rows(keep)[:] = masks[width - np.diff(block.offsets)]
+        text[keep] = block.blob[block.offsets[0]:block.offsets[-1]]
+
+
+class _Helper:
+    """A thread that runs a row writer's tasks, one at a time: submit hands one over;
+    result() waits for it, then returns its value or raises its error; close ends the
+    thread once the task handed over, if any, has ended."""
+
+    def __init__(self):
+        self.task = self.value = self.error = None
+        self.busy = False
+        # Each lock is held until its event: a task handed over, that task ended.
+        self.handed, self.ended = threading.Lock(), threading.Lock()
+        self.handed.acquire()
+        self.ended.acquire()
+        # A daemon: a writer left open must not keep the interpreter from exiting.
+        self.thread = threading.Thread(target=self._serve, name="row_chunks helper",
+                                       daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while self.handed.acquire() and self.task is not None:
+            try:
+                self.value, self.error = self.task(), None
+            except BaseException as exc:
+                self.value, self.error = None, exc
+            self.ended.release()
+
+    def submit(self, task) -> None:
+        self.task, self.busy = task, True
+        self.handed.release()
+
+    def result(self):
+        self.ended.acquire()
+        self.busy = False
+        if self.error is not None:
+            raise self.error
+        value, self.value = self.value, None
+        return value
+
+    def close(self) -> None:
+        if self.busy:
+            self.ended.acquire()
+        self.task = None
+        self.handed.release()
+        self.thread.join()
 
 
 def row_chunks(template: str, *columns):
-    """template % row for the rows of the equal-length columns, one string per chunk: %r
-    takes finite floats, %m floats below M_BOUND in magnitude, %s Strings or a (rows,
-    width) uint8 array of fixed-width texts; no literal has %. Every field is filled on its
-    own by _put, a %r or %m one by one pass of its kernel over the chunk."""
+    """template % row for the rows of the equal-length columns, one string per chunk, in row
+    order: %r takes finite floats, %m floats below M_BOUND in magnitude, %s Strings or a
+    (rows, width) uint8 array of fixed-width texts; no literal has %. A chunk is made in two
+    steps: the kernel passes of its %r and %m fields, which give each field's block of
+    table indices, then _put of every field into the buffers, and one masked copy of the
+    bytes they keep.
+
+    With more than one chunk, the writer borrows a token of IDLE_CORES for its whole run,
+    if one is free. Then a helper thread takes the second step of each chunk but the last,
+    while this thread takes the first step of the next, in one kernel pass over all the %r
+    fields and one over all the %m fields. Without a token, each field is put as soon as
+    its kernel has run. While the generator is suspended its helper has no task, but the
+    helper's thread and the token are held until the generator ends or is closed: close
+    one left unfinished."""
     parts, n = _SPEC.split(template), len(columns[0])
     specs = parts[1::2]
     # Each literal, then its field, takes the next byte columns; a number field starts on a word.
@@ -368,9 +436,48 @@ def row_chunks(template: str, *columns):
     for spec, (a, width) in zip(specs, spans[1::2]):
         if spec in _HEADS:
             text[:, a:a + width] = _HEADS[spec]
-    for start in range(0, n, step):
-        m = min(step, n - start)
-        rows = slice(start, start + m)
-        for spec, column, (a, width) in zip(specs, columns, spans[1::2]):
-            _put(spec, column[rows], text[:m, a:a + width], keep[:m, a:a + width])
-        yield str(text[:m][keep[:m]], "utf-8", "surrogatepass")
+
+    def written(m: int, blocks) -> str:
+        """The text of a chunk of m rows from the block of each field: a block made on
+        demand is dropped once put."""
+        blocks = iter(blocks)
+        for spec, (a, width) in zip(specs, spans[1::2]):
+            _put(spec, next(blocks), text[:m, a:a + width], keep[:m, a:a + width])
+        return str(text[:m][keep[:m]], "utf-8", "surrogatepass")
+
+    # The fields of each number kernel. A writer with a helper runs each kernel once per
+    # chunk over all its fields: fewer, longer numpy calls, so fewer hand-offs of the GIL.
+    groups = [(kernel, [i for i, s in enumerate(specs) if s == spec])
+              for spec, kernel in _KERNELS.items() if spec in specs]
+
+    def ahead(rows: slice, m: int) -> list:
+        """The block of every field of the m rows, made at once."""
+        blocks = [column[rows] for column in columns]
+        for kernel, fields in groups:
+            pairs = kernel(np.concatenate([columns[i][rows] for i in fields]))
+            for j, i in enumerate(fields):  # field i's rows of each index
+                blocks[i] = [(table, index[j * m:(j + 1) * m]) for table, index in pairs]
+        return blocks
+
+    lend = n > step and IDLE_CORES.acquire(blocking=False)
+    helper = None
+    try:
+        for start in range(0, n, step):
+            m, rows = min(step, n - start), slice(start, start + step)
+            if lend:  # made while the helper writes the chunk before
+                blocks = ahead(rows, m)
+            else:
+                blocks = (_KERNELS[spec](column[rows]) if spec in _KERNELS else column[rows]
+                          for spec, column in zip(specs, columns))
+            if helper is not None and helper.busy:
+                yield helper.result()  # the buffers are free again
+            if lend and start + m < n:
+                helper = helper or _Helper()
+                helper.submit(partial(written, m, blocks))
+            else:
+                yield written(m, blocks)
+    finally:
+        if helper is not None:
+            helper.close()
+        if lend:
+            IDLE_CORES.release()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -169,8 +170,10 @@ class PredictionSet:
         ids = self.instance_ids  # written as bytes; plain ids pass through untouched
         if np.isin(ids.blob, _QUOTED_BYTES, kind="table").any():
             ids = Strings.of(map(_csv_field, ids.tolist()))
-        fh.writelines(row_chunks("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
-                           ids, self.y_true, *self.predictions.T))
+        rows = row_chunks("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
+                          ids, self.y_true, *self.predictions.T)
+        with contextlib.closing(rows):  # a failed write gives back the writer's core too
+            fh.writelines(rows)
 
 
 def _non_numeric(row: list[str], header: list[str], lineno: int) -> NonNumeric:

@@ -3,6 +3,8 @@ import warnings
 import xml.etree.ElementTree as ET
 from contextlib import suppress
 
+import pytest
+
 # When a @given test fails, Hypothesis's pytest plugin imports this module to write a
 # failure patch. Its libcst import warns DeprecationWarning, which filterwarnings = error
 # raises inside the plugin's hook: pytest stops with INTERNALERROR and runs no later test.
@@ -13,6 +15,23 @@ with warnings.catch_warnings(), suppress(ImportError):
     import hypothesis.extra._patching  # noqa: F401
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+@pytest.fixture
+def helpers(monkeypatch) -> list:
+    """A list that gains the row count of each chunk a row writer hands to its helper
+    thread."""
+    import errscope._text  # here, not above: tests/test_suite.py runs this file on its own
+
+    handed = []
+
+    class Counted(errscope._text._Helper):
+        def submit(self, task):
+            handed.append(task.args[0])
+            super().submit(task)
+
+    monkeypatch.setattr(errscope._text, "_Helper", Counted)
+    return handed
 
 
 def svg_text(fig) -> str:

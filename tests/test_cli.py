@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import test_golden as golden
 from conftest import svg_text
+from oracles import free_cores
 
 import errscope.cli
 import errscope.ingest
@@ -219,11 +220,85 @@ def test_metrics_boxplots_failure_removes_the_grid(demo_csv, tmp_path, capsys):
 ], ids=["metrics_exit_0", "metrics_exit_2", "synth_exit_0", "synth_exit_2"])
 def test_metrics_and_synth_leave_no_thread(demo_csv, tmp_path, capsys, argv, code):
     # metrics writes its grid on a second thread, and the grid's path fails in grid_dir;
-    # synth has one output and starts no thread.
+    # synth has one output, and its 50 rows are one chunk, which the row writer writes
+    # without a helper thread.
     (tmp_path / "grid_dir" / "pred_vs_actual_grid.svg").mkdir(parents=True)
     before = threading.active_count()
     assert main([a.format(csv=demo_csv, tmp=tmp_path) for a in argv]) == code
     assert threading.active_count() == before
+
+
+class FailsOnSecondWrite:
+    """An open file whose second write raises ENOSPC: synth's first chunk of rows, after
+    its header."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.fh.write(text)
+
+
+def test_synth_failed_write_leaves_no_helper(tmp_path, monkeypatch, capsys, helpers):
+    # The row writer's helper has written the first chunk when its write fails: exit 2, no
+    # CSV, no thread left and every core given back when main returns.
+    monkeypatch.setattr(errscope._text, "IDLE_CORES", threading.BoundedSemaphore(2))
+    monkeypatch.setattr(errscope.cli, "open", lambda *a, **k: FailsOnSecondWrite(open(*a, **k)),
+                        raising=False)
+    out = tmp_path / "out.csv"
+    before, free = threading.enumerate(), free_cores()
+    assert main(["synth", "--kind", "under_vs_over", "--n", "20000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not out.exists() and len(helpers) >= 1
+    assert threading.enumerate() == before and free_cores() == free
+
+
+def test_helpers_only_on_cores_no_output_holds(tmp_path, monkeypatch, capsys, helpers):
+    # Two cores. synth holds one for its one output, and its row writer takes the other.
+    # compare holds both for its figure and report, so none of their row writers takes a
+    # helper. metrics --plots draws both figures before it starts an output, with both
+    # cores free, so the grid's writer takes one then; none while the outputs are written.
+    # _write_all is wrapped to count the hand-offs made while it runs.
+    monkeypatch.setattr(errscope._text, "IDLE_CORES", threading.BoundedSemaphore(2))
+    real_write_all, during = errscope.cli._write_all, []
+
+    def write_all(*args):
+        before = len(helpers)
+        real_write_all(*args)
+        during.append(len(helpers) - before)
+
+    monkeypatch.setattr(errscope.cli, "_write_all", write_all)
+    csv = tmp_path / "in.csv"
+    assert main(["synth", "--kind", "under_vs_over", "--n", "20000", "-o", str(csv)]) == 0
+    assert during[-1] >= 1 and free_cores() == 2
+    helpers.clear()
+    assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers",
+                 ",".join(ERROR_SPACE_LAYERS), "-o", str(tmp_path / "x.svg"),
+                 "--json", str(tmp_path / "x.json")]) == 0
+    assert helpers == [] and free_cores() == 2
+    assert main(["metrics", str(csv), "--plots", str(tmp_path / "figs")]) == 0
+    assert during[-1] == 0 and len(helpers) >= 1 and free_cores() == 2
+    # With four cores, two are left to compare's row writers: the same bytes.
+    monkeypatch.setattr(errscope._text, "IDLE_CORES", threading.BoundedSemaphore(4))
+    helpers.clear()
+    assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers",
+                 ",".join(ERROR_SPACE_LAYERS), "-o", str(tmp_path / "y.svg"),
+                 "--json", str(tmp_path / "y.json")]) == 0
+    assert during[-1] >= 1 and free_cores() == 4
+    for name in ("svg", "json"):
+        assert (tmp_path / f"x.{name}").read_bytes() == (tmp_path / f"y.{name}").read_bytes()
 
 
 def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):

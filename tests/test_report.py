@@ -2,6 +2,7 @@
 its points read back to the analysis bit for bit."""
 
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -107,8 +108,31 @@ def test_write_pair_json_traced_peak_at_1e5():
             tracemalloc.stop()
     # With numpy 2.4.6 on Python 3.11 the peak read 4.1 MB with a one-line array per point,
     # 5.1 MB with a dict per point (chunks of 4096 rows) and 12.6 to 13.4 MB with chunks of
-    # 16384.
+    # 16384. A free core adds the row writer's helper and one chunk's kernel indices made
+    # ahead: 6.8 MB.
     assert peak <= 8 * 2**20
+
+
+class FullAfterHead(io.StringIO):
+    """A file whose every write after the first raises ENOSPC."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+def test_failed_write_gives_back_the_helpers_core(helpers):
+    # The first chunk of points, written on the row writer's helper, goes out with the head;
+    # the second write fails. The writer is closed as the error leaves write_pair_json, even
+    # while the error, and so its traceback, is kept.
+    an, report = analysis_and_report(generate("correlated_pair", 3 * ROW_CHUNK, seed=1),
+                                      "E1", "E2", "mahalanobis")
+    free = oracles.free_cores()
+    with pytest.raises(OSError, match="No space left") as failure:
+        write_pair_json(FullAfterHead(), report, an)
+    assert len(helpers) >= 1 and oracles.free_cores() == free
+    assert failure.value.__traceback__ is not None
 
 
 @pytest.mark.parametrize("column", ["e", "distance", "percentile"])

@@ -3,12 +3,13 @@ byte, and its %s columns: Strings and fixed-width byte arrays."""
 
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import fixed_step, rows, shortest_schubfach
+from oracles import cores_held, fixed_step, free_cores, rows, shortest_schubfach
 
 from errscope._text import M_BOUND, ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
 
@@ -326,3 +327,46 @@ def test_template_shapes():
     for template, columns in [("%r%r,\n      [%m\u00e9%s\u2192%s", (x, -x, y, strings, fixed)),
                               ("%s%m;%s\u2028%r\n", (fixed, y, empty, -x[::-1]))]:
         assert "".join(row_chunks(template, *columns)) == "".join(rows(template, *columns))
+
+
+def helper_case():
+    """3 ROW_CHUNK + 5 rows, so the last chunk is written without the helper: ids empty,
+    non-ASCII and lone surrogates; %r subnormals, zeros of both signs, negatives and
+    exponent forms; %m below its bound."""
+    rng = np.random.default_rng(24)
+    n = 3 * ROW_CHUNK + 5
+    texts = ["", "r", "\u00e9t\u00e9", "\u65e5\u672c", "\ud800", "\udfff\ud800", "x" * 12]
+    ids = Strings.of([texts[i] for i in rng.integers(0, len(texts), n)])
+    x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-320, 300, n)
+    x[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e16, 1e-5, -123.5]
+    y = np.clip(rng.normal(0.0, 1e4, n), -M_BOUND / 2, M_BOUND / 2)
+    return "%s,%r;%m,%r\n", (ids, x, y, -x[::-1])
+
+
+def test_helper_writes_the_same_bytes(helpers):
+    """The chunks written with a helper thread and without one are the same text, the text
+    % writes: the helper writes every chunk but the last when a core is free, none when
+    every core is held."""
+    template, columns = helper_case()
+    with cores_held() as held:
+        assert held >= 1
+        alone = list(row_chunks(template, *columns))
+    assert helpers == []
+    before = threading.active_count()
+    assert list(row_chunks(template, *columns)) == alone
+    assert helpers == [ROW_CHUNK] * 3 and len(alone) == 4
+    assert "".join(alone) == "".join(rows(template, *columns))
+    assert threading.active_count() == before and free_cores() == held
+
+
+def test_closed_writer_leaves_no_helper(helpers):
+    """A writer closed after its first chunk, written on the helper, has joined that helper
+    and given back its core."""
+    template, columns = helper_case()
+    before, free = threading.enumerate(), free_cores()
+    chunks = row_chunks(template, *columns)
+    next(chunks)
+    assert helpers == [ROW_CHUNK] and free_cores() == free - 1
+    assert len(threading.enumerate()) == len(before) + 1
+    chunks.close()
+    assert threading.enumerate() == before and free_cores() == free
