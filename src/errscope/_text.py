@@ -115,12 +115,14 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u0, u1 = u & _M32, u >> 32
     p01 = u0 * h1
     z = u1 * h1 + (p01 >> 32) + (((u0 * h0) >> 32) + u1 * h0 + (p01 & _M32) >> 32)
+    del h0, h1, u0, p01
     low = u * hi
     mid = low + u1 * l1
     z += mid < low
     i = np.flatnonzero(mid >= 2**64 - 2**33)
     if i.size:
         z[i] += _low_words(u[i], hi[i], words[6].take(exponent[i]))[0] < low[i]
+    del u1, l1, low, mid
     # The interval, delta wide, holds 1000 s (one digit fewer) when the rest r is below delta.
     s = z // 1000
     r = z - 1000 * s
@@ -191,9 +193,9 @@ def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
             keep.view(np.uint32).reshape(-1, 15), 18 * forms)
 
 
-def _repr_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The (table, index) pairs whose takes give the digit words, the exponent words and the
-    mask words of each finite float64."""
+def _repr_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digit words, exponent words, layout class) of each finite float64: _put takes the
+    class's mask words, by far the largest, from the table as it fills the buffer."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
     sign = (bits >> 63).astype(np.intp)
     bits = bits & ((1 << 63) - 1)
@@ -201,6 +203,7 @@ def _repr_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     d, k = _shortest(np.where(tiny, np.uint64(0x3FF0000000000000), bits))
     nd = 15 + (d >= _POW10[15]) + (d >= _POW10[16])  # a normal's d has 15 to 17 digits
     d17, decpt = d * _POW10[17 - nd], nd + k
+    del d, k, nd
     # The kernel sets c's hidden bit, which a subnormal lacks: repr gives its digits.
     for i in np.flatnonzero(tiny & (bits != 0)).tolist():
         mantissa, _, exponent = repr(abs(x[i].item())).partition("e")
@@ -211,11 +214,11 @@ def _repr_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     hi, lo = upper - top * 10**8, d17.astype(np.uint32) - upper * 10**8
     hi4, lo4 = hi // 10**4, lo // 10**4
     quads = np.stack([top, hi4, hi - hi4 * 10**4, lo4, lo - lo4 * 10**4])  # a row per group
-    quad_words, quad_zeros, exponents, layouts, forms = _repr_tables()
+    quad_words, quad_zeros, exponents, _, forms = _repr_tables()
     _, z1, z2, z3, z4 = quad_zeros.take(quads)  # the first group, "000d", ends in a nonzero digit
     nsig = 17 - z4 - (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))
     form = np.where(bits == 0, 18 * _ZERO, forms.take(decpt + 323)) + 450 * sign + nsig
-    return (quad_words, quads.T), (exponents, decpt + 323), (layouts, form)
+    return quad_words.take(quads.T), exponents.take(decpt + 323, axis=0), form
 
 
 # A %m field is 6 words: a sign and three bytes of padding, the integer part as four "%04d"
@@ -234,9 +237,9 @@ def _fixed_layouts() -> np.ndarray:
     return keep.view(np.uint32).reshape(-1, 6)
 
 
-def _fixed_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The (table, index) pairs whose takes give the digit words and the mask words of each
-    float64 below M_BOUND in magnitude."""
+def _fixed_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digit words, layout class) of each float64 below M_BOUND in magnitude: _put takes
+    the class's mask words from the table."""
     m = np.rint(x * 1000.0)
     whole, fraction = np.divmod(np.abs(m).astype(np.uint64), 1000)
     upper, lower = np.divmod(whole, 10**8)
@@ -244,7 +247,7 @@ def _fixed_block(x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     quad_words, quad_zeros = _repr_tables()[:2]
     digits = np.searchsorted(_POW10[1:], whole, side="right")  # of the integer part, less 1
     z = quad_zeros.take(fraction)  # trailing zeros of "0fff": 4 only for a fraction of 0
-    return (quad_words, quads.T), (_fixed_layouts(), ((m < 0) * 16 + digits) * 5 + z)
+    return quad_words.take(quads.T), ((m < 0) * 16 + digits) * 5 + z
 
 
 class Strings:
@@ -313,8 +316,7 @@ class Strings:
 
 
 # Each number field's bytes, its width long, with the bytes no row changes written in: a
-# buffer takes them once, as it takes the literals. Each number kernel gives the (table,
-# index) pairs whose takes are a field's words.
+# buffer takes them once, as it takes the literals.
 _HEADS = {"r": _R_HEAD, "m": _M_HEAD}
 _KERNELS = {"r": _repr_block, "m": _fixed_block}
 
@@ -332,17 +334,19 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _put(spec: str, block, text: np.ndarray, keep: np.ndarray) -> None:
-    """Fill one field of a chunk from its block, the (table, index) pairs a number field's
-    kernel gives or a %s field's texts: text and keep are its (rows, width) views, whose
-    head bytes row_chunks wrote."""
-    if spec in _KERNELS:
-        block = [_rows(table.take(index, axis=0)) for table, index in block]
+    """Fill one field of a chunk from its block, what a number field's kernel gives or a %s
+    field's texts: text and keep are its (rows, width) views, whose head bytes row_chunks
+    wrote."""
     if spec == "m":
-        _rows(text[:, 4:])[:], _rows(keep)[:] = block
+        digits, layout = block
+        _rows(text[:, 4:])[:] = _rows(digits)
+        _rows(keep)[:] = _rows(_fixed_layouts().take(layout, axis=0))
         text[:, 20] = ord(".")
     elif spec == "r":
-        digits, _rows(text[:, 52:])[:], _rows(keep)[:] = block
-        _rows(text[:, 8:28])[:] = _rows(text[:, 32:52])[:] = digits
+        digits, exponents, layout = block
+        _rows(text[:, 8:28])[:] = _rows(text[:, 32:52])[:] = _rows(digits)
+        _rows(text[:, 52:])[:] = _rows(exponents)
+        _rows(keep)[:] = _rows(_repr_tables()[3].take(layout, axis=0))
     elif isinstance(block, np.ndarray):  # fixed-width texts: every byte is written
         text[:], keep[:] = block, True
     elif width := keep.shape[1]:  # Strings, not all empty: each text's bytes at a row's start
@@ -404,8 +408,8 @@ def row_chunks(template: str, *columns):
     order: %r takes finite floats, %m floats below M_BOUND in magnitude, %s Strings or a
     (rows, width) uint8 array of fixed-width texts; no literal has %. A chunk is made in two
     steps: the kernel passes of its %r and %m fields, which give each field's block of
-    table indices, then _put of every field into the buffers, and one masked copy of the
-    bytes they keep.
+    words, then _put of every field into the buffers, and one masked copy of the bytes
+    they keep.
 
     With more than one chunk, the writer borrows a token of IDLE_CORES for its whole run,
     if one is free. Then a helper thread takes the second step of each chunk but the last,
@@ -454,9 +458,9 @@ def row_chunks(template: str, *columns):
         """The block of every field of the m rows, made at once."""
         blocks = [column[rows] for column in columns]
         for kernel, fields in groups:
-            pairs = kernel(np.concatenate([columns[i][rows] for i in fields]))
-            for j, i in enumerate(fields):  # field i's rows of each index
-                blocks[i] = [(table, index[j * m:(j + 1) * m]) for table, index in pairs]
+            words = kernel(np.concatenate([columns[i][rows] for i in fields]))
+            for j, i in enumerate(fields):  # field i's rows of each array
+                blocks[i] = [w[j * m:(j + 1) * m] for w in words]
         return blocks
 
     lend = n > step and IDLE_CORES.acquire(blocking=False)

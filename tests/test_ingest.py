@@ -189,7 +189,7 @@ def test_write_csv_traced_peak_at_2e5():
             tracemalloc.stop()
     # With numpy 2.4.6 on Python 3.11 the peak read 3.7 MB with chunks of 4096 rows, and
     # 8.2 to 14.1 MB with chunks of 16384. A free core adds the row writer's helper and one
-    # chunk's kernel indices made ahead: 5.0 MB.
+    # chunk's kernel words made ahead: 4.4 MB.
     assert peak <= 6 * 2**20
 
 

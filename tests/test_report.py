@@ -108,8 +108,8 @@ def test_write_pair_json_traced_peak_at_1e5():
             tracemalloc.stop()
     # With numpy 2.4.6 on Python 3.11 the peak read 4.1 MB with a one-line array per point,
     # 5.1 MB with a dict per point (chunks of 4096 rows) and 12.6 to 13.4 MB with chunks of
-    # 16384. A free core adds the row writer's helper and one chunk's kernel indices made
-    # ahead: 6.8 MB.
+    # 16384. A free core adds the row writer's helper and one chunk's kernel words made
+    # ahead: 6.3 MB.
     assert peak <= 8 * 2**20
 
 
