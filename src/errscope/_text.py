@@ -115,7 +115,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u0, u1 = u & _M32, u >> 32
     p01 = u0 * h1
     z = u1 * h1 + (p01 >> 32) + (((u0 * h0) >> 32) + u1 * h0 + (p01 & _M32) >> 32)
-    del h0, h1, u0, p01
+    del h0, h1, u0, p01  # each array is dropped once used: blocks may be long
     low = u * hi
     mid = low + u1 * l1
     z += mid < low
