@@ -7,13 +7,15 @@ chunk; only a subnormal goes through repr, one at a time. %m, an SVG shape coord
 writes v at a fixed step of 10^-3: m = rint(v 1000) as m 10^-3, trailing zeros and then a
 bare point dropped, "-" only when m < 0. %s takes a column of texts already in bytes:
 Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
-Threads may write at once, and a writer may take a helper thread for a core no one uses
-(IDLE_CORES): each table is built once, by the first thread that asks.
+Threads may write at once, and a writer may start a helper thread for a core no one uses
+(IDLE_CORES), which takes its chunks from a queue: each table is built once, by the first
+thread that asks.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import re
 import threading
 from functools import cache, partial, wraps
@@ -358,49 +360,14 @@ def _put(spec: str, block, text: np.ndarray, keep: np.ndarray) -> None:
         text[keep] = block.blob[block.offsets[0]:block.offsets[-1]]
 
 
-class _Helper:
-    """A thread that runs a row writer's tasks, one at a time: submit hands one over;
-    result() waits for it, then returns its value or raises its error; close ends the
-    thread once the task handed over, if any, has ended."""
-
-    def __init__(self):
-        self.task = self.value = self.error = None
-        self.busy = False
-        # Each lock is held until its event: a task handed over, that task ended.
-        self.handed, self.ended = threading.Lock(), threading.Lock()
-        self.handed.acquire()
-        self.ended.acquire()
-        # A daemon: a writer left open must not keep the interpreter from exiting.
-        self.thread = threading.Thread(target=self._serve, name="row_chunks helper",
-                                       daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while self.handed.acquire() and self.task is not None:
-            try:
-                self.value, self.error = self.task(), None
-            except BaseException as exc:
-                self.value, self.error = None, exc
-            self.ended.release()
-
-    def submit(self, task) -> None:
-        self.task, self.busy = task, True
-        self.handed.release()
-
-    def result(self):
-        self.ended.acquire()
-        self.busy = False
-        if self.error is not None:
-            raise self.error
-        value, self.value = self.value, None
-        return value
-
-    def close(self) -> None:
-        if self.busy:
-            self.ended.acquire()
-        self.task = None
-        self.handed.release()
-        self.thread.join()
+def _serve(tasks: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
+    """A row writer's helper thread: run each task taken from tasks, until None, and put
+    its (value, None), or (None, error) if it raised, into results."""
+    for task in iter(tasks.get, None):
+        try:
+            results.put((task(), None))
+        except BaseException as exc:
+            results.put((None, exc))
 
 
 def row_chunks(template: str, *columns):
@@ -412,12 +379,13 @@ def row_chunks(template: str, *columns):
     they keep.
 
     With more than one chunk, the writer borrows a token of IDLE_CORES for its whole run,
-    if one is free. Then a helper thread takes the second step of each chunk but the last,
-    while this thread takes the first step of the next, in one kernel pass over all the %r
-    fields and one over all the %m fields. Without a token, each field is put as soon as
-    its kernel has run. While the generator is suspended its helper has no task, but the
-    helper's thread and the token are held until the generator ends or is closed: close
-    one left unfinished."""
+    if one is free, and starts a helper thread at once. The helper takes the second step
+    of each chunk but the last, handed over on one queue and given back on another, while
+    this thread takes the first step of the next, in one kernel pass over all the %r
+    fields and one over all the %m fields; an error the helper meets is raised here.
+    Without a token, each field is put as soon as its kernel has run. While the generator
+    is suspended its helper has no task, but the helper's thread and the token are held
+    until the generator ends or is closed: close one left unfinished."""
     parts, n = _SPEC.split(template), len(columns[0])
     specs = parts[1::2]
     # Each literal, then its field, takes the next byte columns; a number field starts on a word.
@@ -464,8 +432,13 @@ def row_chunks(template: str, *columns):
         return blocks
 
     lend = n > step and IDLE_CORES.acquire(blocking=False)
-    helper = None
+    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+    # A daemon: a writer left open must not keep the interpreter from exiting.
+    helper = threading.Thread(target=_serve, args=(tasks, results), name="row_chunks helper",
+                              daemon=True)
     try:
+        if lend:  # the first chunk is always handed over
+            helper.start()
         for start in range(0, n, step):
             m, rows = min(step, n - start), slice(start, start + step)
             if lend:  # made while the helper writes the chunk before
@@ -473,15 +446,18 @@ def row_chunks(template: str, *columns):
             else:
                 blocks = (_KERNELS[spec](column[rows]) if spec in _KERNELS else column[rows]
                           for spec, column in zip(specs, columns))
-            if helper is not None and helper.busy:
-                yield helper.result()  # the buffers are free again
+            if lend and start > 0:  # the chunk before is out; once back, the buffers are free
+                value, error = results.get()
+                if error is not None:
+                    raise error
+                yield value
             if lend and start + m < n:
-                helper = helper or _Helper()
-                helper.submit(partial(written, m, blocks))
+                tasks.put(partial(written, m, blocks))
             else:
                 yield written(m, blocks)
     finally:
-        if helper is not None:
-            helper.close()
+        if helper.ident is not None:  # started: it ends once the chunk out, if any, is written
+            tasks.put(None)
+            helper.join()
         if lend:
             IDLE_CORES.release()

@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 input/usage error, 3 numerical degeneracy.
 
 Every command makes and writes its outputs by one schedule (see _write_all): the first on
 the calling thread, each other one on a thread of its own. It holds a token of
-_text.IDLE_CORES per output while it runs, so a row writer takes a helper thread only for a
-core that no output uses: on two cores synth's does and compare's do not. No byte, exit
+_text.IDLE_CORES per output while it runs, so a row writer starts a helper thread only for
+a core that no output uses: on two cores synth's does and compare's do not. No byte, exit
 code or message depends on the thread schedule, and every thread, helpers included, is
 joined before the command returns or raises.
 """

@@ -23,14 +23,22 @@ def helpers(monkeypatch) -> list:
     thread."""
     import errscope._text  # here, not above: tests/test_suite.py runs this file on its own
 
-    handed = []
+    handed, serve = [], errscope._text._serve
 
-    class Counted(errscope._text._Helper):
-        def submit(self, task):
-            handed.append(task.args[0])
-            super().submit(task)
+    class Counted:
+        """The helper's queue of tasks, which records each chunk's row count as it is taken."""
 
-    monkeypatch.setattr(errscope._text, "_Helper", Counted)
+        def __init__(self, tasks):
+            self.tasks = tasks
+
+        def get(self):
+            task = self.tasks.get()
+            if task is not None:
+                handed.append(task.args[0])
+            return task
+
+    monkeypatch.setattr(errscope._text, "_serve", lambda tasks, results:
+                        serve(Counted(tasks), results))
     return handed
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import cores_held, fixed_step, free_cores, rows, shortest_schubfach
 
+from errscope import _text
 from errscope._text import M_BOUND, ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
 
 
@@ -370,3 +371,23 @@ def test_closed_writer_leaves_no_helper(helpers):
     assert len(threading.enumerate()) == len(before) + 1
     chunks.close()
     assert threading.enumerate() == before and free_cores() == free
+
+
+def test_helper_error_comes_out_of_the_writer(monkeypatch, helpers):
+    """An error the helper thread meets, in the second chunk it writes, is raised by the
+    writer, which has joined that helper and given back its core."""
+    monkeypatch.setattr(_text, "IDLE_CORES", threading.BoundedSemaphore(1))
+    put, calls = _text._put, []
+
+    def failing_put(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 2:
+            raise MemoryError
+        put(*args)
+
+    monkeypatch.setattr(_text, "_put", failing_put)
+    before, free = threading.enumerate(), free_cores()
+    with pytest.raises(MemoryError):
+        list(row_chunks("%r\n", np.arange(3 * ROW_CHUNK + 5, dtype=np.float64)))
+    assert calls == ["row_chunks helper"] * 2 and helpers == [ROW_CHUNK] * 2
+    assert threading.enumerate() == before and free_cores() == free == 1
