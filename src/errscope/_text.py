@@ -7,9 +7,9 @@ chunk; only a subnormal goes through repr, one at a time. %m, an SVG shape coord
 writes v at a fixed step of 10^-3: m = rint(v 1000) as m 10^-3, trailing zeros and then a
 bare point dropped, "-" only when m < 0. %s takes a column of texts already in bytes:
 Strings, or a (rows, width) uint8 array of fixed-width texts. No Python str per row.
-Threads may write at once, and a writer may start a helper thread for a core no one uses
-(IDLE_CORES), which takes its chunks from a queue: each table is built once, by the first
-thread that asks.
+Threads may write at once, and a writer with more than one chunk starts a helper thread,
+which takes its chunks from a queue, whenever the process may run on more than one core:
+each table is built once, by the first thread that asks.
 """
 
 from __future__ import annotations
@@ -323,10 +323,9 @@ _HEADS = {"r": _R_HEAD, "m": _M_HEAD}
 _KERNELS = {"r": _repr_block, "m": _fixed_block}
 
 
-# One token per core this process may run on: a command holds one for each output it makes,
-# and a row writer borrows one, if one is free, for the helper thread it runs beside it.
-IDLE_CORES = threading.BoundedSemaphore(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+def cores() -> int:
+    """How many cores this process may run on, read at each call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -374,18 +373,17 @@ def row_chunks(template: str, *columns):
     """template % row for the rows of the equal-length columns, one string per chunk, in row
     order: %r takes finite floats, %m floats below M_BOUND in magnitude, %s Strings or a
     (rows, width) uint8 array of fixed-width texts; no literal has %. A chunk is made in two
-    steps: the kernel passes of its %r and %m fields, which give each field's block of
-    words, then _put of every field into the buffers, and one masked copy of the bytes
-    they keep.
+    steps: one pass of each number kernel over all the fields it fills, which gives each %r
+    and %m field its block of words, then _put of every field into the buffers, and one
+    masked copy of the bytes they keep.
 
-    With more than one chunk, the writer borrows a token of IDLE_CORES for its whole run,
-    if one is free, and starts a helper thread at once. The helper takes the second step
-    of each chunk but the last, handed over on one queue and given back on another, while
-    this thread takes the first step of the next, in one kernel pass over all the %r
-    fields and one over all the %m fields; an error the helper meets is raised here.
-    Without a token, each field is put as soon as its kernel has run. While the generator
-    is suspended its helper has no task, but the helper's thread and the token are held
-    until the generator ends or is closed: close one left unfinished."""
+    A writer with more than one chunk starts a helper thread at once whenever the process
+    may run on more than one core (cores()). The helper takes the second step of each chunk
+    but the last, handed over on one queue and given back on another, while this thread
+    takes the first step of the next and decodes each chunk's bytes; an error the helper
+    meets is raised here. While the generator is suspended its helper has no task, but the
+    helper's thread is held until the generator ends or is closed: close one left
+    unfinished."""
     parts, n = _SPEC.split(template), len(columns[0])
     specs = parts[1::2]
     # Each literal, then its field, takes the next byte columns; a number field starts on a word.
@@ -409,16 +407,14 @@ def row_chunks(template: str, *columns):
         if spec in _HEADS:
             text[:, a:a + width] = _HEADS[spec]
 
-    def written(m: int, blocks) -> str:
-        """The text of a chunk of m rows from the block of each field: a block made on
-        demand is dropped once put."""
-        blocks = iter(blocks)
-        for spec, (a, width) in zip(specs, spans[1::2]):
-            _put(spec, next(blocks), text[:m, a:a + width], keep[:m, a:a + width])
-        return str(text[:m][keep[:m]], "utf-8", "surrogatepass")
+    def written(m: int, blocks: list) -> np.ndarray:
+        """The UTF-8 bytes of a chunk of m rows from the block of each field."""
+        for spec, (a, width), block in zip(specs, spans[1::2], blocks):
+            _put(spec, block, text[:m, a:a + width], keep[:m, a:a + width])
+        return text[:m][keep[:m]]
 
-    # The fields of each number kernel. A writer with a helper runs each kernel once per
-    # chunk over all its fields: fewer, longer numpy calls, so fewer hand-offs of the GIL.
+    # The fields of each number kernel, which runs once per chunk over all of them: fewer,
+    # longer numpy calls, so fewer hand-offs of the GIL.
     groups = [(kernel, [i for i, s in enumerate(specs) if s == spec])
               for spec, kernel in _KERNELS.items() if spec in specs]
 
@@ -431,7 +427,7 @@ def row_chunks(template: str, *columns):
                 blocks[i] = [w[j * m:(j + 1) * m] for w in words]
         return blocks
 
-    lend = n > step and IDLE_CORES.acquire(blocking=False)
+    lend = n > step and cores() > 1
     tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
     # A daemon: a writer left open must not keep the interpreter from exiting.
     helper = threading.Thread(target=_serve, args=(tasks, results), name="row_chunks helper",
@@ -441,23 +437,20 @@ def row_chunks(template: str, *columns):
             helper.start()
         for start in range(0, n, step):
             m, rows = min(step, n - start), slice(start, start + step)
-            if lend:  # made while the helper writes the chunk before
-                blocks = ahead(rows, m)
-            else:
-                blocks = (_KERNELS[spec](column[rows]) if spec in _KERNELS else column[rows]
-                          for spec, column in zip(specs, columns))
+            blocks = ahead(rows, m)  # made while the helper, if any, writes the chunk before
             if lend and start > 0:  # the chunk before is out; once back, the buffers are free
                 value, error = results.get()
                 if error is not None:
                     raise error
-                yield value
+                # Decoded on this thread: a figure keeps its chunks until it is written, and
+                # a str made on the helper lives in the helper's malloc arena, which raised
+                # compare's peak RSS at 10^5 rows by about 6 MB.
+                yield str(value, "utf-8", "surrogatepass")
             if lend and start + m < n:
                 tasks.put(partial(written, m, blocks))
             else:
-                yield written(m, blocks)
+                yield str(written(m, blocks), "utf-8", "surrogatepass")
     finally:
         if helper.ident is not None:  # started: it ends once the chunk out, if any, is written
             tasks.put(None)
             helper.join()
-        if lend:
-            IDLE_CORES.release()

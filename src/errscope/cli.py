@@ -3,11 +3,10 @@
 Exit codes: 0 success, 2 input/usage error, 3 numerical degeneracy.
 
 Every command makes and writes its outputs by one schedule (see _write_all): the first on
-the calling thread, each other one on a thread of its own. It holds a token of
-_text.IDLE_CORES per output while it runs, so a row writer starts a helper thread only for
-a core that no output uses: on two cores synth's does and compare's do not. No byte, exit
-code or message depends on the thread schedule, and every thread, helpers included, is
-joined before the command returns or raises.
+the calling thread, each other one on a thread of its own. A row writer with more than one
+chunk starts a helper thread whenever the process may run on more than one core. No byte,
+exit code or message depends on the thread schedule, and every thread, helpers included,
+is joined before the command returns or raises.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import sys
 import threading
 from pathlib import Path
 
-from . import __version__, _text
+from . import __version__
 from .errorspace import METRICS, analyze_pair
 from .exceptions import DegenerateDistribution, ErrscopeError
 from .ingest import parse_predictions
@@ -89,15 +88,14 @@ def _write_all(outputs, source=None) -> None:
 
     The calling thread builds the first output; each other one is built and written on a
     thread of its own. The first is written once every build has succeeded, and a write
-    stops at its next piece once a step before it in the serial order has failed. A token
-    of _text.IDLE_CORES is claimed per output, while one is free, and given back after the
-    last join. Every thread is joined before _write_all returns or raises: a write closes
-    the row writers it takes pieces from, so each joins its helper and gives back its
-    token. A failed run removes each regular file any thread opened, at its resolved path,
-    and raises the error the serial order meets first; a device such as /dev/null, or a
-    symlink, is never removed. So no byte and no error depends on the schedule, but when
-    an output fails, a file already at the path of a later one may have been overwritten,
-    and is removed."""
+    stops at its next piece once a step before it in the serial order has failed. Every
+    thread is joined before _write_all returns or raises: a write closes the row writers it
+    takes pieces from, so each joins its helper, which a row writer with more than one
+    chunk starts whenever the process may run on more than one core. A failed run removes
+    each regular file any thread opened, at its resolved path, and raises the error the
+    serial order meets first; a device such as /dev/null, or a symlink, is never removed.
+    So no byte and no error depends on the schedule, but when an output fails, a file
+    already at the path of a later one may have been overwritten, and is removed."""
     taken = {} if source is None else {Path(source).resolve(): "the input file"}
     for path, _ in outputs:
         if path is None:
@@ -133,9 +131,6 @@ def _write_all(outputs, source=None) -> None:
 
     built = [threading.Event() for _ in range(1, n)]
     threads = [threading.Thread(target=lane, args=(k, b)) for k, b in enumerate(built, 1)]
-    # A core for each output, held until every thread is joined: the row writer lends only
-    # the cores left over to its helper.
-    claimed = sum(_text.IDLE_CORES.acquire(blocking=False) for _ in outputs)
     try:
         try:
             for t in threads:
@@ -145,8 +140,6 @@ def _write_all(outputs, source=None) -> None:
         finally:
             for t in threads:
                 t.join()
-            for _ in range(claimed):
-                _text.IDLE_CORES.release()
         error = next((e for e in errors if e is not None), None)
         if error is not None:
             raise error

@@ -172,7 +172,7 @@ class PredictionSet:
             ids = Strings.of(map(_csv_field, ids.tolist()))
         rows = row_chunks("%s" + ",%r" * (1 + len(self.model_names)) + "\n",
                           ids, self.y_true, *self.predictions.T)
-        with contextlib.closing(rows):  # a failed write gives back the writer's core too
+        with contextlib.closing(rows):  # a failed write joins the writer's helper too
             fh.writelines(rows)
 
 

@@ -117,7 +117,7 @@ def write_pair_json(fh, report: dict, analysis: ErrorSpaceAnalysis) -> None:
     # Each code is one digit, as ZONES and QUADRANTS each have fewer than ten names.
     codes = ((c + ord("0")).astype(np.uint8)[:, None] for c in (analysis.zone, analysis.quadrant))
     points = row_chunks(_POINT, *analysis.e.T, analysis.distance, analysis.percentile, *codes)
-    with contextlib.closing(points):  # a failed write gives back the writer's core too
+    with contextlib.closing(points):  # a failed write joins the writer's helper too
         fh.write(head + '"points": [' + next(points)[1:])  # n >= 1; no comma before the first
         fh.writelines(points)
     fh.write("\n    ]" + tail)

@@ -139,14 +139,15 @@ SCENARIOS = {
 def generate(kind: str, n: int, seed: int = 0, params: dict[str, float] | None = None
              ) -> PredictionSet:
     """Run the generator of a scenario kind; params are its keyword
-    arguments other than n and seed, and those in SCALE_PARAMS must be >= 0.
+    arguments other than n and seed, each read as value + 0.0 (so -0.0 is 0.0, which
+    numpy's scale checks refuse by its sign bit), and those in SCALE_PARAMS must be >= 0.
     A float64 overflow, invalid operation or division by zero raises
     FloatingPointError (OverflowError in Python float arithmetic)."""
     if kind not in SCENARIOS:
         raise ValueError(f"unknown scenario kind {kind!r}; "
                          f"known: {', '.join(sorted(SCENARIOS))}")
     fn = SCENARIOS[kind]
-    params = params or {}
+    params = {key: value + 0.0 for key, value in (params or {}).items()}
     unknown = set(params) - (set(inspect.signature(fn).parameters) - {"n", "seed"})
     if unknown:
         raise ValueError(f"unknown parameter(s) for {kind!r}: "

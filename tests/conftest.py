@@ -19,27 +19,36 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 @pytest.fixture
 def helpers(monkeypatch) -> list:
-    """A list that gains the row count of each chunk a row writer hands to its helper
-    thread."""
+    """A list that gains, for each helper thread a row writer starts, a list of the row
+    counts of the chunks handed to it."""
     import errscope._text  # here, not above: tests/test_suite.py runs this file on its own
 
-    handed, serve = [], errscope._text._serve
+    started, serve = [], errscope._text._serve
 
     class Counted:
         """The helper's queue of tasks, which records each chunk's row count as it is taken."""
 
         def __init__(self, tasks):
-            self.tasks = tasks
+            self.tasks, self.handed = tasks, []
+            started.append(self.handed)
 
         def get(self):
             task = self.tasks.get()
             if task is not None:
-                handed.append(task.args[0])
+                self.handed.append(task.args[0])
             return task
 
     monkeypatch.setattr(errscope._text, "_serve", lambda tasks, results:
                         serve(Counted(tasks), results))
-    return handed
+    return started
+
+
+@pytest.fixture
+def on_cores(monkeypatch):
+    """Set how many cores the row writer reads that the process may run on: on_cores(k)."""
+    import errscope._text
+
+    return lambda k: monkeypatch.setattr(errscope._text, "cores", lambda: k)
 
 
 def svg_text(fig) -> str:

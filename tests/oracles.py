@@ -1,5 +1,4 @@
-"""Scalar reference implementations the tests check the package against, and a look at the
-process's idle-core tokens."""
+"""Scalar reference implementations the tests check the package against."""
 
 import csv
 import io
@@ -7,13 +6,11 @@ import json
 import math
 import re
 from collections import Counter
-from contextlib import contextmanager
 from functools import cache
 from itertools import repeat
 
 import numpy as np
 
-from errscope import _text
 from errscope._text import Strings
 from errscope.density import _gaussian
 from errscope.errorspace import QUADRANTS, ZONES, ErrorSpaceAnalysis
@@ -292,23 +289,3 @@ class FormatFigure(Figure):
         # Each row takes the next 2v numbers: x and y of each vertex in turn.
         self._rows('polygon points="%s"',
                    (map(points.__mod__, zip(*[svg_numbers(xy)] * (2 * v))),), fills, **attrs)
-
-
-@contextmanager
-def cores_held():
-    """Every free token of the process's IDLE_CORES held, so that no row writer takes a
-    helper thread; yields how many were free."""
-    cores, held = _text.IDLE_CORES, 0
-    while cores.acquire(blocking=False):
-        held += 1
-    try:
-        yield held
-    finally:
-        for _ in range(held):
-            cores.release()
-
-
-def free_cores() -> int:
-    """How many tokens of IDLE_CORES are free."""
-    with cores_held() as held:
-        return held

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import test_golden as golden
 from conftest import svg_text
-from oracles import free_cores
 
 import errscope.cli
 import errscope.ingest
@@ -154,6 +153,23 @@ def test_synth_negative_scale_exits_2(tmp_path, capsys, kind, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("under_vs_over", "sigma"), ("outlier_vs_moderate", "moderate_sigma"),
+    ("equal_metrics_divergent", "jitter"), ("asymmetric_pair", "sigma"),
+])
+def test_synth_negative_zero_scale_is_zero(tmp_path, capsys, kind, key):
+    # -0.0 passes the >= 0 check, and numpy refused it by its sign bit with "scale < 0".
+    # Now it runs as 0 does: the same exit code, text and CSV bytes. outlier_vs_moderate
+    # exits 3 at moderate_sigma=0, as its RMS calibration divides 0 by 0.
+    out, runs = tmp_path / "x.csv", []
+    for value in ("0", "-0.0"):
+        code = main(["synth", "--kind", kind, "--n", "40", "--param", f"{key}={value}",
+                     "-o", str(out)])
+        runs.append((code, capsys.readouterr(), out.exists() and out.read_bytes()))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1] and runs[0][0] == (3 if kind == "outlier_vs_moderate" else 0)
+
+
 def test_metrics_json_report(demo_csv, capsys):
     assert main(["metrics", str(demo_csv), "--sort", "mae", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -251,54 +267,42 @@ class FailsOnSecondWrite:
         self.fh.write(text)
 
 
-def test_synth_failed_write_leaves_no_helper(tmp_path, monkeypatch, capsys, helpers):
+def test_synth_failed_write_leaves_no_helper(tmp_path, monkeypatch, capsys, helpers, on_cores):
     # The row writer's helper has written the first chunk when its write fails: exit 2, no
-    # CSV, no thread left and every core given back when main returns.
-    monkeypatch.setattr(errscope._text, "IDLE_CORES", threading.BoundedSemaphore(2))
+    # CSV and no thread left when main returns.
+    on_cores(2)
     monkeypatch.setattr(errscope.cli, "open", lambda *a, **k: FailsOnSecondWrite(open(*a, **k)),
                         raising=False)
     out = tmp_path / "out.csv"
-    before, free = threading.enumerate(), free_cores()
+    before = threading.enumerate()
     assert main(["synth", "--kind", "under_vs_over", "--n", "20000", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-    assert not out.exists() and len(helpers) >= 1
-    assert threading.enumerate() == before and free_cores() == free
+    assert not out.exists() and len(helpers) == 1 and helpers[0]
+    assert threading.enumerate() == before
 
 
-def test_helpers_only_on_cores_no_output_holds(tmp_path, monkeypatch, capsys, helpers):
-    # Two cores. synth holds one for its one output, and its row writer takes the other.
-    # compare holds both for its figure and report, so none of their row writers takes a
-    # helper. metrics --plots draws both figures before it starts an output, with both
-    # cores free, so the grid's writer takes one then; none while the outputs are written.
-    # _write_all is wrapped to count the hand-offs made while it runs.
-    monkeypatch.setattr(errscope._text, "IDLE_CORES", threading.BoundedSemaphore(2))
-    real_write_all, during = errscope.cli._write_all, []
+def test_helpers_by_core_count_write_the_same_bytes(tmp_path, monkeypatch, capsys, helpers):
+    # row_chunks reads the core count once for each writer of more than one chunk. On one
+    # core none of them takes a helper; on two cores each does, and its helper writes at
+    # least the first chunk. synth, compare with every layer and metrics --plots write
+    # the same bytes on both.
+    def run(k: int) -> dict:
+        reads, out = [], tmp_path / str(k)
+        monkeypatch.setattr(errscope._text, "cores", lambda: reads.append(k) or k)
+        helpers.clear()
+        csv = out / "in.csv"
+        out.mkdir()
+        assert main(["synth", "--kind", "under_vs_over", "--n", "20000", "-o", str(csv)]) == 0
+        assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers",
+                     ",".join(ERROR_SPACE_LAYERS), "-o", str(out / "x.svg"),
+                     "--json", str(out / "x.json")]) == 0
+        assert main(["metrics", str(csv), "--plots", str(out / "figs")]) == 0
+        assert len(reads) >= 5 and len(helpers) == len(reads) * (k > 1)
+        assert all(helpers)
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-    def write_all(*args):
-        before = len(helpers)
-        real_write_all(*args)
-        during.append(len(helpers) - before)
-
-    monkeypatch.setattr(errscope.cli, "_write_all", write_all)
-    csv = tmp_path / "in.csv"
-    assert main(["synth", "--kind", "under_vs_over", "--n", "20000", "-o", str(csv)]) == 0
-    assert during[-1] >= 1 and free_cores() == 2
-    helpers.clear()
-    assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers",
-                 ",".join(ERROR_SPACE_LAYERS), "-o", str(tmp_path / "x.svg"),
-                 "--json", str(tmp_path / "x.json")]) == 0
-    assert helpers == [] and free_cores() == 2
-    assert main(["metrics", str(csv), "--plots", str(tmp_path / "figs")]) == 0
-    assert during[-1] == 0 and len(helpers) >= 1 and free_cores() == 2
-    # With four cores, two are left to compare's row writers: the same bytes.
-    monkeypatch.setattr(errscope._text, "IDLE_CORES", threading.BoundedSemaphore(4))
-    helpers.clear()
-    assert main(["compare", str(csv), "--a", "C1", "--b", "C2", "--layers",
-                 ",".join(ERROR_SPACE_LAYERS), "-o", str(tmp_path / "y.svg"),
-                 "--json", str(tmp_path / "y.json")]) == 0
-    assert during[-1] >= 1 and free_cores() == 4
-    for name in ("svg", "json"):
-        assert (tmp_path / f"x.{name}").read_bytes() == (tmp_path / f"y.{name}").read_bytes()
+    one = run(1)
+    assert len(one) == 5 and run(2) == one
 
 
 def test_compare_json_failure_removes_svg(demo_csv, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The row writer's float64 text against repr and against the fixed-step rule, byte for
 byte, and its %s columns: Strings and fixed-width byte arrays."""
 
+import os
 import subprocess
 import sys
 import threading
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import cores_held, fixed_step, free_cores, rows, shortest_schubfach
+from oracles import fixed_step, rows, shortest_schubfach
 
 from errscope import _text
 from errscope._text import M_BOUND, ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
@@ -344,39 +345,52 @@ def helper_case():
     return "%s,%r;%m,%r\n", (ids, x, y, -x[::-1])
 
 
-def test_helper_writes_the_same_bytes(helpers):
+def test_cores_reads_the_affinity_at_each_call(monkeypatch):
+    """The core count is the process's affinity, read at each call, or os.cpu_count()
+    where there is none."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _text.cores() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+    assert _text.cores() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _text.cores() == 1
+
+
+def test_helper_writes_the_same_bytes(helpers, on_cores):
     """The chunks written with a helper thread and without one are the same text, the text
-    % writes: the helper writes every chunk but the last when a core is free, none when
-    every core is held."""
+    % writes: on two cores the helper writes every chunk but the last, on one core there
+    is no helper."""
     template, columns = helper_case()
-    with cores_held() as held:
-        assert held >= 1
-        alone = list(row_chunks(template, *columns))
+    on_cores(1)
+    alone = list(row_chunks(template, *columns))
     assert helpers == []
+    on_cores(2)
     before = threading.active_count()
     assert list(row_chunks(template, *columns)) == alone
-    assert helpers == [ROW_CHUNK] * 3 and len(alone) == 4
+    assert helpers == [[ROW_CHUNK] * 3] and len(alone) == 4
     assert "".join(alone) == "".join(rows(template, *columns))
-    assert threading.active_count() == before and free_cores() == held
+    assert threading.active_count() == before
 
 
-def test_closed_writer_leaves_no_helper(helpers):
-    """A writer closed after its first chunk, written on the helper, has joined that helper
-    and given back its core."""
+def test_closed_writer_leaves_no_helper(helpers, on_cores):
+    """A writer closed after its first chunk, written on the helper, has joined that
+    helper."""
+    on_cores(2)
     template, columns = helper_case()
-    before, free = threading.enumerate(), free_cores()
+    before = threading.enumerate()
     chunks = row_chunks(template, *columns)
     next(chunks)
-    assert helpers == [ROW_CHUNK] and free_cores() == free - 1
+    assert helpers == [[ROW_CHUNK]]
     assert len(threading.enumerate()) == len(before) + 1
     chunks.close()
-    assert threading.enumerate() == before and free_cores() == free
+    assert threading.enumerate() == before
 
 
-def test_helper_error_comes_out_of_the_writer(monkeypatch, helpers):
+def test_helper_error_comes_out_of_the_writer(monkeypatch, helpers, on_cores):
     """An error the helper thread meets, in the second chunk it writes, is raised by the
-    writer, which has joined that helper and given back its core."""
-    monkeypatch.setattr(_text, "IDLE_CORES", threading.BoundedSemaphore(1))
+    writer, which has joined that helper."""
+    on_cores(2)
     put, calls = _text._put, []
 
     def failing_put(*args):
@@ -386,8 +400,8 @@ def test_helper_error_comes_out_of_the_writer(monkeypatch, helpers):
         put(*args)
 
     monkeypatch.setattr(_text, "_put", failing_put)
-    before, free = threading.enumerate(), free_cores()
+    before = threading.enumerate()
     with pytest.raises(MemoryError):
         list(row_chunks("%r\n", np.arange(3 * ROW_CHUNK + 5, dtype=np.float64)))
-    assert calls == ["row_chunks helper"] * 2 and helpers == [ROW_CHUNK] * 2
-    assert threading.enumerate() == before and free_cores() == free == 1
+    assert calls == ["row_chunks helper"] * 2 and helpers == [[ROW_CHUNK] * 2]
+    assert threading.enumerate() == before
