@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._text import Strings, row_chunks
+from ._text import _LOW_BYTES, Strings, decimals, row_chunks
 from .exceptions import (
     DuplicateModelName,
     LengthMismatch,
@@ -36,10 +36,6 @@ def _new(ordered: np.ndarray) -> np.ndarray:
     new = np.ones(ordered.size, dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
     return new
-
-
-# The low k bytes of a little-endian word, for k = 0..8.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _words(blob: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -224,63 +220,65 @@ def _read_csv(text: str) -> tuple[Strings, list[str], np.ndarray]:
     return Strings.of(ids), header, values
 
 
-# A quote needs the csv module; a CR left after CRLF ends a line for csv but not for
-# the split on LF; loadtxt strips \x1c-\x1f as space, which float() does not; csv before
-# Python 3.11 rejects NUL.
-_NOT_PLAIN = ('"', "\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+# A quote needs the csv module; a CR left after CRLF ends a line for csv but not for the
+# split on LF; csv before Python 3.11 rejects NUL.
+_NOT_PLAIN = ('"', "\r", "\x00")
 
 
 def _read_plain_csv(text: str) -> tuple[Strings, list[str], np.ndarray] | None:
-    """What _read_csv returns, read by numpy's C tokenizer, or None to hand the text over.
+    """What _read_csv returns, read from the text's bytes, or None to hand the text over.
 
     Only a file that _read_csv reads the same, bit for bit, is taken: one with no quote,
-    no lone CR, no blank line, no line past csv.field_size_limit() and exactly one cell
-    per header column on each row. Anything else, errors included, goes to _read_csv,
-    which names them.
+    no lone CR, no line past csv.field_size_limit(), at least one row, and as many commas
+    on each line as on the header's, so no blank line either. Its numbers are read by
+    decimals(), whose None, for a cell float() refuses, hands the text over too. Anything
+    else, errors included, goes to _read_csv, which names them.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if any(c in text for c in _NOT_PLAIN):
         return None
+    header = text[:text.find("\n") % (len(text) + 1)].split(",")  # no copy of the rest
+    k = len(header)
+    if not _header_ok(header):
+        return None
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     lfs = np.flatnonzero(data == ord("\n"))
-    rows = lfs.size - text.endswith("\n")  # the lines after the header
-    header = text.partition("\n")[0].split(",")
-    k = len(header)
-    if rows < 1 or not _header_ok(header):  # with no rows, loadtxt would warn
-        return None
+    if not text.endswith("\n"):
+        lfs = np.append(lfs, data.size)  # the last line ends at the end
     commas = np.flatnonzero(data == ord(","))
-    # A line's bytes, never fewer than the characters that csv's field limit counts.
-    widest = np.diff(lfs, prepend=-1, append=data.size).max() - 1
-    if commas.size != (rows + 1) * (k - 1) or widest > csv.field_size_limit():
+    if lfs.size < 2 or commas.size != (k - 1) * lfs.size:  # a header and a row or more
         return None
-    # Line j starts one past LF j - 1; with k - 1 commas on each line, its id ends at comma
-    # (k - 1) j. The ids are cut out here, so the bytes are not held while loadtxt runs.
-    starts = lfs[:rows] + 1
-    lengths = commas[k - 1::k - 1] - starts
+    # The k separators of each line, its k - 1 commas then its LF. With k - 1 commas to a
+    # line on the whole, each line holds exactly its own when the first lies past the LF
+    # before it and the last before its own LF.
+    seps = np.empty((lfs.size, k), dtype=np.int64)
+    seps[:, :-1] = commas.reshape(-1, k - 1)
+    seps[:, -1] = lfs
     del lfs, commas
-    if (lengths < 0).any():  # some line lacks its commas
+    ends = seps[:, -1]
+    if (seps[1:, 0] < ends[:-1]).any() or (seps[:, -2] > ends).any():
         return None
-    offsets = np.zeros(rows + 1, dtype=np.int64)
+    # A line's bytes, never fewer than the characters that csv's field limit counts.
+    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    # Row j's id runs from one past the LF that ends line j to its first comma. The ids are
+    # cut 2^16 rows at a time: an index over every id byte at once takes 8 bytes per id
+    # byte, and set the parse's peak at 10^6 rows.
+    starts = ends[:-1] + 1
+    lengths = seps[1:, 0] - starts
+    offsets = np.zeros(len(seps), dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    ids = Strings(data[np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])],
-                  offsets)
-    del data
-    # The header stays in the list of lines: no copy of the text without it.
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # after the LF that ends the last line
-    try:
-        # The same list of lines, not a StringIO of the text: no second copy of the file.
-        values = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1,
-                            usecols=range(1, k), ndmin=2)
-    except ValueError:
-        return None
-    # loadtxt skips a blank line, which csv skips too but which has an id here. With one
-    # row per line, each reaching column k - 1, the comma count leaves no extra cell.
-    if values.shape != (rows, k - 1):
-        return None
-    return ids, header, values
+    blob = np.empty(offsets[-1], dtype=np.uint8)
+    for a in range(0, lengths.size, 1 << 16):
+        b = min(a + (1 << 16), lengths.size)
+        at = np.repeat(starts[a:b] - offsets[a:b], lengths[a:b])
+        at += np.arange(offsets[a], offsets[b])
+        blob[offsets[a]:offsets[b]] = data[at]
+    ids = Strings(blob, offsets)
+    del starts, lengths, at
+    values = decimals(data, seps[1:])
+    return None if values is None else (ids, header, values)
 
 
 def _parse_csv(text: str) -> PredictionSet:

@@ -57,8 +57,10 @@ def gen_outlier_vs_moderate(n: int, outlier_magnitude: float = 500.0,
         e2[extreme] = rng.normal(0.0, moderate_sigma, size=int(extreme.sum()))
     # Calibrate the sample RMS to moderate_sigma (truncation shrinks it and
     # sampling noise would otherwise dominate seed-to-seed RMSE), keeping
-    # every error inside the 3-sigma fence.
-    e2 *= moderate_sigma / np.sqrt(np.mean(np.square(e2)))
+    # every error inside the 3-sigma fence. At moderate_sigma 0 every draw is
+    # already 0, and so is their RMS.
+    if moderate_sigma > 0:
+        e2 *= moderate_sigma / np.sqrt(np.mean(np.square(e2)))
     np.clip(e2, -3.0 * moderate_sigma, 3.0 * moderate_sigma, out=e2)
     return _build("b", y, {"B1": e1, "B2": e2})
 

@@ -45,7 +45,8 @@ def helpers(monkeypatch) -> list:
 
 @pytest.fixture
 def on_cores(monkeypatch):
-    """Set how many cores the row writer reads that the process may run on: on_cores(k)."""
+    """Set how many cores the row writer and decimals read that the process may run on:
+    on_cores(k)."""
     import errscope._text
 
     return lambda k: monkeypatch.setattr(errscope._text, "cores", lambda: k)

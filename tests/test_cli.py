@@ -159,15 +159,25 @@ def test_synth_negative_scale_exits_2(tmp_path, capsys, kind, key):
 ])
 def test_synth_negative_zero_scale_is_zero(tmp_path, capsys, kind, key):
     # -0.0 passes the >= 0 check, and numpy refused it by its sign bit with "scale < 0".
-    # Now it runs as 0 does: the same exit code, text and CSV bytes. outlier_vs_moderate
-    # exits 3 at moderate_sigma=0, as its RMS calibration divides 0 by 0.
+    # Now it runs as 0 does: the same exit code, text and CSV bytes.
     out, runs = tmp_path / "x.csv", []
     for value in ("0", "-0.0"):
         code = main(["synth", "--kind", kind, "--n", "40", "--param", f"{key}={value}",
                      "-o", str(out)])
         runs.append((code, capsys.readouterr(), out.exists() and out.read_bytes()))
         out.unlink(missing_ok=True)
-    assert runs[0] == runs[1] and runs[0][0] == (3 if kind == "outlier_vs_moderate" else 0)
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_synth_outlier_with_zero_moderate_sigma(tmp_path, capsys):
+    # moderate_sigma 0 is in the documented range: its RMS calibration used to divide 0 by
+    # 0 and exit 3. Every B2 error is 0.
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--kind", "outlier_vs_moderate", "--n", "300",
+                 "--param", "moderate_sigma=0", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ps = parse_predictions(out.read_bytes())
+    assert ps.n > 1 and ps.errors[:, ps.index("B2")].tolist() == [0.0] * ps.n
 
 
 def test_metrics_json_report(demo_csv, capsys):
@@ -282,13 +292,15 @@ def test_synth_failed_write_leaves_no_helper(tmp_path, monkeypatch, capsys, help
 
 
 def test_helpers_by_core_count_write_the_same_bytes(tmp_path, monkeypatch, capsys, helpers):
-    # row_chunks reads the core count once for each writer of more than one chunk. On one
-    # core none of them takes a helper; on two cores each does, and its helper writes at
-    # least the first chunk. synth, compare with every layer and metrics --plots write
-    # the same bytes on both.
+    # row_chunks reads the core count once for each writer of more than one chunk, and
+    # decimals once for each parse of more than one chunk of cells. On one core none of
+    # them takes a helper; on two cores each does, and a writer's helper writes at least
+    # the first chunk. synth, compare with every layer and metrics --plots write the same
+    # bytes on both.
     def run(k: int) -> dict:
         reads, out = [], tmp_path / str(k)
-        monkeypatch.setattr(errscope._text, "cores", lambda: reads.append(k) or k)
+        monkeypatch.setattr(errscope._text, "cores",
+                            lambda: reads.append(sys._getframe(1).f_code.co_name) or k)
         helpers.clear()
         csv = out / "in.csv"
         out.mkdir()
@@ -297,7 +309,9 @@ def test_helpers_by_core_count_write_the_same_bytes(tmp_path, monkeypatch, capsy
                      ",".join(ERROR_SPACE_LAYERS), "-o", str(out / "x.svg"),
                      "--json", str(out / "x.json")]) == 0
         assert main(["metrics", str(csv), "--plots", str(out / "figs")]) == 0
-        assert len(reads) >= 5 and len(helpers) == len(reads) * (k > 1)
+        writers = reads.count("row_chunks")
+        assert reads.count("decimals") == 2 and len(reads) == writers + 2
+        assert writers >= 5 and len(helpers) == writers * (k > 1)
         assert all(helpers)
         return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 

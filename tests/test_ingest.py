@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import same_prediction_set, to_csv
-from test_cli import BAD_CELLS, NUMBERS
+from test_cli import BAD_CELLS, NUMBERS as CLI_NUMBERS
 
 import errscope.ingest
 from errscope import PredictionSet, generate, parse_predictions
@@ -195,12 +195,23 @@ def test_write_csv_traced_peak_at_2e5(on_cores, k):
     assert peak <= 6 * 2**20
 
 
-# Spliced into the cells of the exit-contract fuzz: text float() and loadtxt may read
-# differently (underscores, non-ASCII digits, whitespace float() does not strip), line
-# breaks that csv and str.splitlines do not share, NUL, which csv refused before Python 3.11,
-# and the quote and comma of csv syntax.
+# The number cells of the exit-contract fuzz. Beside the CLI's, cells for each branch of
+# the decimal kernel and for its float() fallback: exponent forms; numpy.savetxt's %.18e,
+# 19 digits; 20 digits or more; other spellings; and hard cases: 2^53 + 1, the number
+# that hung PHP's and Java's parsers, the least subnormal, the largest double, and the
+# least decimal above it that rounds to infinity.
+NUMBERS = CLI_NUMBERS + [
+    "1e5", "1E+05", "-2.5e-3", "%.18e" % 0.1, "-%.18e" % 2.0**-1000, "12345678901234567890",
+    "0.1234567890123456789012", "-98765432109876543210.5e-3", "0007.50", "+1.5", "1.", ".5",
+    "-0.0", "9007199254740993", "2.2250738585072011e-308", "5e-324",
+    "1.7976931348623157e308", "1.7976931348623159e308"]
+# Spliced into the cells: text float() reads and the kernel does not (underscores, non-ASCII
+# digits, whitespace, a point, a sign or an exponent out of place), line breaks that csv
+# and str.splitlines do not share, NUL, which csv refused before Python 3.11, and the quote
+# and comma of csv syntax.
 SPLICES = BAD_CELLS + ["_", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
-                       "\x85", "\u2028", "\u0663", "\r\n", "\r", "\n", "\x00", '"', ","]
+                       "\x85", "\u2028", "\u0663", "\r\n", "\r", "\n", "\x00", '"', ",",
+                       ".", "e", "E", "+", "-", "e+5", "e1234567"]
 
 
 @st.composite
@@ -227,6 +238,10 @@ def outcome(parse, text):
     return ps.instance_ids.tolist(), ps.model_names, bits(ps.y_true), bits(ps.predictions)
 
 
+# A header whose bytes put every number cell past the first 32 bytes, where the kernel reads.
+HEAD = "id,y_true,a_model_with_a_long_name\n"
+
+
 def csv_module_only(text):
     ids, header, values = _read_csv(text)
     return PredictionSet(ids, values[:, 0], tuple(header[2:]), values[:, 1:])
@@ -234,13 +249,13 @@ def csv_module_only(text):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(text=csv_texts())
-@example(text="id,y_true,M\na,1,2\nb,1,2,3\n")  # usecols alone would drop the extra cell
-@example(text="id,y_true,M\na,1\x1c,2\n")  # loadtxt reads 1.0, float() refuses
-@example(text="id,y_true,M\na,1_0,\u0663\n")  # float() reads both, loadtxt neither
+@example(text="id,y_true,M\na,1,2\nb,1,2,3\n")  # one cell too many on a line
+@example(text="id,y_true,M\na,1\x1c,2\n")  # str.strip strips \x1c, float() refuses it
+@example(text="id,y_true,M\na,1_0,\u0663\n")  # float() reads both, the kernel neither
 @example(text="id,y_true,M\na\u2028b,1,2\nc\x0bd,3,4\n")  # str.splitlines would split them
 @example(text="id,y_true,M\n\na,1,2\n\n\nb,3,4\n\n")
-@example(text="id,y_true,M\na,1,2,3,4\n\nb,5,6\n")  # commas add up, loadtxt skips a line
-@example(text="id,y_true,M\n\na,1,2,3,4\n")  # commas add up, loadtxt reads 1 row, not 2
+@example(text="id,y_true,M\na,1,2,3,4\n\nb,5,6\n")  # commas add up, but not line by line
+@example(text="id,y_true,M\n\na,1,2,3,4\n")  # commas add up, but not line by line
 @example(text="id,y_true,M\na,1,2\n \nb,3,4\n")
 @example(text="id,y_true,M\na,1,2\n\t\n")
 @example(text="id,y_true,M\na,,2\n")
@@ -251,9 +266,22 @@ def csv_module_only(text):
 @example(text="id,y_true,M\na,1,2\r\nb,3,4\rc,5,6\r\n")
 @example(text="id,y_true,M\ra,1,2\nb,1,2,3,4\n")  # csv ends the header at the CR
 @example(text="id,y_true,M\n" + "a" * 200_000 + ",1,2\n")
+@example(text=HEAD + "r0,1e5,1E+05\nr1,-2.5e-3,1.000000000000000056e-01\n")
+@example(text=HEAD + "r0,12345678901234567890,0.1234567890123456789012\n")
+@example(text=HEAD + "r0,0007.50,+1.5\nr1,1.,.5\n")
+@example(text=HEAD + "r0,-0.0,9007199254740993\nr1,2.2250738585072011e-308,5e-324\n")
+@example(text=HEAD + "r0,1.7976931348623157e308,-1.7976931348623157e308\n")
+@example(text=HEAD + "r0,1,1.7976931348623159e308\n")
+@example(text=HEAD + "r0,1,1e\nr1,1,2\n")
+@example(text=HEAD + "r0,1e5e5,2\n")
+@example(text=HEAD + "r0,1.5.5,2\n")
+@example(text=HEAD + "r0,1e123456789,-1e-123456789\n")
+@example(text=HEAD + "r0,+-1,2\n")
+@example(text=HEAD + "r0,.,2\n")
+@example(text=HEAD + "r0,1,2")
 @example(text="id,y_true,M\na," + "1" * 200_000 + ",2\n")
 def test_plain_path_reads_what_the_csv_module_reads(text):
-    """The loadtxt path either declines, or reads the same ids, header and float bits as
+    """The plain path either declines, or reads the same ids, header and float bits as
     the csv module; either way parse_predictions ends as the csv module alone would."""
     plain = _read_plain_csv(text)
     if plain is not None:
@@ -283,9 +311,11 @@ def test_canonical_csv_takes_the_plain_path(monkeypatch):
 
 
 def test_parse_traced_peak_at_2e5():
-    """The lines go to loadtxt as a list, not as a StringIO copy of the text. With numpy
-    2.4.6 on Python 3.11 the peak read 51.1 MB that way, 93.7 MB through a StringIO and
-    94.8 MB through the csv module; 48.0 MB once the ids were cut from the encoded text."""
+    """Numbers are read from the encoded text's bytes, with no list of lines. With numpy
+    2.4.6 on Python 3.11 the peak read 51.1 MB with a list of lines for a C tokenizer, 93.7
+    MB with a StringIO copy of the text and 94.8 MB through the csv module; 48.0 MB once
+    the ids were cut from the encoded text. With the decimal kernel it read 54.1 MB while
+    one index spanned every id byte, and 48.4 MB with the ids cut 2^16 rows at a time."""
     data = canonical_csv(200_000)
     tracemalloc.start()
     try:

@@ -1,7 +1,9 @@
 """The row writer's float64 text against repr and against the fixed-step rule, byte for
-byte, and its %s columns: Strings and fixed-width byte arrays."""
+byte, and its %s columns: Strings and fixed-width byte arrays; and decimals' float64
+values against float(), bit for bit."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import fixed_step, rows, shortest_schubfach
 
 from errscope import _text
-from errscope._text import M_BOUND, ROW_CHUNK, Strings, _dragonbox_table, _shortest, row_chunks
+from errscope._text import (CELL_CHUNK, M_BOUND, ROW_CHUNK, Strings, _decimal_block,
+                            _dragonbox_table, _shortest, decimals, row_chunks)
 
 
 def assert_written(spec, values):
@@ -191,13 +194,187 @@ def test_fixed_any_floats_below_the_bound(values):
     assert_fixed(values)
 
 
+def cells(texts: list[str], k: int = 7) -> tuple[np.ndarray, np.ndarray]:
+    """A blob holding the texts as cells between commas, after 32 bytes, so that the kernel
+    may read each; and the (rows, k + 1) separators of its rows of k cells, the last row
+    filled out with "0"."""
+    texts = texts + ["0"] * (-len(texts) % k)
+    text = " " * 32 + "," + ",".join(texts) + ","
+    blob = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = np.flatnonzero(blob == ord(","))
+    return blob, seps[np.arange(len(texts) // k)[:, None] * k + np.arange(k + 1)]
+
+
+# The kernel's grammar: a sign, 1 to 19 digits with at most one point, and an exponent of at
+# most 8 bytes.
+GRAMMAR = re.compile(r"[+-]?([0-9]*)\.?([0-9]*)([eE][+-]?[0-9]+)?")
+
+
+def in_grammar(text: str) -> bool:
+    m = GRAMMAR.fullmatch(text)
+    return bool(m) and 1 <= len(m[1] + m[2]) <= 19 and len(m[3] or "") <= 8
+
+
+def assert_reads_as_float(texts: list[str]):
+    """decimals reads each text as float() does, bit for bit, and the kernel decides every
+    text in its grammar itself, not through float()."""
+    blob, seps = cells(texts)
+    want = np.array([float(t) for t in texts] + [0.0] * (seps.size - seps.shape[0] - len(texts)))
+    got = decimals(blob, seps).ravel()
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))[:3]
+    assert bad.size == 0, [(texts[i], got[i], want[i]) for i in bad]
+    bits, decided = _decimal_block(blob, (seps[:, :-1] + 1).ravel(), seps[:, 1:].ravel())
+    grammar = [in_grammar(t) for t in texts]
+    assert decided[:len(texts)].tolist() == grammar
+    assert (bits[decided] == want.view(np.uint64)[decided]).all()
+
+
+def test_decimals_read_repr_of_random_bit_patterns():
+    """repr of random doubles of every biased exponent, subnormals too, of both signs, and
+    of the zeros, the least subnormal and the largest double."""
+    rng = np.random.default_rng(30)
+    exponent = np.repeat(np.arange(2047, dtype=np.uint64), 6)
+    bits = (exponent << 52 | rng.integers(0, 1 << 52, exponent.size, dtype=np.uint64)
+            | rng.integers(0, 2, exponent.size, dtype=np.uint64) << 63)
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
+                2.225073858507201e-308]
+    x = np.concatenate([bits.view(np.float64), extremes])
+    assert x.size >= 10**4
+    assert_reads_as_float([repr(v) for v in x.tolist()])
+
+
+@st.composite
+def decimal_texts(draw) -> str:
+    """A sign, leading zeros, 1 to 25 digits with a point anywhere or none, and an exponent
+    from -400 to 400, with a sign and leading zeros, or none."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    text = draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 3))
+    text += digits if point is None else digits[:point] + "." + digits[point:]
+    if draw(st.booleans()):
+        e = draw(st.integers(-400, 400))
+        sign = "-" if e < 0 else draw(st.sampled_from(["", "+"]))
+        text += draw(st.sampled_from("eE")) + sign + "0" * draw(st.integers(0, 2)) + str(abs(e))
+    return text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(decimal_texts(), min_size=1, max_size=60))
+def test_decimals_read_random_decimal_texts(texts):
+    assert_reads_as_float(texts)
+
+
+# Cells for each branch of the kernel: exponent forms; numpy.savetxt's %.18e, 19 digits;
+# 20 digits or more; other spellings; ties; the ends of the subnormals and the normals;
+# 2^53 + 1; the number that hung PHP's and Java's parsers; and the least decimal above the
+# largest double that rounds to infinity.
+HARD_CASES = [
+    "1e5", "1E+05", "-2.5e-3", "%.18e" % 0.1, "%.18e" % -2.0**-1000,
+    "%.18e" % 1.7976931348623157e308,
+    "12345678901234567890", "0.1234567890123456789012", "1234567890123456789",
+    "9999999999999999999", "9999999999999999999e-19", "0007", "000.5", "+1.5", "1.", ".5",
+    "-0.0", "0e999", "-0e-999", "9007199254740993", "9007199254740995", "9007199254740992.5",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "2.225073858507201136057409796709131975934819546351645648e-308",
+    "5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1e-342", "1e-343", "1e-400", "1.7976931348623157e308", "1.7976931348623158e308",
+    "1.7976931348623159e308", "1e308", "1e309", "1e400", "7e22", "7e23", "8.5e-5", "1e23",
+    "3.0517578125e-05", "1.00000000000000011102230246251565404236316680908203125",
+    "1.0000000000000001110223024625156540", "9.5e-5", "123456789e-3", "1e+1234567",
+]
+
+
+def test_decimals_read_hard_cases():
+    assert_reads_as_float(HARD_CASES + ["-" + t.lstrip("+-") for t in HARD_CASES])
+
+
+@pytest.mark.parametrize("text", ["", "1e", "e5", ".", "-", "+", "1..5", "1e5.5", "--1",
+                                  "1 2", "1e+", "0x10", "é", "1e5e5"])
+def test_decimals_refuse_what_float_refuses(text):
+    """One cell float() refuses, among cells it reads: decimals gives None."""
+    blob, seps = cells(["1.5"] * 20 + [text] + ["2.5"] * 20)
+    assert decimals(blob, seps) is None
+
+
+def test_decimals_give_what_float_gives_outside_the_grammar():
+    """float() reads a cell the kernel does not: whitespace, underscores, non-ASCII digits,
+    inf and nan, a long exponent."""
+    texts = [" 1", "1 ", "\t2.5", "1_000", "٣", "inf", "-Infinity", "nan", "1e123456789",
+             "-1e-000000001", "0" * 30 + "1.5"]
+    blob, seps = cells(texts)
+    got = decimals(blob, seps).ravel()[:len(texts)]
+    assert np.array_equal(got, [float(t) for t in texts], equal_nan=True)
+
+
+def test_decimals_near_the_ends_of_the_blob():
+    """A cell that ends within 32 bytes of the blob's start goes through float(); the last
+    cell of the blob is read to its last byte."""
+    text = "1.5,-2e-3,7,0.25,1e5,3.25,12345678901234567"
+    blob = np.frombuffer(text.encode(), dtype=np.uint8)
+    seps = np.concatenate([[-1], np.flatnonzero(blob == ord(",")), [blob.size]])
+    assert decimals(blob, seps[None, :]).tolist() == [[float(t) for t in text.split(",")]]
+
+
+def test_decimals_threads_take_each_chunk_once(monkeypatch, on_cores):
+    """In chunks of one row of 7 cells: on one core the calling thread reads every chunk;
+    on two, with a switch interval of 1 us, it and the helper thread take each of the 1000
+    chunks exactly once between them. Both read what float() reads."""
+    monkeypatch.setattr(_text, "CELL_CHUNK", 7)
+    x = np.random.default_rng(34).normal(0.0, 1e3, 7 * 1000)
+    x *= 10.0 ** np.random.default_rng(35).integers(-30, 30, x.size)
+    texts = [repr(v) for v in x.tolist()]
+    blob, seps = cells(texts)
+    block, taken = _text._decimal_block, []
+
+    def counted(blob, starts, ends):
+        taken.append((int(starts[0]), threading.current_thread().name))
+        return block(blob, starts, ends)
+
+    monkeypatch.setattr(_text, "_decimal_block", counted)
+    on_cores(1)
+    assert decimals(blob, seps).ravel().tolist() == x.tolist()
+    assert {name for _, name in taken} == {threading.current_thread().name}
+    taken.clear()
+    on_cores(2)
+    before, interval = threading.enumerate(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = decimals(blob, seps)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.ravel().tolist() == x.tolist() and threading.enumerate() == before
+    assert sorted(at for at, _ in taken) == (seps[:, 0] + 1).tolist()
+    assert "decimals helper" in {name for _, name in taken}
+
+
+def test_decimals_helper_error_comes_out(monkeypatch, on_cores):
+    """An error in a chunk the helper thread reads is raised by decimals, which has joined
+    the helper. The calling thread waits to read its first chunk until the helper fails."""
+    blob, seps = cells(["1.5"] * 3 * CELL_CHUNK)
+    block, failed = _text._decimal_block, threading.Event()
+
+    def failing(*args):
+        if threading.current_thread().name == "decimals helper":
+            failed.set()
+            raise MemoryError
+        assert failed.wait(60)
+        return block(*args)
+
+    monkeypatch.setattr(_text, "_decimal_block", failing)
+    on_cores(2)
+    before = threading.enumerate()
+    with pytest.raises(MemoryError):
+        decimals(blob, seps)
+    assert threading.enumerate() == before
+
+
 def test_import_builds_no_table():
     """The digit tables are built on first use: importing the CLI costs none of them."""
     code = ("import errscope.cli, errscope._text as t; print([f.cache_info().currsize for f in"
-            " (t._dragonbox_table, t._repr_tables, t._fixed_layouts)])")
+            " (t._dragonbox_table, t._repr_tables, t._fixed_layouts, t._powers_of_five)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out == "[0, 0, 0]\n"
+    assert out == "[0, 0, 0, 0]\n"
 
 
 # A child process counts the calls of each table's build on every thread, each call held
@@ -208,7 +385,7 @@ BUILDS = """
 import sys, tempfile, threading, time
 import errscope._text as t
 from errscope.cli import main
-tables = (t._dragonbox_table, t._repr_tables, t._fixed_layouts)
+tables = (t._dragonbox_table, t._repr_tables, t._fixed_layouts, t._powers_of_five)
 count = dict.fromkeys((f.__wrapped__.__code__ for f in tables), 0)
 def profile(frame, event, arg):
     if event == "call" and frame.f_code in count:
@@ -247,7 +424,7 @@ def test_threads_share_one_build_of_each_table(case):
     """Threads that ask for a digit table while another builds it wait for that build."""
     err = subprocess.run([sys.executable, "-c", BUILDS, case], capture_output=True, text=True,
                          check=True, timeout=120).stderr
-    assert err == "[1, 1, 1]\n"
+    assert err == "[1, 1, 1, 1]\n"
 
 
 # Any code point, lone surrogates too (st.characters leaves them out): Strings encodes them
